@@ -7,7 +7,10 @@ states fixed, the optimal fourth is the conjugated, normalized
 environment (the contraction of the state against the other three), and
 cycling through the qubits makes the overlap non-decreasing.  Random
 restarts guard against local maxima; their merge is deterministic for a
-fixed seed.
+fixed seed.  All restarts advance together: a sweep views the state as a
+4x4 matrix T[ab, cd] and shares two partial contractions between the
+qubits, one against qubits 3 and 4 (for the updates of qubits 1 and 2)
+and one against the updated qubits 1 and 2 (for qubits 3 and 4).
 
 The module also carries the closed-form overlap values known for many
 classes, the one-parameter fixed-point iteration for the symmetric
@@ -37,14 +40,6 @@ HIT_WINDOW = 1e-9
 MERGE_TOL = 1e-6
 # largest tolerated imaginary part when gauging a witness real
 REAL_TOL = 1e-6
-
-_ENV_SPECS = (
-    "abcd,rb,rc,rd->ra",
-    "abcd,ra,rc,rd->rb",
-    "abcd,ra,rb,rd->rc",
-    "abcd,ra,rb,rc->rd",
-)
-
 
 class IterationDiverged(RuntimeError):
     """The one-parameter iteration ran into its pole; restart upstream."""
@@ -91,7 +86,9 @@ class GeSolution:
     ``candidates`` holds the witnesses of every restart whose overlap came
     within 1e-9 of the best (restart order preserved); ``tensor`` is the
     solved state reshaped to one axis per qubit, kept so the witness can be
-    re-analyzed without the original state.
+    re-analyzed without the original state.  ``sweeps`` counts the sweeps
+    run and ``stop`` names why they ended: "tol" when every restart
+    converged, "max_iter" when the cap was hit first.
     """
 
     overlap: float
@@ -99,6 +96,8 @@ class GeSolution:
     witness: ProductState
     restarts_hit: int
     converged: bool
+    sweeps: int
+    stop: str
     candidates: np.ndarray = field(repr=False)  # complex, shape (k, 4, 2)
     tensor: np.ndarray = field(repr=False)      # complex, shape (2, 2, 2, 2)
     monotone_slack: float = 0.0
@@ -136,24 +135,58 @@ def _random_product_batch(rng, restarts: int) -> np.ndarray:
     return phi / np.linalg.norm(phi, axis=2, keepdims=True)
 
 
+def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Two-qubit product amplitudes p[r, a] q[r, b], flattened to shape (R, 4)."""
+    return (p[:, :, None] * q[:, None, :]).reshape(len(p), 4)
+
+
+def _update(q: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """Set one qubit of every restart to its conjugated, normalized environment.
+
+    A restart whose environment is zero keeps its old state.  Returns the
+    environment norms.
+    """
+    re, im = env.real, env.imag
+    norm = np.sqrt((re * re + im * im).sum(axis=1))
+    safe = norm > 1e-300
+    # masked assignment costs more; a zero environment is rare
+    if safe.all():
+        q[:] = env.conj() / norm[:, None]
+    else:
+        q[safe] = env[safe].conj() / norm[safe, None]
+    return norm
+
+
 def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """One full alternating sweep over the four qubits, in place.
+
+    The sweep shares two partial contractions of T viewed as a 4x4 matrix
+    T[ab, cd].  Tcd[r, a, b] = sum_cd T[abcd] phi3[r, c] phi4[r, d] gives the
+    environments of qubits 1 and 2 (Tcd.phi2, then phi1.Tcd with the new
+    phi1); Tab[r, c, d] = sum_ab phi1[r, a] phi2[r, b] T[abcd], built from the
+    updated pair, gives those of qubits 3 and 4 (Tab.phi4, then phi3.Tab).
+    Each qubit thus sees exactly the values the qubit-by-qubit order gives
+    it, so this is the plain Gauss-Seidel iteration, with two (R, 4) @ (4, 4)
+    products and four batched 2x2 products per sweep.  ``tensor`` and
+    ``phi`` may both be real (the real-polish path) or complex.
 
     Returns the overlap estimates |f| after the sweep (exact for each
     restart because the last-updated qubit is the normalized environment).
     """
-    for i in range(hc.N_VERTICES):
-        others = [phi[:, j] for j in range(hc.N_VERTICES) if j != i]
-        env = np.einsum(_ENV_SPECS[i], tensor, *others)
-        norm = np.linalg.norm(env, axis=1)
-        safe = norm > 1e-300
-        phi[:, i] = np.where(safe[:, None], env.conj() / np.where(safe, norm, 1.0)[:, None], phi[:, i])
-    return norm
+    t = tensor.reshape(4, 4)
+    p1, p2, p3, p4 = phi.transpose(1, 0, 2)
+    tcd = (_pair(p3, p4) @ t.T).reshape(-1, 2, 2)
+    _update(p1, (tcd @ p2[:, :, None])[:, :, 0])
+    _update(p2, (p1[:, None, :] @ tcd)[:, 0])
+    tab = (_pair(p1, p2) @ t).reshape(-1, 2, 2)
+    _update(p3, (tab @ p4[:, :, None])[:, :, 0])
+    return _update(p4, (p3[:, None, :] @ tab)[:, 0])
 
 
 def _contract(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Overlap <Phi|psi> for a batch of product states."""
-    return np.einsum("abcd,ra,rb,rc,rd->r", tensor, phi[:, 0], phi[:, 1], phi[:, 2], phi[:, 3])
+    tab = _pair(phi[:, 0], phi[:, 1]) @ tensor.reshape(4, 4)
+    return (tab * _pair(phi[:, 2], phi[:, 3])).sum(axis=1)
 
 
 def closest_product(
@@ -179,13 +212,13 @@ def closest_product(
     overlap = np.zeros(policy.restarts)
     slack = 0.0
     converged = False
-    for sweep in range(policy.max_iter):
+    for sweeps in range(1, policy.max_iter + 1):
         new = _sweep(tensor, phi)
-        if sweep:
+        if sweeps > 1:
             slack = max(slack, float(np.max(overlap - new)))
         done = new - overlap < policy.tol
         overlap = new
-        if sweep and bool(done.all()):
+        if sweeps > 1 and bool(done.all()):
             converged = True
             break
     overlap = np.abs(_contract(tensor, phi))
@@ -200,6 +233,8 @@ def closest_product(
         witness=ProductState(phi[best]),
         restarts_hit=int(hit.sum()),
         converged=converged,
+        sweeps=sweeps,
+        stop="tol" if converged else "max_iter",
         candidates=phi[hit].copy(),
         tensor=tensor,
         monotone_slack=slack,
@@ -325,7 +360,7 @@ def _best_real_overlap(sol: GeSolution, extra_starts: int = 32) -> float:
         overlap = new
         if bool(done.all()):
             break
-    return float(np.max(np.abs(_contract(tensor.astype(complex), phi.astype(complex)))))
+    return float(np.max(np.abs(_contract(tensor, phi))))
 
 
 def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:

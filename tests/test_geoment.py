@@ -139,3 +139,102 @@ def test_real_grid_matches_solver_on_real_witness_state():
     eg = gm.closest_product(s, restarts=32).eg
     grid = gm.real_grid_eg(s, points=24, levels=3)
     assert eg - 1e-9 <= grid <= eg + 1e-3
+
+
+# ---------------------------------------------------------------------------
+# sweep kernel against the qubit-by-qubit einsum reference
+
+_REF_ENV_SPECS = (
+    "abcd,rb,rc,rd->ra",
+    "abcd,ra,rc,rd->rb",
+    "abcd,ra,rb,rd->rc",
+    "abcd,ra,rb,rc->rd",
+)
+
+
+def _reference_sweep(tensor, phi):
+    """One Gauss-Seidel sweep, one 4-operand einsum per qubit."""
+    for i in range(4):
+        others = [phi[:, j] for j in range(4) if j != i]
+        env = np.einsum(_REF_ENV_SPECS[i], tensor, *others)
+        norm = np.linalg.norm(env, axis=1)
+        safe = norm > 1e-300
+        phi[:, i] = np.where(
+            safe[:, None], env.conj() / np.where(safe, norm, 1.0)[:, None], phi[:, i]
+        )
+    return norm
+
+
+def _random_tensor(rng):
+    t = rng.normal(size=(2,) * 4) + 1j * rng.normal(size=(2,) * 4)
+    return t / np.linalg.norm(t)
+
+
+def _assert_sweep_matches_reference(tensor, phi):
+    ours, ref = phi.copy(), phi.copy()
+    overlap = gm._sweep(tensor, ours)
+    ref_overlap = _reference_sweep(tensor, ref)
+    assert ours.dtype == phi.dtype
+    assert np.max(np.abs(ours - ref)) < 1e-13
+    assert np.max(np.abs(overlap - ref_overlap)) < 1e-13
+    return ours, overlap
+
+
+@pytest.mark.parametrize("which", ["row 28", "random complex"])
+def test_sweep_matches_einsum_reference(which):
+    rng = np.random.default_rng(71)
+    if which == "row 28":
+        tensor = gm.state_tensor(sv.build_state(13652))
+    else:
+        tensor = _random_tensor(rng)
+    phi = gm._random_product_batch(rng, 16)
+    for _ in range(5):
+        phi, _ = _assert_sweep_matches_reference(tensor, phi)
+
+
+def test_sweep_matches_einsum_reference_in_real_arithmetic():
+    # the real-polish path: real tensor, real witnesses, no complex upcast
+    rng = np.random.default_rng(73)
+    tensor = gm.state_tensor(sv.build_state(13652)).real
+    phi = rng.normal(size=(16, 4, 2))
+    phi /= np.linalg.norm(phi, axis=2, keepdims=True)
+    for _ in range(5):
+        phi, overlap = _assert_sweep_matches_reference(tensor, phi)
+        assert phi.dtype == overlap.dtype == np.float64
+
+
+def test_sweep_keeps_a_restart_with_zero_environment():
+    # |0000> has a zero environment for every qubit of a restart whose
+    # first two qubits are exactly |1>
+    tensor = np.zeros((2,) * 4, dtype=complex)
+    tensor[0, 0, 0, 0] = 1.0
+    phi = gm._random_product_batch(np.random.default_rng(79), 4)
+    phi[2, :2] = (0.0, 1.0)
+    before = phi[2].copy()
+    ours, overlap = _assert_sweep_matches_reference(tensor, phi)
+    assert np.array_equal(ours[2], before)
+    assert overlap[2] == 0.0
+    assert np.all(np.delete(overlap, 2) > 0.0)
+
+
+def test_contract_matches_einsum_reference():
+    rng = np.random.default_rng(83)
+    tensor = _random_tensor(rng)
+    phi = gm._random_product_batch(rng, 16)
+    ref = np.einsum("abcd,ra,rb,rc,rd->r", tensor, phi[:, 0], phi[:, 1], phi[:, 2], phi[:, 3])
+    assert np.max(np.abs(gm._contract(tensor, phi) - ref)) < 1e-13
+
+
+def test_solver_counters_at_default_policy():
+    """Sweep counts and stop reasons of two known solves.
+
+    These pin the sweep kernel as the same iteration, and 13654 (in the
+    row-28 orbit) documents a known non-convergence at the default cap.
+    A deliberate change to the solver's convergence (ROADMAP item 3) is
+    expected to change these counts.
+    """
+    row28 = gm.solve_code(13652)
+    assert (row28.sweeps, row28.stop, row28.converged) == (4361, "tol", True)
+    capped = gm.solve_code(13654)
+    assert (capped.sweeps, capped.stop) == (5000, "max_iter")
+    assert capped.converged is False
