@@ -29,9 +29,8 @@ order = np.argsort(table.reps)
 for k in order:
     rep = int(table.reps[k])
     rec = ob.orbit_of(rep, table)
-    m = rec.m if rec.m is not None else rec.size // 16
     print(f"{hc.format_edges(hc.standardize(rep)) or '(none)':>18}  "
-          f"{rec.size:>5}  {rec.rank:>4}  {m:>3}")
+          f"{rec.size:>5}  {rec.rank:>4}  {rec.m:>3}")
 
 sizes = table.sizes
 print(f"\nsizes sum to {int(sizes.sum())}; every size divides the group "
@@ -41,11 +40,3 @@ print("\n=== orbit membership of a worked example ===")
 for text in ("1234,123", "1234", "12,34", ""):
     rec = ob.orbit_of(hc.parse_edges(text), table)
     print(f"  {text or '(empty)':>10}: rep {rec.rep:>5}, size {rec.size:>4}, rank {rec.rank}")
-
-print("\n=== caching ===")
-path = "/tmp/hgstate_orbits.bin"
-ob.save_cache(table, path)
-t0 = time.perf_counter()
-loaded = ob.load_cache(path)
-print(f"cache at {path}: reload in {time.perf_counter() - t0:.4f}s, "
-      f"identical: {np.array_equal(loaded.class_id, table.class_id)}")

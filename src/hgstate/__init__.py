@@ -39,7 +39,6 @@ from .hypercore import (
     apply_z,
     edges_of,
     format_edges,
-    hypergraph_basis,
     hypergraph_from_signs,
     neighborhood,
     parse_edges,
@@ -96,7 +95,6 @@ __all__ = [
     "enumerate_orbits",
     "format_edges",
     "geometric_entanglement",
-    "hypergraph_basis",
     "hypergraph_from_signs",
     "match_row",
     "neighborhood",

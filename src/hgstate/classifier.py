@@ -167,14 +167,17 @@ class ClassRecord:
     row: int | None
 
 
-def signature(h: int, policy: gm.SolvePolicy | None = None) -> ClassSignature:
-    """GE and entropy multisets of the state named by a code."""
-    profile = sv.entropy_profile(h)
+def _signature(ge: float, profile: sv.EntropyProfile) -> ClassSignature:
     return ClassSignature(
-        ge=gm.geometric_entanglement(h, policy),
+        ge=ge,
         be2=tuple(sorted(profile.be2, reverse=True)),
         be1=tuple(sorted(profile.be1, reverse=True)),
     )
+
+
+def signature(h: int, policy: gm.SolvePolicy | None = None) -> ClassSignature:
+    """GE and entropy multisets of the state named by a code."""
+    return _signature(gm.geometric_entanglement(h, policy), sv.entropy_profile(h))
 
 
 def _multiset_close(xs, ys, tol: float) -> bool:
@@ -227,18 +230,8 @@ def _check_distinct(records) -> None:
 def _record_for(rep: int, size: int, rank: int, policy: gm.SolvePolicy) -> ClassRecord:
     sol = gm.solve_code(rep, policy)
     profile = sv.entropy_profile(rep)
-    sig = ClassSignature(
-        ge=sol.eg,
-        be2=tuple(sorted(profile.be2, reverse=True)),
-        be1=tuple(sorted(profile.be1, reverse=True)),
-    )
+    sig = _signature(sol.eg, profile)
     pattern = gm.degeneracy_pattern(sol)
-    if rank == 4:
-        m = size // 256
-    elif rank == 3:
-        m = size // 128
-    else:
-        m = size // 16
     table = row = closed = None
     if rank in (3, 4):
         table, row = match_row(rank, sig.ge, sig.be2)
@@ -248,7 +241,7 @@ def _record_for(rep: int, size: int, rank: int, policy: gm.SolvePolicy) -> Class
         std_rep=hc.standardize(rep),
         rank=rank,
         orbit_size=size,
-        m=m,
+        m=ob._multiplicity(size, rank),
         signature=sig,
         profile=profile,
         pattern=pattern,
@@ -339,7 +332,7 @@ def _class_dict(r: ClassRecord) -> dict:
 
 
 def emit_report(records, graph_records, fmt: str, seed: int) -> str:
-    """Render the classification as json, csv, or markdown.
+    """Render the classification as "json", "csv" or "md" (markdown).
 
     Output is byte-identical for identical inputs; classes appear in
     reference-row order followed by graph classes by representative.
@@ -354,45 +347,26 @@ def emit_report(records, graph_records, fmt: str, seed: int) -> str:
         return json.dumps({"classes": rows, "totals": totals, "seed": seed}, indent=2) + "\n"
     if fmt == "csv":
         return _emit_csv(rows)
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         return _emit_markdown(rows, totals, seed)
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-_CSV_FIELDS = (
-    "paper_table",
-    "paper_row",
-    "rep_edges",
-    "rank",
-    "m",
-    "orbit_size",
-    "ge",
-    "ge_closed_form",
-    "be2_1",
-    "be2_2",
-    "be2_3",
-    "be1_1",
-    "be1_2",
-    "be1_3",
-    "be1_4",
-    "pattern",
-    "reality",
-    "restarts_hit",
-)
-
-
 def _emit_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
+    """One line per class; each list field spreads over numbered columns."""
+    flat_rows = []
     for row in rows:
-        flat = dict(row)
-        for i, v in enumerate(flat.pop("be2"), 1):
-            flat[f"be2_{i}"] = v
-        for i, v in enumerate(flat.pop("be1"), 1):
-            flat[f"be1_{i}"] = v
-        flat = {k: ("" if v is None else v) for k, v in flat.items()}
-        writer.writerow(flat)
+        flat = {}
+        for key, value in row.items():
+            if isinstance(value, list):
+                flat.update((f"{key}_{i}", v) for i, v in enumerate(value, 1))
+            else:
+                flat[key] = "" if value is None else value
+        flat_rows.append(flat)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(flat_rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(flat_rows)
     return buf.getvalue()
 
 

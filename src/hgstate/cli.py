@@ -29,11 +29,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+    return integer
 
 
 def _positive_float(text: str) -> float:
@@ -44,16 +46,14 @@ def _positive_float(text: str) -> float:
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=_positive_int, default=gm.DEFAULT_RESTARTS,
+    p.add_argument("--restarts", type=_int_at_least(1), default=gm.DEFAULT_RESTARTS,
                    help="random restarts per solve (default %(default)s)")
     p.add_argument("--tol", type=_positive_float, default=gm.DEFAULT_TOL,
                    help="per-sweep overlap improvement threshold (default %(default)s)")
-    p.add_argument("--max-iter", type=_positive_int, default=gm.DEFAULT_MAX_ITER,
+    p.add_argument("--max-iter", type=_int_at_least(1), default=gm.DEFAULT_MAX_ITER,
                    help="sweep cap per solve (default %(default)s)")
-    p.add_argument("--seed", type=int, default=gm.DEFAULT_SEED,
+    p.add_argument("--seed", type=_int_at_least(0), default=gm.DEFAULT_SEED,
                    help="base seed for the restart streams (default %(default)s)")
-    p.add_argument("--cache", metavar="PATH", default=None,
-                   help="orbit table cache file (created when missing)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run exhaustive invariant sweeps")
     p_verify.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
-    p_verify.add_argument("--cache", metavar="PATH", default=None,
-                          help="orbit table cache file for the orbit suites")
     return parser
 
 
@@ -85,12 +83,7 @@ def _policy(args) -> gm.SolvePolicy:
 
 def cmd_classify(args) -> int:
     try:
-        table = ob.load_or_enumerate(args.cache)
-    except OSError as exc:
-        print(f"hgstate: cannot use orbit cache: {exc}", file=sys.stderr)
-        return 1
-    try:
-        records, graphs = cf.classify_all(_policy(args), table)
+        records, graphs = cf.classify_all(_policy(args))
     except cf.ClassificationError as exc:
         print(f"hgstate: classification failed: {exc}", file=sys.stderr)
         return 2
@@ -113,12 +106,7 @@ def cmd_query(args) -> int:
     except ValueError as exc:
         print(f"hgstate: bad edge list: {exc}", file=sys.stderr)
         return 1
-    try:
-        table = ob.load_or_enumerate(args.cache)
-    except OSError as exc:
-        print(f"hgstate: cannot use orbit cache: {exc}", file=sys.stderr)
-        return 1
-    record = ob.orbit_of(code, table)
+    record = ob.orbit_of(code)
     std = hc.standardize(code)
     state = sv.build_state(code)
     sol = gm.solve_code(code, _policy(args))
@@ -131,14 +119,9 @@ def cmd_query(args) -> int:
     print("amplitudes (basis: qubit 1 leftmost):")
     for mu in range(hc.N_BASIS):
         print(f"  |{hc.basis_string(mu)}>  {state[mu]:+.4f}")
-    m = "-" if record.m is None else record.m
-    print(f"orbit:        rep {record.rep}, size {record.size}, rank {record.rank}, m {m}")
+    print(f"orbit:        rep {record.rep}, size {record.size}, rank {record.rank}, m {record.m}")
     if record.rank in (3, 4):
-        ref_table, ref_row = cf.match_row(
-            record.rank,
-            sol.eg,
-            sorted(profile.be2, reverse=True),
-        )
+        ref_table, ref_row = cf.match_row(record.rank, sol.eg, profile.be2)
         print(f"class:        table {ref_table}, row {ref_row}")
     print(f"stabilizers:  {'ok' if sv.verify_stabilizers(code) else 'FAILED'}")
     print(f"ge:           {sol.eg:.6f}  (overlap {sol.overlap:.6f}, "
@@ -152,50 +135,46 @@ def cmd_query(args) -> int:
 # exhaustive verification sweeps (all vectorized over the full code space)
 
 
-def _full_sign_matrix() -> np.ndarray:
-    return hc.sign_matrix()
-
-
 def suite_roundtrip() -> tuple[bool, str]:
     """Sign-function round trip over all 32768 codes."""
-    g = _full_sign_matrix().copy()
-    mu = np.arange(hc.N_BASIS)
-    for v in range(hc.N_VERTICES):
-        hi = np.flatnonzero(mu >> v & 1)
-        g[:, hi] ^= g[:, hi ^ (1 << v)]
-    codes = np.zeros(hc.N_CODES, dtype=np.int64)
-    for e in range(1, hc.N_BASIS):
-        codes |= g[:, e].astype(np.int64) << (e - 1)
+    codes = hc._codes_from_signs(hc.sign_matrix())
     ok = bool(np.array_equal(codes, np.arange(hc.N_CODES)))
     return ok, f"{hc.N_CODES} codes round-tripped" if ok else "round trip broke"
 
 
-def _neighborhood_sign_tables() -> list[np.ndarray]:
-    """Boolean diagonals of the neighborhood controlled-Z products, with the
-    loop's global sign folded in, for every code and vertex."""
-    out = []
-    codes = np.arange(hc.N_CODES, dtype=np.uint32)
-    for i in hc.VERTICES:
-        nbr = (hc.x_image_table(i).astype(np.uint32)) ^ codes
-        loop = (codes >> ((1 << (i - 1)) - 1) & 1).astype(bool)
-        out.append(hc.sign_matrix(nbr) ^ loop[:, None])
-    return out
+def _loop_flags(i: int) -> np.ndarray:
+    """Whether each code stores the loop {i}."""
+    return (np.arange(hc.N_CODES) & hc._LOOP[i - 1]) != 0
+
+
+def _sign_tables() -> tuple[np.ndarray, list[np.ndarray]]:
+    """Signs g of every code, and per vertex i the boolean diagonal D_i of
+    the neighborhood controlled-Z product, the loop's global sign folded in."""
+    codes = np.arange(hc.N_CODES, dtype=np.uint16)
+    d = [hc.sign_matrix(hc.x_image_table(i) ^ codes) ^ _loop_flags(i)[:, None]
+         for i in hc.VERTICES]
+    return hc.sign_matrix(), d
+
+
+def _unfixed(g: np.ndarray, d: list[np.ndarray], i: int) -> np.ndarray:
+    """Codes whose state K_i does not fix.  At sign level K_i |H> = |H>,
+    equivalently D_i |H> = X_i |H>, reads D_i(mu) ^ g(mu) ^ g(mu ^ bit_i) = 0."""
+    mu = np.arange(hc.N_BASIS)
+    return (d[i - 1] ^ g ^ g[:, mu ^ (1 << (i - 1))]).any(axis=1)
 
 
 def suite_stabilizer() -> tuple[bool, str]:
     """K_i fixes every state and the generators commute, all codes at once.
 
-    At sign level K_i |H> = |H> reads D_i(mu) ^ g(mu) ^ g(mu ^ bit_i) = 0,
-    and commutation of K_i with K_j reads
+    Commutation of K_i with K_j reads
     D_j(mu) ^ D_i(mu ^ bit_j) = D_i(mu) ^ D_j(mu ^ bit_i).
     """
-    g = _full_sign_matrix()
-    d = _neighborhood_sign_tables()
-    mu = np.arange(hc.N_BASIS)
+    g, d = _sign_tables()
     for i in hc.VERTICES:
-        fix = d[i - 1] ^ g ^ g[:, mu ^ (1 << (i - 1))]
-        if fix.any():
-            return False, f"K_{i} does not fix {int(fix.any(axis=1).sum())} states"
+        bad = _unfixed(g, d, i)
+        if bad.any():
+            return False, f"K_{i} does not fix {int(bad.sum())} states"
+    mu = np.arange(hc.N_BASIS)
     for i in hc.VERTICES:
         for j in range(i + 1, hc.N_VERTICES + 1):
             bi, bj = 1 << (i - 1), 1 << (j - 1)
@@ -209,12 +188,9 @@ def suite_stabilizer() -> tuple[bool, str]:
 def suite_equivalence() -> tuple[bool, str]:
     """The neighborhood controlled-Z product maps |H> to X_i |H> exactly,
     for every code and vertex."""
-    g = _full_sign_matrix()
-    d = _neighborhood_sign_tables()
-    mu = np.arange(hc.N_BASIS)
+    g, d = _sign_tables()
     for i in hc.VERTICES:
-        bad = d[i - 1] ^ g ^ g[:, mu ^ (1 << (i - 1))]
-        if bad.any():
+        if _unfixed(g, d, i).any():
             return False, f"neighborhood product mismatch on vertex {i}"
     return True, f"{hc.N_CODES} codes x 4 vertices agree entrywise"
 
@@ -226,14 +202,12 @@ def suite_transforms() -> tuple[bool, str]:
     sign, which must equal the loop flag on i; Z flips the signs of the
     eight amplitudes with mu_i = 1.
     """
-    g = _full_sign_matrix()
-    codes = np.arange(hc.N_CODES, dtype=np.uint32)
+    g = hc.sign_matrix()
     mu = np.arange(hc.N_BASIS)
     for i in hc.VERTICES:
         bit = 1 << (i - 1)
-        loop = (codes >> (bit - 1) & 1).astype(bool)
         diff = g[hc.x_image_table(i)] ^ g[:, mu ^ bit]
-        if (diff != loop[:, None]).any():
+        if (diff != _loop_flags(i)[:, None]).any():
             return False, f"X move on vertex {i} broke the amplitude action"
         zdiff = g[hc.z_image_table(i)] ^ g
         if (zdiff != ((mu & bit) == bit)[None, :]).any():
@@ -241,9 +215,9 @@ def suite_transforms() -> tuple[bool, str]:
     return True, "X and Z moves consistent with the amplitude action on all codes"
 
 
-def suite_closure(table: ob.OrbitTable | None = None) -> tuple[bool, str]:
+def suite_closure() -> tuple[bool, str]:
     """Every generator preserves orbit ids, and sizes divide the group order."""
-    table = table if table is not None else ob.enumerate_orbits()
+    table = ob.enumerate_orbits()
     for t in ob.generator_tables():
         if not np.array_equal(table.class_id[t], table.class_id):
             return False, "a generator escaped its orbit"
@@ -252,9 +226,9 @@ def suite_closure(table: ob.OrbitTable | None = None) -> tuple[bool, str]:
     return True, f"{table.n_orbits} orbits closed under all 32 generators"
 
 
-def suite_census(table: ob.OrbitTable | None = None) -> tuple[bool, str]:
+def suite_census() -> tuple[bool, str]:
     """Code totals by standardized rank match the expected partition."""
-    table = table if table is not None else ob.enumerate_orbits()
+    table = ob.enumerate_orbits()
     census = ob.rank_census(table)
     got = (census.get(4, 0), census.get(3, 0),
            census.get(2, 0) + census.get(1, 0) + census.get(0, 0))
@@ -277,22 +251,12 @@ SUITES = {
     "census": suite_census,
 }
 
-# suites that consume the orbit table and so honor --cache
-_ORBIT_SUITES = frozenset(("closure", "census"))
-
 
 def cmd_verify(args) -> int:
-    table = None
-    if args.cache is not None:
-        try:
-            table = ob.load_or_enumerate(args.cache)
-        except OSError as exc:
-            print(f"hgstate: cannot use orbit cache: {exc}", file=sys.stderr)
-            return 1
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
-        ok, detail = SUITES[name](table) if name in _ORBIT_SUITES else SUITES[name]()
+        ok, detail = SUITES[name]()
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
         failed = failed or not ok
     return 2 if failed else 0

@@ -9,8 +9,9 @@ set when edge mask e is present.  Codes therefore run over [0, 2**15); code
 Each code determines a sign function g on the 16 computational basis
 strings: g(mu) is the parity of the number of edges contained in the
 support of mu.  This map is a bijection between codes and sign functions
-with g(0000) = 0 (a binary Moebius transform inverts it), which is what
-lets an equally weighted four-qubit state be named by a single integer.
+with g(0000) = 0 (one binary Moebius transform maps each to the other),
+which is what lets an equally weighted four-qubit state be named by a
+single integer.
 
 Local moves act directly on codes: X on vertex i replaces the edge set E
 by N(i) xor E where N(i) is the neighborhood of i, Z on vertex i toggles
@@ -21,6 +22,7 @@ involutions or group actions and never leave the 15-bit code space.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +107,38 @@ def code_of_edges(edges) -> int:
 # ---------------------------------------------------------------------------
 # sign functions
 
+# bit mu of a 16-bit word, one entry per basis index mu
+_BITS = 1 << np.arange(N_BASIS, dtype=np.uint16)
+# the basis indices that read 0 on vertex v+1, one 16-bit mask per vertex
+_LOWER = (0x5555, 0x3333, 0x0F0F, 0x00FF)
+
+
+def _subset_xor(words):
+    """Binary Moebius transform of 16-bit words, an int or an integer array.
+
+    Bit mu of a word stands for basis index mu; bit S of the result is the
+    xor of the bits T over all T inside S.  Over GF(2) the transform is
+    its own inverse, so it maps edge indicators to signs and back.
+    """
+    for v, lower in enumerate(_LOWER):
+        words = words ^ ((words & lower) << (1 << v))
+    return words
+
+
+def _signs(codes):
+    """Sign functions of an int or an array of codes, on a new last axis.
+
+    A code shifted up one bit is the edge indicator over basis indices
+    (index 0, the empty edge, never set).
+    """
+    words = np.asarray(_subset_xor(codes << 1))
+    return (words[..., None] & _BITS) != 0
+
+
+def _codes_from_signs(g):
+    """Inverse of ``_signs`` over the last axis of a boolean array."""
+    return _subset_xor(g @ _BITS) >> 1
+
 
 def signs_from_hypergraph(h: int) -> np.ndarray:
     """Sign function of a code: g[mu] = parity of edges inside supp(mu).
@@ -113,12 +147,7 @@ def signs_from_hypergraph(h: int) -> np.ndarray:
     has bit (v-1) set when vertex v reads 1.
     """
     _check_code(h)
-    mu = np.arange(N_BASIS)
-    g = np.zeros(N_BASIS, dtype=bool)
-    for e in range(1, N_BASIS):
-        if h >> (e - 1) & 1:
-            g ^= (mu & e) == e
-    return g
+    return _signs(int(h))
 
 
 def hypergraph_from_signs(g) -> int:
@@ -128,103 +157,112 @@ def hypergraph_from_signs(g) -> int:
     Rejects sign functions with g(0000) = 1: those differ from a hypergraph
     state by a global minus sign the caller has to strip first.
     """
-    f = np.asarray(g, dtype=bool).copy()
+    f = np.asarray(g, dtype=bool)
     if f.shape != (N_BASIS,):
         raise ValueError(f"sign function must have 16 entries, got shape {f.shape}")
     if f[0]:
         raise ValueError("sign function has g(0000) = 1; flip the global phase first")
-    # in-place subset-sum butterfly over the four vertex directions
-    idx = np.arange(N_BASIS)
-    for v in range(N_VERTICES):
-        hi = idx[(idx >> v & 1) == 1]
-        f[hi] ^= f[hi ^ (1 << v)]
-    h = 0
-    for e in range(1, N_BASIS):
-        if f[e]:
-            h |= 1 << (e - 1)
-    return h
+    return int(_codes_from_signs(f))
+
+
+def sign_matrix(codes=None) -> np.ndarray:
+    """Sign functions of many codes stacked into a boolean (len, 16) array."""
+    if codes is None:
+        codes = np.arange(N_CODES, dtype=np.uint16)
+    return _signs(np.asarray(codes, dtype=np.uint16))
 
 
 # ---------------------------------------------------------------------------
-# local moves
+# local moves: one shift-and-xor formula per move, applied to a validated
+# int by the scalar moves and to every code at once by the image tables
+
+# code bit of the loop on vertex v+1
+_LOOP = tuple(1 << ((1 << v) - 1) for v in range(N_VERTICES))
+# code bits of the edges that contain vertex v+1, its loop excepted
+_X_SOURCES = tuple(
+    sum(1 << (e - 1) for e in range(1, N_BASIS) if e >> v & 1 and e != 1 << v)
+    for v in range(N_VERTICES)
+)
+
+
+def _x_move(codes, i: int):
+    """E -> N(i) xor E: every stored edge e containing i other than the
+    loop toggles e minus i, whose code bit sits 2**(i-1) places lower."""
+    return codes ^ ((codes & _X_SOURCES[i - 1]) >> (1 << (i - 1)))
+
+
+@lru_cache(maxsize=len(ALL_PERMUTATIONS))
+def _permutation_shifts(p: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) pairs of p: the code bits in one mask move together."""
+    if sorted(p) != list(VERTICES):
+        raise ValueError(f"not a permutation of 1..4: {p!r}")
+    masks: dict[int, int] = {}
+    for e in range(1, N_BASIS):
+        image = sum(1 << (p[k] - 1) for k in range(N_VERTICES) if e >> k & 1)
+        masks[image - e] = masks.get(image - e, 0) | 1 << (e - 1)
+    return tuple(masks.items())
+
+
+def _permutation_move(codes, p):
+    """Relabel every edge through p, one shift per group of code bits."""
+    out = codes & 0
+    for shift, mask in _permutation_shifts(tuple(p)):
+        part = codes & mask
+        out = out | (part << shift if shift >= 0 else part >> -shift)
+    return out
 
 
 def neighborhood(h: int, i: int) -> tuple[int, ...]:
     """Edges e \\ {i} for every stored edge containing vertex i.
 
     A loop on i would contribute the empty set, which is a global phase
-    rather than an edge, so it is omitted.
+    rather than an edge, so it is omitted.  Ordered like ``edges_of``.
     """
-    _check_code(h)
-    _check_vertex(i)
-    bit = 1 << (i - 1)
-    out = []
-    for e in range(1, N_BASIS):
-        if h >> (e - 1) & 1 and e & bit and e != bit:
-            out.append(e ^ bit)
-    return tuple(sorted(out, key=lambda e: (-_EDGE_SIZE[e], edge_vertices(e))))
-
-
-def neighborhood_code(h: int, i: int) -> int:
-    """The neighborhood N(i) packed as a code (loop contribution dropped)."""
-    return code_of_edges(neighborhood(h, i))
+    return edges_of(apply_x(h, i) ^ h)
 
 
 def has_loop(h: int, i: int) -> bool:
     """Whether the code stores the loop {i}."""
     _check_code(h)
     _check_vertex(i)
-    return bool(h >> ((1 << (i - 1)) - 1) & 1)
+    return bool(h & _LOOP[i - 1])
 
 
 def apply_x(h: int, i: int) -> int:
     """Pauli X on vertex i at code level: E -> N(i) xor E.  Involutive."""
-    return h ^ neighborhood_code(h, i)
+    _check_code(h)
+    _check_vertex(i)
+    return _x_move(int(h), i)
 
 
 def apply_z(h: int, i: int) -> int:
     """Pauli Z on vertex i at code level: toggle the loop {i}.  Involutive."""
     _check_code(h)
     _check_vertex(i)
-    return h ^ (1 << ((1 << (i - 1)) - 1))
-
-
-def permute_edge(e: int, p) -> int:
-    """Relabel the vertices of one edge mask through permutation p."""
-    _check_edge(e)
-    out = 0
-    for k, image in enumerate(p):
-        if e >> k & 1:
-            out |= 1 << (image - 1)
-    return out
+    return int(h) ^ _LOOP[i - 1]
 
 
 def permute(h: int, p) -> int:
     """Relabel every edge of a code through permutation p."""
     _check_code(h)
-    if sorted(p) != list(VERTICES):
-        raise ValueError(f"not a permutation of 1..4: {p!r}")
-    out = 0
-    for e in range(1, N_BASIS):
-        if h >> (e - 1) & 1:
-            out |= 1 << (permute_edge(e, p) - 1)
-    return out
+    return _permutation_move(int(h), p)
 
 
-def hypergraph_basis(h: int, c: int) -> int:
-    """Toggle the loop on every vertex flagged in the 4-bit string c.
+def x_image_table(i: int) -> np.ndarray:
+    """apply_x(c, i) for every code c at once, as a uint16 array."""
+    _check_vertex(i)
+    return _x_move(np.arange(N_CODES, dtype=np.uint16), i)
 
-    This realizes Z^c at code level, turning one hypergraph into the code
-    of the corresponding basis-state variant.  Applying the same c twice
-    returns the original code.
-    """
-    _check_code(h)
-    if not 0 <= c < N_BASIS:
-        raise ValueError(f"basis flags must be a 4-bit value, got {c!r}")
-    for i in VERTICES:
-        if c >> (i - 1) & 1:
-            h = apply_z(h, i)
-    return h
+
+def z_image_table(i: int) -> np.ndarray:
+    """apply_z(c, i) for every code c at once."""
+    _check_vertex(i)
+    return np.arange(N_CODES, dtype=np.uint16) ^ _LOOP[i - 1]
+
+
+def permutation_image_table(p) -> np.ndarray:
+    """permute(c, p) for every code c at once."""
+    return _permutation_move(np.arange(N_CODES, dtype=np.uint16), p)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +272,10 @@ def hypergraph_basis(h: int, c: int) -> int:
 def rank(h: int) -> int:
     """Largest edge cardinality in the code; 0 for the edgeless hypergraph."""
     _check_code(h)
-    if h == 0:
-        return 0
-    return max(_EDGE_SIZE[e] for e in range(1, N_BASIS) if h >> (e - 1) & 1)
+    return max((_EDGE_SIZE[e] for e in range(1, N_BASIS) if h >> (e - 1) & 1), default=0)
 
 
-_LOOP_BITS = sum(1 << ((1 << v) - 1) for v in range(N_VERTICES))
+_LOOP_BITS = sum(_LOOP)
 _THREE_EDGES = tuple(e for e in range(1, N_BASIS) if _EDGE_SIZE[e] == 3)
 _STANDARDIZE_CAP = 16
 
@@ -272,54 +308,6 @@ def standardize(h: int) -> int:
             raise RuntimeError(f"standardize failed to settle for code {h}")
         h = strip_loops(h)
     return h
-
-
-# ---------------------------------------------------------------------------
-# vectorized move tables (consumed by the orbit enumeration)
-
-
-def x_image_table(i: int) -> np.ndarray:
-    """apply_x(c, i) for every code c at once, as a uint16 array."""
-    _check_vertex(i)
-    codes = np.arange(N_CODES, dtype=np.uint32)
-    bit = 1 << (i - 1)
-    nbr = np.zeros(N_CODES, dtype=np.uint32)
-    for e in range(1, N_BASIS):
-        if e & bit and e != bit:
-            contrib = 1 << ((e ^ bit) - 1)
-            nbr ^= np.where(codes >> (e - 1) & 1 == 1, contrib, 0).astype(np.uint32)
-    return (codes ^ nbr).astype(np.uint16)
-
-
-def z_image_table(i: int) -> np.ndarray:
-    """apply_z(c, i) for every code c at once."""
-    _check_vertex(i)
-    codes = np.arange(N_CODES, dtype=np.uint32)
-    return (codes ^ (1 << ((1 << (i - 1)) - 1))).astype(np.uint16)
-
-
-def permutation_image_table(p) -> np.ndarray:
-    """permute(c, p) for every code c at once."""
-    codes = np.arange(N_CODES, dtype=np.uint32)
-    out = np.zeros(N_CODES, dtype=np.uint32)
-    for e in range(1, N_BASIS):
-        image_bit = 1 << (permute_edge(e, p) - 1)
-        out ^= np.where(codes >> (e - 1) & 1 == 1, image_bit, 0).astype(np.uint32)
-    return out.astype(np.uint16)
-
-
-def sign_matrix(codes=None) -> np.ndarray:
-    """Sign functions of many codes stacked into a boolean (len, 16) array."""
-    if codes is None:
-        codes = np.arange(N_CODES, dtype=np.uint32)
-    else:
-        codes = np.asarray(codes, dtype=np.uint32)
-    mu = np.arange(N_BASIS)
-    g = np.zeros((codes.size, N_BASIS), dtype=bool)
-    for e in range(1, N_BASIS):
-        has = (codes >> (e - 1) & 1) == 1
-        g ^= np.outer(has, (mu & e) == e)
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ canonical representative.
 
 Orbit sizes must divide the group order 16 * 16 * 24 = 6144, and the rank
 of the standardized representative is constant along each orbit; both are
-checked.  The table can be dumped to a small versioned binary cache (a
-header plus the 32768 class ids as little-endian uint16).
+checked.  The partition is computed once per process (``enumerate_orbits``
+is memoized).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,9 +23,6 @@ import numpy as np
 from . import hypercore as hc
 
 GROUP_ORDER = 16 * 16 * 24
-
-_CACHE_MAGIC = b"HGORBIT1"
-_CACHE_VERSION = 1
 
 # code-space bit masks of the edges of each cardinality
 _EDGE_BITS_BY_SIZE = {
@@ -62,7 +58,13 @@ class OrbitRecord:
     rep: int
     size: int
     rank: int
-    m: int | None  # size/256 for rank 4, size/128 for rank 3, else None
+    m: int  # see _multiplicity()
+
+
+def _multiplicity(size: int, rank: int) -> int:
+    """Multiplicity m of an orbit: its size over 256 for standardized rank
+    4, over 128 for rank 3, and over 16 for graph orbits (rank 2 or 0)."""
+    return size // {4: 256, 3: 128}.get(rank, 16)
 
 
 def generator_tables() -> list[np.ndarray]:
@@ -84,9 +86,8 @@ def standardized_rank_table() -> np.ndarray:
     """
     codes = np.arange(hc.N_CODES, dtype=np.uint32)
     rank = np.zeros(hc.N_CODES, dtype=np.int64)
-    rank[(codes & _EDGE_BITS_BY_SIZE[2]) != 0] = 2
-    rank[(codes & _EDGE_BITS_BY_SIZE[3]) != 0] = 3
-    rank[(codes & _EDGE_BITS_BY_SIZE[4]) != 0] = 4
+    for k in (2, 3, 4):
+        rank[(codes & _EDGE_BITS_BY_SIZE[k]) != 0] = k
     return rank
 
 
@@ -124,13 +125,8 @@ def orbit_of(h: int, table: OrbitTable | None = None) -> OrbitRecord:
     cid = int(table.class_id[h])
     size = int(table.sizes[cid])
     rank = int(table.rep_rank[cid])
-    if rank == 4:
-        m = size // 256
-    elif rank == 3:
-        m = size // 128
-    else:
-        m = None
-    return OrbitRecord(rep=int(table.reps[cid]), size=size, rank=rank, m=m)
+    return OrbitRecord(rep=int(table.reps[cid]), size=size, rank=rank,
+                       m=_multiplicity(size, rank))
 
 
 def rank_census(table: OrbitTable | None = None) -> dict[int, int]:
@@ -141,75 +137,8 @@ def rank_census(table: OrbitTable | None = None) -> dict[int, int]:
     """
     table = table or enumerate_orbits()
     per_code = standardized_rank_table()
-    for cid in range(table.n_orbits):
-        ranks = np.unique(per_code[table.class_id == cid])
-        if ranks.size != 1 or ranks[0] != table.rep_rank[cid]:
-            raise RuntimeError(
-                f"orbit {cid} (rep {table.reps[cid]}) mixes standardized ranks {ranks}"
-            )
-    census: dict[int, int] = {}
-    for cid in range(table.n_orbits):
-        r = int(table.rep_rank[cid])
-        census[r] = census.get(r, 0) + int(table.sizes[cid])
-    return census
-
-
-# ---------------------------------------------------------------------------
-# binary cache
-
-
-def save_cache(table: OrbitTable, path) -> None:
-    """Dump the class-id array with a small versioned header."""
-    payload = table.class_id.astype("<u2").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<H", _CACHE_VERSION))
-        fh.write(payload)
-
-
-def load_cache(path) -> OrbitTable:
-    """Rebuild an OrbitTable from a cache file.
-
-    Representatives, sizes and ranks are re-derived from the class ids;
-    malformed files raise ValueError so callers can fall back to a fresh
-    enumeration.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head = len(_CACHE_MAGIC) + 2
-    if len(blob) != head + 2 * hc.N_CODES or blob[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        raise ValueError(f"not an orbit cache: {path}")
-    (version,) = struct.unpack("<H", blob[len(_CACHE_MAGIC) : head])
-    if version != _CACHE_VERSION:
-        raise ValueError(f"unsupported orbit cache version {version}: {path}")
-    class_id = np.frombuffer(blob[head:], dtype="<u2")
-    n = int(class_id.max()) + 1
-    reps = np.full(n, hc.N_CODES, dtype=np.int64)
-    np.minimum.at(reps, class_id, np.arange(hc.N_CODES, dtype=np.int64))
-    sizes = np.bincount(class_id, minlength=n).astype(np.int64)
-    if sizes.min() <= 0 or reps.max() >= hc.N_CODES or not np.all(np.diff(reps) > 0):
-        raise ValueError(f"orbit cache is internally inconsistent: {path}")
-    rep_rank = np.array([hc.rank(hc.standardize(int(r))) for r in reps], dtype=np.int64)
-    return OrbitTable(
-        class_id=class_id.astype(np.uint16).copy(),
-        reps=reps.astype(np.uint16),
-        sizes=sizes,
-        rep_rank=rep_rank,
-    )
-
-
-def load_or_enumerate(path=None) -> OrbitTable:
-    """Use the cache at ``path`` when present and valid, else enumerate
-    (writing the cache back when a path was given)."""
-    if path is None:
-        return enumerate_orbits()
-    try:
-        return load_cache(path)
-    except FileNotFoundError:
-        table = enumerate_orbits()
-        save_cache(table, path)
-        return table
-    except ValueError:
-        table = enumerate_orbits()
-        save_cache(table, path)
-        return table
+    mixed = np.flatnonzero(per_code != table.rep_rank[table.class_id])
+    if mixed.size:
+        cid = int(table.class_id[mixed[0]])
+        raise RuntimeError(f"orbit {cid} (rep {table.reps[cid]}) mixes standardized ranks")
+    return {r: int(n) for r, n in enumerate(np.bincount(per_code)) if n}

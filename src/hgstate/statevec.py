@@ -37,22 +37,23 @@ def controlled_z_diagonal(e: int) -> np.ndarray:
     return np.where((mu & e) == e, -1.0, 1.0)
 
 
-def stabilizer_operator(h: int, i: int) -> np.ndarray:
-    """K_i = X_i times the controlled-Z product over the neighborhood of i.
+def _neighborhood_diagonal(h: int, i: int) -> np.ndarray:
+    """Diagonal of the controlled-Z product over the neighborhood of i.
 
     A loop on vertex i contributes the empty controlled-Z, i.e. a global
-    factor of -1, which is kept so that K_i fixes the state exactly.
+    factor of -1, which is kept so that the product matches X_i exactly.
     """
-    hc._check_code(h)
-    hc._check_vertex(i)
-    diag = np.ones(hc.N_BASIS)
-    if hc.has_loop(h, i):
-        diag = -diag
+    diag = np.full(hc.N_BASIS, -1.0 if hc.has_loop(h, i) else 1.0)
     for e in hc.neighborhood(h, i):
         diag *= controlled_z_diagonal(e)
+    return diag
+
+
+def stabilizer_operator(h: int, i: int) -> np.ndarray:
+    """K_i = X_i times the controlled-Z product over the neighborhood of i."""
     k = np.zeros((hc.N_BASIS, hc.N_BASIS))
     mu = np.arange(hc.N_BASIS)
-    k[mu ^ (1 << (i - 1)), mu] = diag
+    k[mu ^ (1 << (i - 1)), mu] = _neighborhood_diagonal(h, i)
     return k
 
 
@@ -76,15 +77,8 @@ def neighborhood_equivalence_check(h: int, i: int, atol: float = 1e-10) -> bool:
     The left side includes the global -1 when vertex i carries a loop; with
     that sign both sides agree entrywise, no residual phase freedom.
     """
-    hc._check_code(h)
-    hc._check_vertex(i)
     psi = build_state(h)
-    diag = np.ones(hc.N_BASIS)
-    if hc.has_loop(h, i):
-        diag = -diag
-    for e in hc.neighborhood(h, i):
-        diag *= controlled_z_diagonal(e)
-    lhs = diag * psi
+    lhs = _neighborhood_diagonal(h, i) * psi
     mu = np.arange(hc.N_BASIS)
     rhs = psi[mu ^ (1 << (i - 1))]
     return bool(np.max(np.abs(lhs - rhs)) < atol)

@@ -38,6 +38,16 @@ def test_signature_of_four_edge_state():
     assert np.allclose(sorted(sig.be1), [0.5436] * 4, atol=5e-4)
 
 
+def test_signature_matches_the_classified_record(records):
+    # row 2 lists its be2, row 14 its be1, out of descending order
+    for r in records:
+        if r.row in (2, 14):
+            sig = cf.signature(r.rep)
+            assert sig == r.signature
+            assert list(sig.be1) == sorted(sig.be1, reverse=True)
+            assert list(sig.be2) == sorted(sig.be2, reverse=True)
+
+
 def test_match_row_known_and_unknown():
     assert cf.match_row(4, 0.3043, (0.6561, 0.6561, 0.6561)) == ("I", 1)
     assert cf.match_row(3, 0.5647, (0.8113, 0.8113, 0.8113)) == ("III", 12)

@@ -7,9 +7,11 @@ import pytest
 
 from hgstate import classifier as cf
 from hgstate import cli
+from hgstate import geoment as gm
 
-# a single restart at this seed is known to classify every orbit
-FAST = ["--restarts", "1", "--seed", "13"]
+# the fewest restarts that classify all 28 rows at every seed in 0..63
+# (measured); the seed stays at its default
+FAST = ["--restarts", "5"]
 
 
 def test_no_subcommand_exits_1(capsys):
@@ -25,6 +27,8 @@ def test_no_subcommand_exits_1(capsys):
         ["classify", "--format", "yaml"],
         ["verify", "--suite", "nonsense"],
         ["query"],
+        ["classify", "--seed", "-1"],
+        ["verify", "--cache", "x"],
     ],
 )
 def test_invalid_flags_exit_1(argv, capsys):
@@ -38,7 +42,7 @@ def test_classify_json_report(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out.read_text())
     assert len(rep["classes"]) == 39
-    assert rep["seed"] == 13
+    assert rep["seed"] == gm.DEFAULT_SEED
     rows = [c["paper_row"] for c in rep["classes"] if c["paper_row"]]
     assert sorted(rows) == list(range(1, 29))
 
@@ -64,18 +68,6 @@ def test_classify_unmatched_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cf, "classify_all", explode)
     assert cli.main(["classify", *FAST]) == 2
     assert "classification failed" in capsys.readouterr().err
-
-
-def test_classify_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "orbits.bin"
-    assert cli.main(["classify", "--cache", str(cache), *FAST]) == 0
-    assert cache.stat().st_size > 8
-    capsys.readouterr()
-    # a damaged cache is regenerated, not fatal
-    cache.write_bytes(b"junk")
-    assert cli.main(["classify", "--cache", str(cache), *FAST]) == 0
-    capsys.readouterr()
-    assert cache.stat().st_size > 8
 
 
 def test_query_worked_example(capsys):
@@ -115,14 +107,7 @@ def test_verify_all_reports_each_suite(capsys):
 
 def test_verify_failure_exits_2(monkeypatch, capsys):
     broken = dict(cli.SUITES)
-    broken["census"] = lambda table=None: (False, "synthetic failure")
+    broken["census"] = lambda: (False, "synthetic failure")
     monkeypatch.setattr(cli, "SUITES", broken)
     assert cli.main(["verify"]) == 2
     assert "census: FAIL" in capsys.readouterr().out
-
-
-def test_verify_accepts_cache(tmp_path, capsys):
-    cache = tmp_path / "orbits.bin"
-    assert cli.main(["verify", "--suite", "census", "--cache", str(cache)]) == 0
-    assert "census: PASS" in capsys.readouterr().out
-    assert cache.stat().st_size > 8

@@ -26,6 +26,8 @@ def test_solve_policy_validation():
         gm.SolvePolicy(tol=0.0)
     with pytest.raises(ValueError):
         gm.SolvePolicy(max_iter=0)
+    with pytest.raises(ValueError):
+        gm.SolvePolicy(seed=-1)
 
 
 def test_product_state_validation():

@@ -162,6 +162,31 @@ def test_standardize_properties_sampled():
 # vectorized image tables
 
 
+def test_moves_and_signs_match_edge_level_definitions():
+    # the shift-and-xor formulas against a direct reading of the edge set
+    for h in np.random.default_rng(23).integers(0, hc.N_CODES, size=100):
+        h = int(h)
+        edges = set(hc.edges_of(h))
+        for i in hc.VERTICES:
+            bit = 1 << (i - 1)
+            nbr = {e ^ bit for e in edges if e & bit and e != bit}
+            assert set(hc.edges_of(hc.apply_x(h, i))) == edges ^ nbr
+            assert set(hc.edges_of(hc.apply_z(h, i))) == edges ^ {bit}
+        for p in hc.ALL_PERMUTATIONS:
+            image = {sum(1 << (p[k] - 1) for k in range(4) if e >> k & 1) for e in edges}
+            assert set(hc.edges_of(hc.permute(h, p))) == image
+        parity = [sum((mu & e) == e for e in edges) % 2 == 1 for mu in range(hc.N_BASIS)]
+        assert hc.signs_from_hypergraph(h).tolist() == parity
+
+
+@pytest.mark.parametrize("p", [(1, 1, 2, 3), (1, 2, 3), (1, 2, 3, 5)])
+def test_permutation_moves_reject_non_permutations(p):
+    with pytest.raises(ValueError):
+        hc.permute(5, p)
+    with pytest.raises(ValueError):
+        hc.permutation_image_table(p)
+
+
 def test_image_tables_match_scalar_moves():
     codes = np.arange(hc.N_CODES, dtype=np.uint16)
     sample = np.random.default_rng(17).integers(0, hc.N_CODES, size=64)

@@ -1,4 +1,6 @@
-"""Unit tests for orbit enumeration and the orbit cache file."""
+"""Unit tests for orbit enumeration, orbit records and the rank census."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,6 +19,14 @@ def test_partition_shape(orbit_table):
 
 def test_rank_census(orbit_table):
     assert ob.rank_census(orbit_table) == {0: 16, 2: 1008, 3: 15360, 4: 16384}
+
+
+def test_rank_census_rejects_an_orbit_of_mixed_rank(orbit_table):
+    rep_rank = orbit_table.rep_rank.copy()
+    rep_rank[5] = 4  # a rank-2 graph orbit claimed as rank 4
+    damaged = dataclasses.replace(orbit_table, rep_rank=rep_rank)
+    with pytest.raises(RuntimeError, match="orbit 5"):
+        ob.rank_census(damaged)
 
 
 def test_reps_are_orbit_minima(orbit_table):
@@ -57,9 +67,8 @@ def test_m_values(orbit_table):
         elif rec.rank == 3:
             assert rec.size == 128 * rec.m
         else:
-            assert rec.m is None
-            assert rec.size % 16 == 0
-            m_total_graphs += rec.size // 16
+            assert rec.size == 16 * rec.m
+            m_total_graphs += rec.m
     assert m_total_graphs == 64
 
 
@@ -68,42 +77,3 @@ def test_standardized_rank_table(orbit_table):
     sample = np.random.default_rng(71).integers(0, hc.N_CODES, size=300)
     for h in sample:
         assert int(table[h]) == hc.rank(hc.standardize(int(h)))
-
-
-def test_cache_roundtrip(orbit_table, tmp_path):
-    path = tmp_path / "orbits.bin"
-    ob.save_cache(orbit_table, path)
-    loaded = ob.load_cache(path)
-    assert np.array_equal(loaded.class_id, orbit_table.class_id)
-    assert np.array_equal(loaded.reps, orbit_table.reps)
-    assert np.array_equal(loaded.sizes, orbit_table.sizes)
-    assert np.array_equal(loaded.rep_rank, orbit_table.rep_rank)
-
-
-@pytest.mark.parametrize(
-    "mangle",
-    [
-        lambda b: b"XXXXXXXX" + b[8:],  # wrong magic
-        lambda b: b[:8] + b"\xff\xff" + b[10:],  # wrong version
-        lambda b: b[:-7],  # truncated payload
-        lambda b: b + b"\x00\x00",  # trailing bytes
-    ],
-)
-def test_cache_rejects_damage(orbit_table, tmp_path, mangle):
-    path = tmp_path / "orbits.bin"
-    ob.save_cache(orbit_table, path)
-    path.write_bytes(mangle(path.read_bytes()))
-    with pytest.raises(ValueError):
-        ob.load_cache(path)
-
-
-def test_load_or_enumerate(orbit_table, tmp_path):
-    path = tmp_path / "orbits.bin"
-    # missing file: enumerate and persist
-    t = ob.load_or_enumerate(path)
-    assert path.exists()
-    assert np.array_equal(t.class_id, orbit_table.class_id)
-    # corrupt file: regenerate instead of failing
-    path.write_bytes(b"garbage")
-    t = ob.load_or_enumerate(path)
-    assert np.array_equal(t.class_id, orbit_table.class_id)
