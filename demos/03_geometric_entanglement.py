@@ -51,6 +51,6 @@ for n, exact in sorted(gm.closed_form_values().items())[:5]:
 
 print("\n=== independent cross-check on a coarse real grid ===")
 s = sv.build_state(h)
-grid = gm.real_grid_eg(s, points=24, levels=3)
+grid = gm.real_grid_eg(s, points=24)
 print(f"grid maximum E_g {grid:.7f} vs solver {sol.eg:.7f} "
       f"(grid can only overestimate)")

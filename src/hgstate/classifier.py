@@ -135,29 +135,20 @@ REFERENCE_ROWS: dict[int, ReferenceRow] = _build_reference()
 
 
 # ---------------------------------------------------------------------------
-# signatures
-
-
-@dataclass(frozen=True)
-class ClassSignature:
-    """The discrimination data of one orbit: GE plus entropy multisets
-    (stored sorted descending)."""
-
-    ge: float
-    be2: tuple[float, float, float]
-    be1: tuple[float, float, float, float]
+# class records
 
 
 @dataclass(frozen=True)
 class ClassRecord:
-    """Everything reported about one orbit."""
+    """Everything reported about one orbit.  Its signature is ``ge`` plus
+    the multisets of ``profile.be2`` and ``profile.be1``."""
 
     rep: int
     std_rep: int
     rank: int
     orbit_size: int
     m: int
-    signature: ClassSignature
+    ge: float
     profile: sv.EntropyProfile
     pattern: gm.DegeneracyPattern
     restarts_hit: int
@@ -165,19 +156,6 @@ class ClassRecord:
     closed_form: float | None
     table: str | None
     row: int | None
-
-
-def _signature(ge: float, profile: sv.EntropyProfile) -> ClassSignature:
-    return ClassSignature(
-        ge=ge,
-        be2=tuple(sorted(profile.be2, reverse=True)),
-        be1=tuple(sorted(profile.be1, reverse=True)),
-    )
-
-
-def signature(h: int, policy: gm.SolvePolicy | None = None) -> ClassSignature:
-    """GE and entropy multisets of the state named by a code."""
-    return _signature(gm.geometric_entanglement(h, policy), sv.entropy_profile(h))
 
 
 def _multiset_close(xs, ys, tol: float) -> bool:
@@ -216,11 +194,11 @@ def match_row(rank: int, ge: float, be2) -> tuple[str, int]:
 def _check_distinct(records) -> None:
     for i, a in enumerate(records):
         for b in records[i + 1 :]:
-            sa, sb = a.signature, b.signature
+            pa, pb = a.profile, b.profile
             if (
-                abs(sa.ge - sb.ge) < DISTINCT_TOL
-                and _multiset_close(sa.be2, sb.be2, DISTINCT_TOL)
-                and _multiset_close(sa.be1, sb.be1, DISTINCT_TOL)
+                abs(a.ge - b.ge) < DISTINCT_TOL
+                and _multiset_close(pa.be2, pb.be2, DISTINCT_TOL)
+                and _multiset_close(pa.be1, pb.be1, DISTINCT_TOL)
             ):
                 raise SignatureCollision(
                     f"orbits with reps {a.rep} and {b.rep} are indistinguishable"
@@ -230,11 +208,10 @@ def _check_distinct(records) -> None:
 def _record_for(rep: int, size: int, rank: int, policy: gm.SolvePolicy) -> ClassRecord:
     sol = gm.solve_code(rep, policy)
     profile = sv.entropy_profile(rep)
-    sig = _signature(sol.eg, profile)
     pattern = gm.degeneracy_pattern(sol)
     table = row = closed = None
     if rank in (3, 4):
-        table, row = match_row(rank, sig.ge, sig.be2)
+        table, row = match_row(rank, sol.eg, profile.be2)
         closed = REFERENCE_ROWS[row].exact_ge
     return ClassRecord(
         rep=rep,
@@ -242,7 +219,7 @@ def _record_for(rep: int, size: int, rank: int, policy: gm.SolvePolicy) -> Class
         rank=rank,
         orbit_size=size,
         m=ob._multiplicity(size, rank),
-        signature=sig,
+        ge=sol.eg,
         profile=profile,
         pattern=pattern,
         restarts_hit=sol.restarts_hit,
@@ -321,7 +298,7 @@ def _class_dict(r: ClassRecord) -> dict:
         "rank": r.rank,
         "m": r.m,
         "orbit_size": r.orbit_size,
-        "ge": r.signature.ge,
+        "ge": r.ge,
         "ge_closed_form": r.closed_form,
         "be2": list(r.profile.be2),
         "be1": list(r.profile.be1),

@@ -1,9 +1,12 @@
 """Command line front end: classify, query one hypergraph, verify sweeps.
 
-Exit codes follow a fixed contract.  ``classify`` returns 0 when all 28
-hypergraph classes match their reference rows, 2 on any unmatched,
-ambiguous, or colliding signature, and 1 on I/O or argument problems.
-``query`` returns 1 on a parse error naming the offending token.
+Exit codes follow a fixed contract; 1 always means an I/O or argument
+problem.  ``classify`` returns 0 when all 28 hypergraph classes match
+their reference rows and every solve converged, and 2 on any unmatched,
+ambiguous, or colliding signature; when a class's solve stops at the
+sweep cap it still writes the report, names the class and the policy on
+stderr, and returns 2.  ``query`` returns 1 on a parse error naming the
+offending token and 2 when the code's class cannot be matched.
 ``verify`` returns 2 when any invariant suite fails.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,22 +86,27 @@ def _policy(args) -> gm.SolvePolicy:
 
 
 def cmd_classify(args) -> int:
+    policy = _policy(args)
     try:
-        records, graphs = cf.classify_all(_policy(args))
+        records, graphs = cf.classify_all(policy)
     except cf.ClassificationError as exc:
-        print(f"hgstate: classification failed: {exc}", file=sys.stderr)
+        print(f"hgstate: classification failed under {policy}: {exc}", file=sys.stderr)
         return 2
     report = cf.emit_report(records, graphs, args.format, args.seed)
     if args.out is None:
         sys.stdout.write(report)
-        return 0
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-    except OSError as exc:
-        print(f"hgstate: cannot write report: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    else:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(report)
+        except OSError as exc:
+            print(f"hgstate: cannot write report: {exc}", file=sys.stderr)
+            return 1
+    unconverged = [r for r in records + graphs if not r.converged]
+    for r in unconverged:
+        print(f"hgstate: rep {r.rep} (row {r.row or 'graph'}) did not converge "
+              f"under {policy}", file=sys.stderr)
+    return 2 if unconverged else 0
 
 
 def cmd_query(args) -> int:
@@ -106,11 +115,17 @@ def cmd_query(args) -> int:
     except ValueError as exc:
         print(f"hgstate: bad edge list: {exc}", file=sys.stderr)
         return 1
+    policy = _policy(args)
     record = ob.orbit_of(code)
     std = hc.standardize(code)
     state = sv.build_state(code)
-    sol = gm.solve_code(code, _policy(args))
+    sol = gm.solve_code(code, policy)
     profile = sv.entropy_profile(code)
+    try:
+        match = cf.match_row(record.rank, sol.eg, profile.be2) if record.rank in (3, 4) else None
+    except cf.ClassificationError as exc:
+        print(f"hgstate: code {code} not classified under {policy}: {exc}", file=sys.stderr)
+        return 2
 
     print(f"edges:        {hc.format_edges(code) or '(none)'}")
     print(f"code:         {code}")
@@ -120,9 +135,8 @@ def cmd_query(args) -> int:
     for mu in range(hc.N_BASIS):
         print(f"  |{hc.basis_string(mu)}>  {state[mu]:+.4f}")
     print(f"orbit:        rep {record.rep}, size {record.size}, rank {record.rank}, m {record.m}")
-    if record.rank in (3, 4):
-        ref_table, ref_row = cf.match_row(record.rank, sol.eg, profile.be2)
-        print(f"class:        table {ref_table}, row {ref_row}")
+    if match:
+        print(f"class:        table {match[0]}, row {match[1]}")
     print(f"stabilizers:  {'ok' if sv.verify_stabilizers(code) else 'FAILED'}")
     print(f"ge:           {sol.eg:.6f}  (overlap {sol.overlap:.6f}, "
           f"restarts_hit {sol.restarts_hit}, converged {sol.converged})")
@@ -147,9 +161,11 @@ def _loop_flags(i: int) -> np.ndarray:
     return (np.arange(hc.N_CODES) & hc._LOOP[i - 1]) != 0
 
 
+@lru_cache(maxsize=1)
 def _sign_tables() -> tuple[np.ndarray, list[np.ndarray]]:
     """Signs g of every code, and per vertex i the boolean diagonal D_i of
-    the neighborhood controlled-Z product, the loop's global sign folded in."""
+    the neighborhood controlled-Z product, the loop's global sign folded in.
+    Built once per process; the stabilizer and equivalence suites share it."""
     codes = np.arange(hc.N_CODES, dtype=np.uint16)
     d = [hc.sign_matrix(hc.x_image_table(i) ^ codes) ^ _loop_flags(i)[:, None]
          for i in hc.VERTICES]

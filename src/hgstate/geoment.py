@@ -11,6 +11,8 @@ fixed seed.  All restarts advance together: a sweep views the state as a
 4x4 matrix T[ab, cd] and shares two partial contractions between the
 qubits, one against qubits 3 and 4 (for the updates of qubits 1 and 2)
 and one against the updated qubits 1 and 2 (for qubits 3 and 4).
+The one solve entry point is :func:`solve_code`, set only through a
+:class:`SolvePolicy`; E_g of a code is ``solve_code(h, policy).eg``.
 
 The module also carries the closed-form overlap values known for many
 classes, the one-parameter fixed-point iteration for the symmetric
@@ -191,25 +193,20 @@ def _contract(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return (tab * _pair(phi[:, 2], phi[:, 3])).sum(axis=1)
 
 
-def closest_product(
-    s,
-    restarts: int = DEFAULT_RESTARTS,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed=DEFAULT_SEED,
-) -> GeSolution:
-    """Best product-state overlap of a 16-amplitude state, with restarts.
+def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
+    """Best product-state overlap of the state named by a code, with restarts.
 
     All restarts run in one batched iteration.  A restart is converged when
     a full sweep improves its overlap by less than ``tol``; the solve stops
     when every restart is converged or after ``max_iter`` sweeps (then the
-    solution is flagged unconverged rather than raising).  The reported
-    witness is the lowest-indexed restart achieving the best overlap, which
-    makes the merge deterministic for a fixed seed.
+    solution is flagged unconverged rather than raising).  The restart
+    stream is seeded from the policy seed and the code, and the reported
+    witness is the lowest-indexed restart achieving the best overlap, so
+    per-class results do not depend on evaluation order.
     """
-    policy = SolvePolicy(restarts=restarts, tol=tol, max_iter=max_iter)
-    tensor = state_tensor(s)
-    rng = np.random.default_rng(seed)
+    policy = policy or SolvePolicy()
+    tensor = state_tensor(sv.build_state(h))
+    rng = np.random.default_rng([policy.seed, h])
     phi = _random_product_batch(rng, policy.restarts)
     overlap = np.zeros(policy.restarts)
     slack = 0.0
@@ -243,27 +240,6 @@ def closest_product(
     )
 
 
-def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
-    """Closest-product solve for a hypergraph code.
-
-    The restart stream is seeded from both the policy seed and the code, so
-    per-class results are reproducible independent of evaluation order.
-    """
-    policy = policy or SolvePolicy()
-    return closest_product(
-        sv.build_state(h),
-        restarts=policy.restarts,
-        tol=policy.tol,
-        max_iter=policy.max_iter,
-        seed=[policy.seed, h],
-    )
-
-
-def geometric_entanglement(h: int, policy: SolvePolicy | None = None) -> float:
-    """E_g of the state named by a code, in bits, under the default policy."""
-    return solve_code(h, policy).eg
-
-
 def refine_witness(sol: GeSolution, sweeps: int = 1) -> float:
     """Overlap after re-applying full sweeps to the solution's witness.
 
@@ -280,7 +256,7 @@ def refine_witness(sol: GeSolution, sweeps: int = 1) -> float:
 # witness analysis
 
 
-def _partition_sizes(phi, merge_tol: float = MERGE_TOL) -> tuple[int, ...]:
+def _partition_sizes(phi) -> tuple[int, ...]:
     """Group sizes (descending) of coinciding single-qubit states."""
     parent = list(range(hc.N_VERTICES))
 
@@ -291,7 +267,7 @@ def _partition_sizes(phi, merge_tol: float = MERGE_TOL) -> tuple[int, ...]:
 
     for i in range(hc.N_VERTICES):
         for j in range(i + 1, hc.N_VERTICES):
-            if abs(np.vdot(phi[i], phi[j])) > 1.0 - merge_tol:
+            if abs(np.vdot(phi[i], phi[j])) > 1.0 - MERGE_TOL:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
@@ -311,50 +287,31 @@ _PARTITION_LABELS = {
 }
 
 
-def _gauge_real(phi, atol: float = REAL_TOL):
-    """Per-qubit phase gauge making the witness real, or None.
+def _gauge(phi) -> tuple[np.ndarray, np.ndarray]:
+    """Per-qubit phase gauge of witnesses phi[k, qubit] toward real amplitudes.
 
-    Each qubit's pair is divided by the phase of x (of y when |x| is
-    tiny); the witness counts as real when every residual imaginary part
-    stays below ``atol``.
+    Each qubit's pair is divided by the phase of its larger component, so
+    its real part keeps norm at least 1/sqrt(2).  Returns the renormalized
+    real parts and, per witness, the largest imaginary part dropped.
     """
-    out = np.empty((hc.N_VERTICES, 2))
-    for q in range(hc.N_VERTICES):
-        x, y = phi[q]
-        ref = x if abs(x) > 1e-8 else y
-        v = phi[q] * (ref.conjugate() / abs(ref))
-        if np.max(np.abs(v.imag)) > atol:
-            return None
-        out[q] = v.real
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    x, y = phi[..., 0], phi[..., 1]
+    ref = np.where(np.abs(x) >= np.abs(y), x, y)
+    v = phi * (ref.conjugate() / np.abs(ref))[..., None]
+    real = v.real
+    return real / np.linalg.norm(real, axis=-1, keepdims=True), np.abs(v.imag).max(axis=(1, 2))
 
 
-def _project_real(phi) -> np.ndarray:
-    """Force a witness real: gauge each qubit on its larger component, drop
-    the residual imaginary part, renormalize."""
-    out = np.empty((hc.N_VERTICES, 2))
-    for q in range(hc.N_VERTICES):
-        x, y = phi[q]
-        ref = x if abs(x) >= abs(y) else y
-        v = (phi[q] * (ref.conjugate() / abs(ref))).real
-        norm = np.linalg.norm(v)
-        out[q] = v / norm if norm > 1e-8 else (1.0, 0.0)
-    return out
-
-
-def _best_real_overlap(sol: GeSolution, extra_starts: int = 32) -> float:
+def _best_real_overlap(sol: GeSolution) -> float:
     """Best overlap reachable by all-real witnesses near the solution.
 
-    Polishes the real projections of every best-overlap candidate plus a
-    fixed batch of random real starts with real-arithmetic sweeps; used to
-    decide whether a real witness attains the complex optimum.
+    Polishes the real parts of every gauged best-overlap candidate plus a
+    fixed batch of 32 random real starts with real-arithmetic sweeps; used
+    to decide whether a real witness attains the complex optimum.
     """
     tensor = sol.tensor.real
-    starts = [_project_real(c) for c in sol.candidates]
-    rng = np.random.default_rng(0x5EED)
-    extra = rng.normal(size=(extra_starts, hc.N_VERTICES, 2))
-    starts.extend(extra / np.linalg.norm(extra, axis=2, keepdims=True))
-    phi = np.stack(starts)
+    extra = np.random.default_rng(0x5EED).normal(size=(32, hc.N_VERTICES, 2))
+    extra /= np.linalg.norm(extra, axis=2, keepdims=True)
+    phi = np.concatenate((_gauge(sol.candidates)[0], extra))
     overlap = np.zeros(len(phi))
     for _ in range(500):
         new = _sweep(tensor, phi)
@@ -385,7 +342,7 @@ def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
         (_PARTITION_LABELS[p], n)
         for p, n in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
     )
-    if any(_gauge_real(c) is not None for c in sol.candidates):
+    if (_gauge(sol.candidates)[1] <= REAL_TOL).any():
         reality = "R"
     else:
         reality = "R" if _best_real_overlap(sol) >= sol.overlap - HIT_WINDOW else "C"
@@ -398,39 +355,39 @@ def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
 # symmetric one-parameter iteration and closed forms
 
 
-def symmetric_z_iteration(z0: complex, tol: float = 1e-12, max_steps: int = 10**4) -> complex:
+def symmetric_z_iteration(z0: complex) -> complex:
     """Iterate z -> (1 + 2z - z^2) / (1 + z)^2 from z0 until steps settle.
 
-    Stops once consecutive iterates differ by less than ``tol`` (or after
-    ``max_steps``).  A pole sits at z = -1 and the pair {-1, infinity} is
+    Stops once consecutive iterates differ by less than 1e-12 (or after
+    10**4 steps).  A pole sits at z = -1 and the pair {-1, infinity} is
     an attracting 2-cycle for nearby starts, so iterates approaching -1
     raise :class:`IterationDiverged`; the caller restarts from a new z0.
     """
     z = complex(z0)
     if z == -1:
         raise ValueError("z0 = -1 is the pole of the iteration")
-    for _ in range(max_steps):
+    for _ in range(10**4):
         if abs(z + 1.0) < 1e-8:
             raise IterationDiverged(f"iterate reached the pole region near z=-1 (z={z})")
         nxt = (1.0 + 2.0 * z - z * z) / ((1.0 + z) * (1.0 + z))
-        if abs(nxt - z) < tol:
+        if abs(nxt - z) < 1e-12:
             return nxt
         z = nxt
     return z
 
 
-def stable_symmetric_z(seed: int = 0, tol: float = 1e-12, max_tries: int = 64) -> complex:
+def stable_symmetric_z(seed: int = 0) -> complex:
     """Run the symmetric iteration from random complex starts in |z| <= 2,
-    redrawing whenever a start falls into the pole's basin."""
+    redrawing (up to 64 draws) whenever a start falls into the pole's basin."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(64):
         radius = 2.0 * math.sqrt(rng.uniform())
         angle = rng.uniform(0.0, 2.0 * math.pi)
         try:
-            return symmetric_z_iteration(radius * complex(math.cos(angle), math.sin(angle)), tol)
+            return symmetric_z_iteration(radius * complex(math.cos(angle), math.sin(angle)))
         except IterationDiverged:
             continue
-    raise IterationDiverged(f"no convergent start found in {max_tries} draws")
+    raise IterationDiverged("no convergent start found in 64 draws")
 
 
 def symmetric_cubic_residual(z: complex) -> complex:
@@ -486,12 +443,12 @@ def closed_form_values() -> dict[int, float]:
 # independent real-witness grid maximizer
 
 
-def real_grid_eg(s, points: int = 24, levels: int = 3) -> float:
+def real_grid_eg(s, points: int = 24) -> float:
     """E_g upper bound from nested grid search over real product states.
 
     Each qubit is parametrized by one angle, (cos t, sin t) with t in
-    [0, pi); the full 4-angle grid is evaluated and refined ``levels``
-    times around its maximum.  For states whose closest product state is
+    [0, pi); the full 4-angle grid is evaluated at three levels, each
+    centred on the previous maximum at a finer spacing.  For states whose closest product state is
     real this matches the iterative solve; complex-witness states sit
     strictly above the grid value.
     """
@@ -499,7 +456,7 @@ def real_grid_eg(s, points: int = 24, levels: int = 3) -> float:
     centers = np.full(hc.N_VERTICES, math.pi / 2.0)
     half = math.pi / 2.0
     best = 0.0
-    for _ in range(levels):
+    for _ in range(3):
         angles = [
             np.linspace(c - half, c + half, points, endpoint=False) for c in centers
         ]

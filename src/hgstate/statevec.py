@@ -22,6 +22,8 @@ from . import hypercore as hc
 # cuts listed in fixed report order
 ONE_CUTS = ((1,), (2,), (3,), (4,))
 TWO_CUTS = ((1, 2), (1, 3), (1, 4))
+# entrywise tolerance of the dense stabilizer and neighborhood checks
+CHECK_TOL = 1e-10
 
 
 def build_state(h: int) -> np.ndarray:
@@ -57,21 +59,21 @@ def stabilizer_operator(h: int, i: int) -> np.ndarray:
     return k
 
 
-def verify_stabilizers(h: int, atol: float = 1e-10) -> bool:
+def verify_stabilizers(h: int) -> bool:
     """Check K_i |H> = |H> for all i and that the K_i pairwise commute."""
     psi = build_state(h)
     ks = [stabilizer_operator(h, i) for i in hc.VERTICES]
     for k in ks:
-        if np.max(np.abs(k @ psi - psi)) >= atol:
+        if np.max(np.abs(k @ psi - psi)) >= CHECK_TOL:
             return False
     for a in range(len(ks)):
         for b in range(a + 1, len(ks)):
-            if np.max(np.abs(ks[a] @ ks[b] - ks[b] @ ks[a])) >= atol:
+            if np.max(np.abs(ks[a] @ ks[b] - ks[b] @ ks[a])) >= CHECK_TOL:
                 return False
     return True
 
 
-def neighborhood_equivalence_check(h: int, i: int, atol: float = 1e-10) -> bool:
+def neighborhood_equivalence_check(h: int, i: int) -> bool:
     """Check that the controlled-Z product over N(i) maps |H> to X_i |H>.
 
     The left side includes the global -1 when vertex i carries a loop; with
@@ -81,34 +83,24 @@ def neighborhood_equivalence_check(h: int, i: int, atol: float = 1e-10) -> bool:
     lhs = _neighborhood_diagonal(h, i) * psi
     mu = np.arange(hc.N_BASIS)
     rhs = psi[mu ^ (1 << (i - 1))]
-    return bool(np.max(np.abs(lhs - rhs)) < atol)
+    return bool(np.max(np.abs(lhs - rhs)) < CHECK_TOL)
 
 
 # ---------------------------------------------------------------------------
 # reduced states and entropies
 
 
-def _keep_mask(keep) -> int:
-    if isinstance(keep, (int, np.integer)):
-        mask = int(keep)
-        if not 0 <= mask < hc.N_BASIS:
-            raise ValueError(f"keep mask must be a 4-bit value, got {keep!r}")
-        return mask
-    return hc.edge_mask(keep)
-
-
 def reduced_density(s: np.ndarray, keep) -> np.ndarray:
     """Partial trace keeping one or two qubits.
 
-    ``keep`` is a vertex bitmask or an iterable of vertex numbers.  Cuts
-    that keep 0, 3 or 4 qubits are rejected: the complement view (or the
-    purity of the full state) already covers them.
+    ``keep`` is an iterable of vertex numbers.  Cuts that keep 0, 3 or 4
+    qubits are rejected: the complement view (or the purity of the full
+    state) already covers them.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (hc.N_BASIS,):
         raise ValueError(f"state must have 16 amplitudes, got shape {s.shape}")
-    mask = _keep_mask(keep)
-    kept = [v for v in hc.VERTICES if mask >> (v - 1) & 1]
+    kept = hc.edge_vertices(hc.edge_mask(keep))
     if len(kept) not in (1, 2):
         raise ValueError(f"keep must name 1 or 2 qubits, got {kept}")
     # C-order reshape puts qubit 4 on the first axis; move kept axes first

@@ -84,7 +84,7 @@ def test_criterion_3_ge_reproduction(orbit_table):
     t0 = time.perf_counter()
     fresh, _ = cf.classify_all(table=orbit_table)
     dt = time.perf_counter() - t0
-    gaps = {r.row: abs(r.signature.ge - cf.REFERENCE_ROWS[r.row].ge) for r in fresh}
+    gaps = {r.row: abs(r.ge - cf.REFERENCE_ROWS[r.row].ge) for r in fresh}
     worst = max(gaps.values())
     ok = len(fresh) == 28 and worst < GE_TOL and dt < 30.0
     record(
@@ -98,7 +98,7 @@ def test_criterion_3_ge_reproduction(orbit_table):
 def test_criterion_4_closed_forms(records):
     by_row = {r.row: r for r in records}
     exact = gm.closed_form_values()
-    iter_worst = max(abs(by_row[n].signature.ge - v) for n, v in exact.items())
+    iter_worst = max(abs(by_row[n].ge - v) for n, v in exact.items())
     print_worst = max(abs(cf.REFERENCE_ROWS[n].ge - v) for n, v in exact.items())
     ok = iter_worst < CLOSED_FORM_TOL and print_worst < GE_TOL
     record(
@@ -141,10 +141,10 @@ def test_criterion_6_discrimination(records):
     by_row = {r.row: r for r in records}
 
     def close(a, b):
-        sa, sb = by_row[a].signature, by_row[b].signature
-        ge = abs(sa.ge - sb.ge) < GE_TOL
-        be2 = np.allclose(sorted(sa.be2), sorted(sb.be2), atol=ENTROPY_TOL)
-        be1 = np.allclose(sorted(sa.be1), sorted(sb.be1), atol=ENTROPY_TOL)
+        ra, rb = by_row[a], by_row[b]
+        ge = abs(ra.ge - rb.ge) < GE_TOL
+        be2 = np.allclose(sorted(ra.profile.be2), sorted(rb.profile.be2), atol=ENTROPY_TOL)
+        be1 = np.allclose(sorted(ra.profile.be1), sorted(rb.profile.be1), atol=ENTROPY_TOL)
         return ge, be2, be1
 
     distinct = True

@@ -1,6 +1,7 @@
 """Unit tests for reference-table matching and report emission."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -10,6 +11,7 @@ import pytest
 from hgstate import classifier as cf
 from hgstate import geoment as gm
 from hgstate import hypercore as hc
+from hgstate import statevec as sv
 
 
 def test_reference_rows_shape():
@@ -32,20 +34,25 @@ def test_reference_rows_carry_closed_forms():
 
 
 def test_signature_of_four_edge_state():
-    sig = cf.signature(hc.parse_edges("1234"))
-    assert abs(sig.ge - 0.3043) < 5e-4
-    assert np.allclose(sorted(sig.be2), [0.6561] * 3, atol=5e-4)
-    assert np.allclose(sorted(sig.be1), [0.5436] * 4, atol=5e-4)
+    h = hc.parse_edges("1234")
+    profile = sv.entropy_profile(h)
+    assert abs(gm.solve_code(h).eg - 0.3043) < 5e-4
+    assert np.allclose(sorted(profile.be2), [0.6561] * 3, atol=5e-4)
+    assert np.allclose(sorted(profile.be1), [0.5436] * 4, atol=5e-4)
 
 
-def test_signature_matches_the_classified_record(records):
-    # row 2 lists its be2, row 14 its be1, out of descending order
+def test_check_distinct_compares_multisets_not_positions(records):
+    # rows 2 and 14 have unequal cut entropies, so reversing the positional
+    # tuples keeps the multisets and moves values to other positions
     for r in records:
         if r.row in (2, 14):
-            sig = cf.signature(r.rep)
-            assert sig == r.signature
-            assert list(sig.be1) == sorted(sig.be1, reverse=True)
-            assert list(sig.be2) == sorted(sig.be2, reverse=True)
+            p = r.profile
+            assert not np.allclose(p.be2, p.be2[::-1], atol=cf.DISTINCT_TOL)
+            twin = dataclasses.replace(
+                r, rep=-1, profile=sv.EntropyProfile(be1=p.be1[::-1], be2=p.be2[::-1])
+            )
+            with pytest.raises(cf.SignatureCollision):
+                cf._check_distinct([r, twin])
 
 
 def test_match_row_known_and_unknown():
@@ -113,9 +120,9 @@ def test_signatures_pairwise_distinct(records):
         for b in records[i + 1 :]:
             if a.rank != b.rank:
                 continue
-            same_ge = abs(a.signature.ge - b.signature.ge) < cf.DISTINCT_TOL
+            same_ge = abs(a.ge - b.ge) < cf.DISTINCT_TOL
             same_be2 = np.allclose(
-                sorted(a.signature.be2), sorted(b.signature.be2), atol=cf.DISTINCT_TOL
+                sorted(a.profile.be2), sorted(b.profile.be2), atol=cf.DISTINCT_TOL
             )
             assert not (same_ge and same_be2), (a.row, b.row)
 

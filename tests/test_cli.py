@@ -111,3 +111,20 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "SUITES", broken)
     assert cli.main(["verify"]) == 2
     assert "census: FAIL" in capsys.readouterr().out
+
+
+def test_classify_unconverged_exits_2(capsys):
+    # at 300 sweeps the row-28 representative 13652 stops at the cap, yet
+    # every class still matches its row
+    assert cli.main(["classify", "--format", "csv", *FAST, "--max-iter", "300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 40  # the report is still written
+    assert "rep 13652 (row 28) did not converge" in captured.err
+    assert "max_iter=300" in captured.err
+
+
+def test_query_unmatched_exits_2(capsys):
+    assert cli.main(["query", "1234", "--restarts", "1", "--max-iter", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "code 16384 not classified" in err and "max_iter=1" in err
+    assert "Traceback" not in err

@@ -76,14 +76,14 @@ def test_ge_is_locally_invariant():
     policy = gm.SolvePolicy(restarts=24)
     for h in rng.integers(0, hc.N_CODES, size=10):
         h = int(h)
-        base = gm.geometric_entanglement(h, policy)
+        base = gm.solve_code(h, policy).eg
         images = [
             hc.apply_x(h, 2),
             hc.apply_z(h, 4),
             hc.permute(h, (3, 1, 4, 2)),
         ]
         for img in images:
-            assert abs(gm.geometric_entanglement(img, policy) - base) < 1e-6
+            assert abs(gm.solve_code(img, policy).eg - base) < 1e-6
 
 
 def test_degeneracy_pattern_four_edge():
@@ -131,15 +131,14 @@ def test_closed_form_values_sane():
 def test_real_grid_never_beats_the_solver():
     rng = np.random.default_rng(67)
     for h in rng.integers(0, hc.N_CODES, size=6):
-        s = sv.build_state(int(h))
-        eg = gm.closest_product(s, restarts=32).eg
-        assert gm.real_grid_eg(s, points=12, levels=3) >= eg - 1e-9
+        eg = gm.solve_code(int(h), gm.SolvePolicy(restarts=32)).eg
+        assert gm.real_grid_eg(sv.build_state(int(h)), points=12) >= eg - 1e-9
 
 
 def test_real_grid_matches_solver_on_real_witness_state():
-    s = sv.build_state(hc.parse_edges("1234"))
-    eg = gm.closest_product(s, restarts=32).eg
-    grid = gm.real_grid_eg(s, points=24, levels=3)
+    h = hc.parse_edges("1234")
+    eg = gm.solve_code(h, gm.SolvePolicy(restarts=32)).eg
+    grid = gm.real_grid_eg(sv.build_state(h), points=24)
     assert eg - 1e-9 <= grid <= eg + 1e-3
 
 
