@@ -6,7 +6,9 @@ their reference rows and every solve converged, and 2 on any unmatched,
 ambiguous, or colliding signature; when a class's solve stops at the
 sweep cap it still writes the report, names the class and the policy on
 stderr, and returns 2.  ``query`` returns 1 on a parse error naming the
-offending token and 2 when the code's class cannot be matched.
+offending token and 2 when the code's class cannot be matched; when its
+solve stops at the sweep cap it still prints the report, names the code
+and the policy on stderr, and returns 2.
 ``verify`` returns 2 when any invariant suite fails.
 """
 
@@ -142,6 +144,9 @@ def cmd_query(args) -> int:
           f"restarts_hit {sol.restarts_hit}, converged {sol.converged})")
     print(f"be1:          {' '.join(f'{v:.4f}' for v in profile.be1)}")
     print(f"be2:          {' '.join(f'{v:.4f}' for v in profile.be2)}")
+    if not sol.converged:
+        print(f"hgstate: code {code} did not converge under {policy}", file=sys.stderr)
+        return 2
     return 0
 
 

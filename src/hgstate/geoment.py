@@ -11,6 +11,11 @@ fixed seed.  All restarts advance together: a sweep views the state as a
 4x4 matrix T[ab, cd] and shares two partial contractions between the
 qubits, one against qubits 3 and 4 (for the updates of qubits 1 and 2)
 and one against the updated qubits 1 and 2 (for qubits 3 and 4).
+
+Alternating sweeps converge linearly only at nondegenerate maxima, and
+crawl near degenerate maxima and saddles.  A solve still running after
+``NEWTON_AFTER`` sweeps therefore precedes each further sweep with one
+Newton step on the product of spheres.
 The one solve entry point is :func:`solve_code`, set only through a
 :class:`SolvePolicy`; E_g of a code is ``solve_code(h, policy).eg``.
 
@@ -42,6 +47,16 @@ HIT_WINDOW = 1e-9
 MERGE_TOL = 1e-6
 # largest tolerated imaginary part when gauging a witness real
 REAL_TOL = 1e-6
+# sweeps after which each further sweep is preceded by a Newton step
+NEWTON_AFTER = 100
+# curvature magnitude, relative to |f|^2, below which a Newton direction is flat
+FLAT_CURVATURE = 1e-6
+
+# indices, in the flattened local-frame tensor of _newton_step, of the
+# entries with qubit i (or qubits i and j) along the tangent direction
+_SLOT = np.array([8, 4, 2, 1])
+_PAIR = _SLOT[:, None] | _SLOT[None, :]
+_OFF_DIAGONAL = ~np.eye(hc.N_VERTICES, dtype=bool)
 
 class IterationDiverged(RuntimeError):
     """The one-parameter iteration ran into its pole; restart upstream."""
@@ -90,9 +105,11 @@ class GeSolution:
     ``candidates`` holds the witnesses of every restart whose overlap came
     within 1e-9 of the best (restart order preserved); ``tensor`` is the
     solved state reshaped to one axis per qubit, kept so the witness can be
-    re-analyzed without the original state.  ``sweeps`` counts the sweeps
-    run and ``stop`` names why they ended: "tol" when every restart
-    converged, "max_iter" when the cap was hit first.
+    re-analyzed without the original state.  ``sweeps`` counts the
+    iterations run, each one alternating sweep (after ``NEWTON_AFTER`` of
+    them, a Newton step plus a sweep), and ``stop`` names why they ended:
+    "tol" when at one iteration every restart improved its overlap by less
+    than the tolerance, "max_iter" when the cap was hit first.
     """
 
     overlap: float
@@ -193,13 +210,97 @@ def _contract(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return (tab * _pair(phi[:, 2], phi[:, 3])).sum(axis=1)
 
 
+def _newton_step(tensor: np.ndarray, phi: np.ndarray) -> None:
+    """One Newton step on |f|^2 for every restart, in place.
+
+    Qubit i moves as (p_i + t_i u_i) / |p_i + t_i u_i| along its tangent
+    u_i = (-conj(y_i), conj(x_i)), orthogonal to p_i = (x_i, y_i); the
+    complex t_i give 8 real parameters (4 when ``phi`` is real, t_i real)
+    and no gauge freedom.  Expressed in the per-qubit frame (p_i, u_i) the
+    state has 16 entries C[s1 s2 s3 s4]: f = C[0000], the single-slot
+    contractions G_i put u in slot i, the pair contractions G_ij in slots
+    i and j.  To second order |f|^2 gains 2 Re(f* sum t_i G_i) +
+    |sum t_i G_i|^2 + 2 Re(f* sum_{i<j} t_i t_j G_ij) - |f|^2 sum |t_i|^2.
+    Along each eigen-direction of that model's Hessian with curvature
+    lambda the step is (gradient component) / |lambda|: the Newton step
+    where lambda < 0, and uphill, away from the saddle, where lambda > 0
+    (the saddle-free Newton step).  Directions with |lambda| below
+    ``FLAT_CURVATURE`` |f|^2 are left to the sweeps.  A restart keeps its
+    step only when the overlap does not drop.
+    """
+    r = len(phi)
+    real = not np.iscomplexobj(phi)
+    u = np.stack((-phi[:, :, 1].conj(), phi[:, :, 0].conj()), axis=2)
+    w = np.stack((phi, u), axis=2)  # per qubit the rows (p_i, u_i)
+    c = w[:, 0] @ tensor.reshape(2, 8)
+    c = w[:, 1, None] @ c.reshape(r, 2, 2, 4)
+    c = w[:, 2, None] @ c.reshape(r, 4, 2, 2)
+    c = (c @ w[:, 3, None].transpose(0, 1, 3, 2)).reshape(r, 16)
+    f, g = c[:, 0], c[:, _SLOT]
+    f_conj = f.conj()
+    fg = f_conj[:, None] * g
+    gg = g.conj()[:, :, None] * g[:, None, :]
+    pair = f_conj[:, None, None] * c[:, _PAIR] * _OFF_DIAGONAL
+    if real:
+        half_grad, hess = fg, gg + pair
+    else:
+        plus, minus = gg + pair, gg - pair
+        half_grad = np.concatenate((fg.real, -fg.imag), axis=1)
+        hess = np.block([[plus.real, -plus.imag], [minus.imag, minus.real]])
+    f_abs = np.abs(f)
+    f2 = (f.real * f.real + f.imag * f.imag)[:, None]
+    hess -= f2[:, :, None] * np.eye(hess.shape[1])
+    curv, vecs = np.linalg.eigh(hess)
+    curv = np.abs(curv)
+    steep = curv > FLAT_CURVATURE * f2
+    coef = (half_grad[:, None, :] @ vecs)[:, 0]
+    coef = np.where(steep, coef / np.where(steep, curv, 1.0), 0.0)
+    x = (vecs @ coef[:, :, None])[:, :, 0]
+    t = x if real else x[:, :4] + 1j * x[:, 4:]
+    step = phi + t[:, :, None] * u
+    step /= np.linalg.norm(step, axis=2, keepdims=True)
+    keep = np.abs(_contract(tensor, step)) >= f_abs
+    phi[keep] = step[keep]
+
+
+def _ascend(tensor: np.ndarray, phi: np.ndarray, tol: float, max_iter: int):
+    """Raise the overlap of every restart in ``phi``, in place.
+
+    Each iteration is one sweep, preceded by a Newton step once
+    ``NEWTON_AFTER`` iterations have passed.  A restart is done when its
+    overlap rose by less than ``tol`` over the iteration (a stationarity
+    test adds nothing: from a point of gradient norm g a sweep gains about
+    g^2 / 2|f|); the loop ends when every restart is done at the same
+    iteration (never at the first) or after ``max_iter`` iterations.
+    Returns (iterations, converged, monotone slack), the slack being the
+    largest drop of any restart's overlap.
+    """
+    overlap = np.zeros(len(phi))
+    slack = 0.0
+    for sweeps in range(1, max_iter + 1):
+        if sweeps > NEWTON_AFTER:
+            _newton_step(tensor, phi)
+        new = _sweep(tensor, phi)
+        if sweeps > 1:
+            slack = max(slack, float(np.max(overlap - new)))
+        done = new - overlap < tol
+        overlap = new
+        if sweeps > 1 and bool(done.all()):
+            return sweeps, True, slack
+    return max_iter, False, slack
+
+
 def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
     """Best product-state overlap of the state named by a code, with restarts.
 
-    All restarts run in one batched iteration.  A restart is converged when
-    a full sweep improves its overlap by less than ``tol``; the solve stops
-    when every restart is converged or after ``max_iter`` sweeps (then the
-    solution is flagged unconverged rather than raising).  The restart
+    All restarts run in one batched iteration (see :func:`_ascend`): plain
+    alternating sweeps, with a Newton step before each sweep after the
+    first ``NEWTON_AFTER``.  The solve stops with ``stop == "tol"`` at the
+    first iteration in which every restart improved its overlap by less
+    than ``tol``, and with ``stop == "max_iter"`` after ``max_iter``
+    iterations, Newton iterations included (the solution is then flagged
+    unconverged rather than raising).  ``sweeps`` is the number of
+    iterations.  The restart
     stream is seeded from the policy seed and the code, and the reported
     witness is the lowest-indexed restart achieving the best overlap, so
     per-class results do not depend on evaluation order.
@@ -208,18 +309,7 @@ def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
     tensor = state_tensor(sv.build_state(h))
     rng = np.random.default_rng([policy.seed, h])
     phi = _random_product_batch(rng, policy.restarts)
-    overlap = np.zeros(policy.restarts)
-    slack = 0.0
-    converged = False
-    for sweeps in range(1, policy.max_iter + 1):
-        new = _sweep(tensor, phi)
-        if sweeps > 1:
-            slack = max(slack, float(np.max(overlap - new)))
-        done = new - overlap < policy.tol
-        overlap = new
-        if sweeps > 1 and bool(done.all()):
-            converged = True
-            break
+    sweeps, converged, slack = _ascend(tensor, phi, policy.tol, policy.max_iter)
     overlap = np.abs(_contract(tensor, phi))
     best = int(np.argmax(overlap))
     # Rounding can push the overlap of a unit product pair a hair above 1;
@@ -305,20 +395,16 @@ def _best_real_overlap(sol: GeSolution) -> float:
     """Best overlap reachable by all-real witnesses near the solution.
 
     Polishes the real parts of every gauged best-overlap candidate plus a
-    fixed batch of 32 random real starts with real-arithmetic sweeps; used
-    to decide whether a real witness attains the complex optimum.
+    fixed batch of 32 random real starts with real-arithmetic sweeps and,
+    past ``NEWTON_AFTER`` of them, real Newton steps (at most 500
+    iterations, tolerance 1e-13); used to decide whether a real witness
+    attains the complex optimum.
     """
     tensor = sol.tensor.real
     extra = np.random.default_rng(0x5EED).normal(size=(32, hc.N_VERTICES, 2))
     extra /= np.linalg.norm(extra, axis=2, keepdims=True)
     phi = np.concatenate((_gauge(sol.candidates)[0], extra))
-    overlap = np.zeros(len(phi))
-    for _ in range(500):
-        new = _sweep(tensor, phi)
-        done = new - overlap < 1e-13
-        overlap = new
-        if bool(done.all()):
-            break
+    _ascend(tensor, phi, 1e-13, 500)
     return float(np.max(np.abs(_contract(tensor, phi))))
 
 

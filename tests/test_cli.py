@@ -114,13 +114,25 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
 
 
 def test_classify_unconverged_exits_2(capsys):
-    # at 300 sweeps the row-28 representative 13652 stops at the cap, yet
+    # at 50 sweeps, before the Newton finish starts, the row-28
+    # representative 13652 and four other classes stop at the cap, yet
     # every class still matches its row
-    assert cli.main(["classify", "--format", "csv", *FAST, "--max-iter", "300"]) == 2
+    assert cli.main(["classify", "--format", "csv", *FAST, "--max-iter", "50"]) == 2
     captured = capsys.readouterr()
     assert captured.out.count("\n") == 40  # the report is still written
     assert "rep 13652 (row 28) did not converge" in captured.err
-    assert "max_iter=300" in captured.err
+    assert "max_iter=50" in captured.err
+
+
+def test_query_unconverged_exits_2(capsys):
+    # five sweeps leave code 13654 unconverged but close enough to row 28
+    assert cli.main(["query", "123,124,134,234,12,13,14,2", "--max-iter", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "class:        table III, row 28" in captured.out  # report still printed
+    assert "converged False" in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert "code 13654 did not converge" in err[0] and "max_iter=5" in err[0]
 
 
 def test_query_unmatched_exits_2(capsys):

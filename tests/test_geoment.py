@@ -227,15 +227,68 @@ def test_contract_matches_einsum_reference():
 
 
 def test_solver_counters_at_default_policy():
-    """Sweep counts and stop reasons of two known solves.
+    """Iteration counts and stop reasons of two known solves.
 
-    These pin the sweep kernel as the same iteration, and 13654 (in the
-    row-28 orbit) documents a known non-convergence at the default cap.
-    A deliberate change to the solver's convergence (ROADMAP item 3) is
-    expected to change these counts.
+    Row 28 (rep 13652) crawled through 4361 plain sweeps before the Newton
+    finish, and 13654 (same orbit) stopped at the 5000-sweep cap; both now
+    converge a few dozen Newton iterations after the switch point.  A
+    deliberate change to the solver's convergence is expected to change
+    these counts.
     """
     row28 = gm.solve_code(13652)
-    assert (row28.sweeps, row28.stop, row28.converged) == (4361, "tol", True)
-    capped = gm.solve_code(13654)
-    assert (capped.sweeps, capped.stop) == (5000, "max_iter")
-    assert capped.converged is False
+    assert (row28.sweeps, row28.stop, row28.converged) == (124, "tol", True)
+    formerly_capped = gm.solve_code(13654)
+    assert (formerly_capped.sweeps, formerly_capped.stop) == (127, "tol")
+    assert formerly_capped.converged is True
+
+
+# exact best overlaps of the orbits whose plain alternating solve crawled:
+# row 28 (3/4) and four graph-state orbits (1/2)
+SLOW_REPS = {13652: 0.75, 820: 0.5, 292: 0.5, 308: 0.5, 816: 0.5}
+
+
+def test_slow_orbits_converge_at_every_seed():
+    for rep, exact in SLOW_REPS.items():
+        for seed in range(32):
+            sol = gm.solve_code(rep, gm.SolvePolicy(seed=seed))
+            assert sol.converged and sol.sweeps <= 500, (rep, seed, sol.sweeps)
+            if seed == 0:
+                assert abs(sol.overlap - exact) < 1e-12, (rep, sol.overlap)
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_newton_step_converges_quadratically_near_a_maximum(real):
+    # a generic tensor has a nondegenerate maximum; one Newton step from
+    # 1e-4 away lands within rounding of it, keeping the dtype
+    rng = np.random.default_rng(89)
+    tensor = rng.normal(size=(2,) * 4) if real else _random_tensor(rng)
+    tensor /= np.linalg.norm(tensor)
+    phi = rng.normal(size=(16, 4, 2)) + (0.0 if real else 1j * rng.normal(size=(16, 4, 2)))
+    phi /= np.linalg.norm(phi, axis=2, keepdims=True)
+    for _ in range(300):
+        gm._sweep(tensor, phi)
+    overlap = np.abs(gm._contract(tensor, phi))
+    best = phi[np.argmax(overlap)]
+    at_best = best[None].copy()
+    gm._newton_step(tensor, at_best)
+    assert np.max(np.abs(at_best - best)) < 1e-12  # a maximum is a fixed point
+    noise = rng.normal(size=phi.shape) + (0.0 if real else 1j * rng.normal(size=phi.shape))
+    near = best + 1e-4 * noise
+    near /= np.linalg.norm(near, axis=2, keepdims=True)
+    gap = overlap.max() - np.abs(gm._contract(tensor, near))
+    assert np.all(gap > 1e-10)
+    gm._newton_step(tensor, near)
+    assert near.dtype == phi.dtype
+    assert np.max(np.abs(overlap.max() - np.abs(gm._contract(tensor, near)))) < 1e-13
+
+
+def test_newton_step_never_lowers_the_overlap():
+    # far from any maximum a step may overshoot; it is then not taken
+    rng = np.random.default_rng(97)
+    tensor = gm.state_tensor(sv.build_state(13652))
+    phi = gm._random_product_batch(rng, 256)
+    before = np.abs(gm._contract(tensor, phi))
+    gm._newton_step(tensor, phi)
+    after = np.abs(gm._contract(tensor, phi))
+    assert np.all(after >= before - 1e-15)
+    assert np.any(after > before + 1e-3)
