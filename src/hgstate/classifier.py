@@ -33,19 +33,7 @@ DISTINCT_TOL = 5e-4
 
 
 class ClassificationError(RuntimeError):
-    """Base for every way the table match can break."""
-
-
-class UnmatchedClass(ClassificationError):
-    """No reference row fits an orbit's signature."""
-
-
-class AmbiguousMatch(ClassificationError):
-    """More than one reference row fits an orbit's signature."""
-
-
-class SignatureCollision(ClassificationError):
-    """Two distinct orbits produced indistinguishable signatures."""
+    """No row, several rows, or colliding signatures; the message says which."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +155,11 @@ def _multiset_close(xs, ys, tol: float) -> bool:
 def match_row(rank: int, ge: float, be2) -> tuple[str, int]:
     """Identify the reference row with this rank, GE, and BE2 multiset.
 
-    Raises :class:`UnmatchedClass` when nothing fits within 5e-4 and
-    :class:`AmbiguousMatch` when more than one row does.
+    Raises :class:`ClassificationError` when nothing fits within 5e-4 or
+    when more than one row does.
     """
     if rank not in (3, 4):
-        raise UnmatchedClass(f"only rank 3 and 4 orbits have reference rows, got rank {rank}")
+        raise ClassificationError(f"only rank 3 and 4 orbits have reference rows, got rank {rank}")
     table = "I" if rank == 4 else "III"
     hits = [
         ref
@@ -181,11 +169,11 @@ def match_row(rank: int, ge: float, be2) -> tuple[str, int]:
         and _multiset_close(be2, ref.be2, TABLE_TOL)
     ]
     if not hits:
-        raise UnmatchedClass(
+        raise ClassificationError(
             f"no table {table} row matches ge={ge:.6f}, be2={tuple(sorted(be2))}"
         )
     if len(hits) > 1:
-        raise AmbiguousMatch(
+        raise ClassificationError(
             f"rows {[r.row for r in hits]} of table {table} all match ge={ge:.6f}"
         )
     return hits[0].table, hits[0].row
@@ -200,7 +188,7 @@ def _check_distinct(records) -> None:
                 and _multiset_close(pa.be2, pb.be2, DISTINCT_TOL)
                 and _multiset_close(pa.be1, pb.be1, DISTINCT_TOL)
             ):
-                raise SignatureCollision(
+                raise ClassificationError(
                     f"orbits with reps {a.rep} and {b.rep} are indistinguishable"
                 )
 
@@ -254,7 +242,7 @@ def classify_all(
     _check_distinct(matched)
     rows = [r.row for r in matched]
     if sorted(rows) != list(range(1, 29)):
-        raise AmbiguousMatch(f"reference rows not matched bijectively: {sorted(rows)}")
+        raise ClassificationError(f"reference rows not matched bijectively: {sorted(rows)}")
     matched.sort(key=lambda r: r.row)
     graphs.sort(key=lambda r: r.rep)
     return matched, graphs

@@ -4,10 +4,10 @@ Exit codes follow a fixed contract; 1 always means an I/O or argument
 problem.  ``classify`` returns 0 when all 28 hypergraph classes match
 their reference rows and every solve converged, and 2 on any unmatched,
 ambiguous, or colliding signature; when a class's solve stops at the
-sweep cap it still writes the report, names the class and the policy on
+iteration cap it still writes the report, names the class and the policy on
 stderr, and returns 2.  ``query`` returns 1 on a parse error naming the
 offending token and 2 when the code's class cannot be matched; when its
-solve stops at the sweep cap it still prints the report, names the code
+solve stops at the iteration cap it still prints the report, names the code
 and the policy on stderr, and returns 2.
 ``verify`` returns 2 when any invariant suite fails.
 """
@@ -55,9 +55,9 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=_int_at_least(1), default=gm.DEFAULT_RESTARTS,
                    help="random restarts per solve (default %(default)s)")
     p.add_argument("--tol", type=_positive_float, default=gm.DEFAULT_TOL,
-                   help="per-sweep overlap improvement threshold (default %(default)s)")
+                   help="per-iteration overlap improvement threshold (default %(default)s)")
     p.add_argument("--max-iter", type=_int_at_least(1), default=gm.DEFAULT_MAX_ITER,
-                   help="sweep cap per solve (default %(default)s)")
+                   help="iteration cap per solve, Newton iterations included (default %(default)s)")
     p.add_argument("--seed", type=_int_at_least(0), default=gm.DEFAULT_SEED,
                    help="base seed for the restart streams (default %(default)s)")
 
@@ -161,59 +161,29 @@ def suite_roundtrip() -> tuple[bool, str]:
     return ok, f"{hc.N_CODES} codes round-tripped" if ok else "round trip broke"
 
 
-def _loop_flags(i: int) -> np.ndarray:
-    """Whether each code stores the loop {i}."""
-    return (np.arange(hc.N_CODES) & hc._LOOP[i - 1]) != 0
-
-
 @lru_cache(maxsize=1)
-def _sign_tables() -> tuple[np.ndarray, list[np.ndarray]]:
-    """Signs g of every code, and per vertex i the boolean diagonal D_i of
-    the neighborhood controlled-Z product, the loop's global sign folded in.
-    Built once per process; the stabilizer and equivalence suites share it."""
-    codes = np.arange(hc.N_CODES, dtype=np.uint16)
-    d = [hc.sign_matrix(hc.x_image_table(i) ^ codes) ^ _loop_flags(i)[:, None]
-         for i in hc.VERTICES]
-    return hc.sign_matrix(), d
-
-
-def _unfixed(g: np.ndarray, d: list[np.ndarray], i: int) -> np.ndarray:
-    """Codes whose state K_i does not fix.  At sign level K_i |H> = |H>,
-    equivalently D_i |H> = X_i |H>, reads D_i(mu) ^ g(mu) ^ g(mu ^ bit_i) = 0."""
-    mu = np.arange(hc.N_BASIS)
-    return (d[i - 1] ^ g ^ g[:, mu ^ (1 << (i - 1))]).any(axis=1)
+def _stabilizer_defects() -> tuple[np.ndarray, np.ndarray]:
+    """Defects of every code, once per process; each suite reads one half."""
+    return sv.stabilizer_defects(np.arange(hc.N_CODES))
 
 
 def suite_stabilizer() -> tuple[bool, str]:
-    """K_i fixes every state and the generators commute, all codes at once.
-
-    Commutation of K_i with K_j reads
-    D_j(mu) ^ D_i(mu ^ bit_j) = D_i(mu) ^ D_j(mu ^ bit_i).
-    """
-    g, d = _sign_tables()
-    for i in hc.VERTICES:
-        bad = _unfixed(g, d, i)
+    """The generators K_i pairwise commute, for every code."""
+    noncommuting = _stabilizer_defects()[1]
+    for (i, j), bad in zip(sv.PAIRS, noncommuting):
         if bad.any():
-            return False, f"K_{i} does not fix {int(bad.sum())} states"
-    mu = np.arange(hc.N_BASIS)
-    for i in hc.VERTICES:
-        for j in range(i + 1, hc.N_VERTICES + 1):
-            bi, bj = 1 << (i - 1), 1 << (j - 1)
-            lhs = d[j - 1] ^ d[i - 1][:, mu ^ bj]
-            rhs = d[i - 1] ^ d[j - 1][:, mu ^ bi]
-            if (lhs ^ rhs).any():
-                return False, f"K_{i} and K_{j} do not commute everywhere"
-    return True, f"{hc.N_CODES} codes x 4 stabilizers fixed, 6 pairs commute"
+            return False, f"K_{i} and K_{j} do not commute on {int(bad.sum())} states"
+    return True, f"{hc.N_CODES} codes x 6 stabilizer pairs commute"
 
 
 def suite_equivalence() -> tuple[bool, str]:
-    """The neighborhood controlled-Z product maps |H> to X_i |H> exactly,
-    for every code and vertex."""
-    g, d = _sign_tables()
-    for i in hc.VERTICES:
-        if _unfixed(g, d, i).any():
-            return False, f"neighborhood product mismatch on vertex {i}"
-    return True, f"{hc.N_CODES} codes x 4 vertices agree entrywise"
+    """K_i fixes every state: the neighborhood controlled-Z product maps
+    |H> to X_i |H> exactly, for every code and vertex."""
+    unfixed = _stabilizer_defects()[0]
+    for i, bad in zip(hc.VERTICES, unfixed):
+        if bad.any():
+            return False, f"K_{i} does not fix {int(bad.sum())} states"
+    return True, f"{hc.N_CODES} codes x 4 stabilizers fix their states"
 
 
 def suite_transforms() -> tuple[bool, str]:
@@ -228,7 +198,8 @@ def suite_transforms() -> tuple[bool, str]:
     for i in hc.VERTICES:
         bit = 1 << (i - 1)
         diff = g[hc.x_image_table(i)] ^ g[:, mu ^ bit]
-        if (diff != _loop_flags(i)[:, None]).any():
+        loop = (np.arange(hc.N_CODES) & hc._LOOP[i - 1]) != 0
+        if (diff != loop[:, None]).any():
             return False, f"X move on vertex {i} broke the amplitude action"
         zdiff = g[hc.z_image_table(i)] ^ g
         if (zdiff != ((mu & bit) == bit)[None, :]).any():

@@ -28,7 +28,9 @@ state, and whether the witness can be made real).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,42 +332,19 @@ def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
     )
 
 
-def refine_witness(sol: GeSolution, sweeps: int = 1) -> float:
-    """Overlap after re-applying full sweeps to the solution's witness.
-
-    Converged solutions should move by less than ten times the solve
-    tolerance; exposed for that consistency check.
-    """
-    phi = sol.witness.qubits[None].copy()
-    for _ in range(sweeps):
-        _sweep(sol.tensor, phi)
-    return float(np.abs(_contract(sol.tensor, phi))[0])
-
-
 # ---------------------------------------------------------------------------
 # witness analysis
 
 
 def _partition_sizes(phi) -> tuple[int, ...]:
-    """Group sizes (descending) of coinciding single-qubit states."""
-    parent = list(range(hc.N_VERTICES))
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
-    for i in range(hc.N_VERTICES):
-        for j in range(i + 1, hc.N_VERTICES):
-            if abs(np.vdot(phi[i], phi[j])) > 1.0 - MERGE_TOL:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    sizes = {}
-    for q in range(hc.N_VERTICES):
-        r = find(q)
-        sizes[r] = sizes.get(r, 0) + 1
-    return tuple(sorted(sizes.values(), reverse=True))
+    """Group sizes (descending) of coinciding single-qubit states; a
+    coinciding pair merges its two whole groups, so chains of states join."""
+    label = list(range(hc.N_VERTICES))
+    for i, j in itertools.combinations(range(hc.N_VERTICES), 2):
+        if abs(np.vdot(phi[i], phi[j])) > 1.0 - MERGE_TOL:
+            old, new = max(label[i], label[j]), min(label[i], label[j])
+            label = [new if lab == old else lab for lab in label]
+    return tuple(sorted(Counter(label).values(), reverse=True))
 
 
 _PARTITION_LABELS = {
@@ -420,9 +399,7 @@ def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
     even though a real witness with the identical overlap exists.
     """
     partitions = [_partition_sizes(c) for c in sol.candidates]
-    counts: dict[tuple[int, ...], int] = {}
-    for p in partitions:
-        counts[p] = counts.get(p, 0) + 1
+    counts = Counter(partitions)
     coarsest = min(partitions, key=len)
     census = tuple(
         (_PARTITION_LABELS[p], n)

@@ -22,6 +22,7 @@ involutions or group actions and never leave the 15-bit code space.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -40,18 +41,19 @@ ALL_PERMUTATIONS = tuple(itertools.permutations(VERTICES))
 _EDGE_SIZE = tuple(bin(e).count("1") for e in range(N_BASIS))
 
 
+# operator.index rejects floats and other non-integers; numpy integers pass
 def _check_vertex(i: int) -> None:
-    if i not in VERTICES:
+    if operator.index(i) not in VERTICES:
         raise ValueError(f"vertex must be in 1..4, got {i!r}")
 
 
 def _check_edge(e: int) -> None:
-    if not 1 <= e <= N_EDGE_KINDS:
+    if not 1 <= operator.index(e) <= N_EDGE_KINDS:
         raise ValueError(f"edge mask must be in 1..15, got {e!r}")
 
 
 def _check_code(h: int) -> None:
-    if not 0 <= h < N_CODES:
+    if not 0 <= operator.index(h) < N_CODES:
         raise ValueError(f"hypergraph code must be in [0, 32768), got {h!r}")
 
 
@@ -167,9 +169,11 @@ def hypergraph_from_signs(g) -> int:
 
 def sign_matrix(codes=None) -> np.ndarray:
     """Sign functions of many codes stacked into a boolean (len, 16) array."""
-    if codes is None:
-        codes = np.arange(N_CODES, dtype=np.uint16)
-    return _signs(np.asarray(codes, dtype=np.uint16))
+    codes = np.arange(N_CODES) if codes is None else np.asarray(codes)
+    # one comparison: a negative code wraps far above the range as unsigned
+    if codes.dtype.kind not in "iu" or (codes.astype(np.uint64) >= N_CODES).any():
+        raise ValueError("hypergraph codes must be integers in [0, 32768)")
+    return _signs(codes.astype(np.uint16))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +280,6 @@ def rank(h: int) -> int:
 
 
 _LOOP_BITS = sum(_LOOP)
-_THREE_EDGES = tuple(e for e in range(1, N_BASIS) if _EDGE_SIZE[e] == 3)
-_STANDARDIZE_CAP = 16
 
 
 def strip_loops(h: int) -> int:
@@ -289,25 +291,20 @@ def strip_loops(h: int) -> int:
 def standardize(h: int) -> int:
     """Loop-free orbit representative; for rank-4 codes also 3-edge-free.
 
-    Loops are cleared with Z moves.  When the 4-vertex edge is present,
-    each 3-edge is removed by an X move on its one absent vertex (that X
-    toggles exactly that 3-edge against the 4-edge), scanning absent
-    vertices in ascending order and re-clearing loops until a fixed point.
+    When the 4-vertex edge is present, each 3-edge is removed by an X move
+    on its one absent vertex, in ascending vertex order.  That X toggles
+    the 3-edge against the 4-edge and adds no other 3-edge, because every
+    other edge through that vertex has at most 3 vertices; loops never
+    change what an X move toggles, so one pass and one final clearing of
+    loops with Z moves suffice.
     """
-    h = strip_loops(h)
+    _check_code(h)
     if h >> (FULL_EDGE - 1) & 1:
-        for _ in range(_STANDARDIZE_CAP):
-            todo = [e for e in _THREE_EDGES if h >> (e - 1) & 1]
-            if not todo:
-                break
-            for e in sorted(todo, key=lambda e: FULL_EDGE ^ e):
-                if h >> (e - 1) & 1:
-                    absent = (FULL_EDGE ^ e).bit_length()  # mask is a single bit
-                    h = strip_loops(apply_x(h, absent))
-        else:
-            raise RuntimeError(f"standardize failed to settle for code {h}")
-        h = strip_loops(h)
-    return h
+        for v in VERTICES:
+            three_edge = FULL_EDGE ^ 1 << (v - 1)
+            if h >> (three_edge - 1) & 1:
+                h = apply_x(h, v)
+    return strip_loops(h)
 
 
 # ---------------------------------------------------------------------------

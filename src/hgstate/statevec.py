@@ -2,10 +2,10 @@
 
 A code from :mod:`hgstate.hypercore` expands to 16 real amplitudes, all
 equal to 1/4 in magnitude, with the sign pattern given by the code's sign
-function.  Everything here works on that dense form: the stabilizer
-operators K_i (an X on one vertex times controlled-Z gates over its
-neighborhood), reduced density matrices across the seven bipartitions, and
-their von Neumann entropies in bits.
+function.  The stabilizer operators K_i (an X on one vertex times
+controlled-Z gates over its neighborhood) are checked exactly on sign
+functions; the dense form gives reduced density matrices across the seven
+bipartitions and their von Neumann entropies in bits.
 
 Basis index convention: index mu has bit (v-1) carrying the value of
 qubit v, matching ``hypercore.basis_string``.
@@ -13,6 +13,7 @@ qubit v, matching ``hypercore.basis_string``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,8 @@ from . import hypercore as hc
 # cuts listed in fixed report order
 ONE_CUTS = ((1,), (2,), (3,), (4,))
 TWO_CUTS = ((1, 2), (1, 3), (1, 4))
-# entrywise tolerance of the dense stabilizer and neighborhood checks
-CHECK_TOL = 1e-10
+# vertex pairs (i, j) with i < j, in the row order of the commutation verdicts
+PAIRS = tuple(itertools.combinations(hc.VERTICES, 2))
 
 
 def build_state(h: int) -> np.ndarray:
@@ -39,51 +40,34 @@ def controlled_z_diagonal(e: int) -> np.ndarray:
     return np.where((mu & e) == e, -1.0, 1.0)
 
 
-def _neighborhood_diagonal(h: int, i: int) -> np.ndarray:
-    """Diagonal of the controlled-Z product over the neighborhood of i.
+def stabilizer_defects(codes) -> tuple[np.ndarray, np.ndarray]:
+    """Fix and commutation failures of the stabilizers K_i, read off signs.
 
-    A loop on vertex i contributes the empty controlled-Z, i.e. a global
-    factor of -1, which is kept so that the product matches X_i exactly.
+    K_i = X_i D_i, where D_i, the controlled-Z product over N(i) with the
+    global -1 of a loop on i, has the signs of code apply_x(h, i) ^ h xor
+    the loop flag.  With g the signs of |H>, K_i fixes |H> iff
+    D_i(mu) ^ g(mu) ^ g(mu ^ bit_i) = 0 for all mu, and K_i, K_j commute iff
+    D_j(mu) ^ D_i(mu ^ bit_j) = D_i(mu) ^ D_j(mu ^ bit_i).  Returns boolean
+    (4, n) fix failures and (6, n) commutation failures, rows by vertex and
+    by ``PAIRS``, one column per code.
     """
-    diag = np.full(hc.N_BASIS, -1.0 if hc.has_loop(h, i) else 1.0)
-    for e in hc.neighborhood(h, i):
-        diag *= controlled_z_diagonal(e)
-    return diag
-
-
-def stabilizer_operator(h: int, i: int) -> np.ndarray:
-    """K_i = X_i times the controlled-Z product over the neighborhood of i."""
-    k = np.zeros((hc.N_BASIS, hc.N_BASIS))
-    mu = np.arange(hc.N_BASIS)
-    k[mu ^ (1 << (i - 1)), mu] = _neighborhood_diagonal(h, i)
-    return k
+    g = hc.sign_matrix(codes)
+    codes = np.asarray(codes, dtype=np.uint16)
+    flip, d = {}, {}
+    for i in hc.VERTICES:
+        flip[i] = np.arange(hc.N_BASIS) ^ (1 << (i - 1))
+        loop = (codes & hc._LOOP[i - 1]) != 0
+        d[i] = hc.sign_matrix(hc._x_move(codes, i) ^ codes) ^ loop[:, None]
+    unfixed = [(d[i] ^ g ^ g[:, flip[i]]).any(axis=1) for i in hc.VERTICES]
+    noncommuting = [(d[j] ^ d[i][:, flip[j]] ^ d[i] ^ d[j][:, flip[i]]).any(axis=1)
+                    for i, j in PAIRS]
+    return np.array(unfixed), np.array(noncommuting)
 
 
 def verify_stabilizers(h: int) -> bool:
     """Check K_i |H> = |H> for all i and that the K_i pairwise commute."""
-    psi = build_state(h)
-    ks = [stabilizer_operator(h, i) for i in hc.VERTICES]
-    for k in ks:
-        if np.max(np.abs(k @ psi - psi)) >= CHECK_TOL:
-            return False
-    for a in range(len(ks)):
-        for b in range(a + 1, len(ks)):
-            if np.max(np.abs(ks[a] @ ks[b] - ks[b] @ ks[a])) >= CHECK_TOL:
-                return False
-    return True
-
-
-def neighborhood_equivalence_check(h: int, i: int) -> bool:
-    """Check that the controlled-Z product over N(i) maps |H> to X_i |H>.
-
-    The left side includes the global -1 when vertex i carries a loop; with
-    that sign both sides agree entrywise, no residual phase freedom.
-    """
-    psi = build_state(h)
-    lhs = _neighborhood_diagonal(h, i) * psi
-    mu = np.arange(hc.N_BASIS)
-    rhs = psi[mu ^ (1 << (i - 1))]
-    return bool(np.max(np.abs(lhs - rhs)) < CHECK_TOL)
+    unfixed, noncommuting = stabilizer_defects([h])
+    return not (unfixed.any() or noncommuting.any())
 
 
 # ---------------------------------------------------------------------------

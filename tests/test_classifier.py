@@ -51,16 +51,16 @@ def test_check_distinct_compares_multisets_not_positions(records):
             twin = dataclasses.replace(
                 r, rep=-1, profile=sv.EntropyProfile(be1=p.be1[::-1], be2=p.be2[::-1])
             )
-            with pytest.raises(cf.SignatureCollision):
+            with pytest.raises(cf.ClassificationError, match="indistinguishable"):
                 cf._check_distinct([r, twin])
 
 
 def test_match_row_known_and_unknown():
     assert cf.match_row(4, 0.3043, (0.6561, 0.6561, 0.6561)) == ("I", 1)
     assert cf.match_row(3, 0.5647, (0.8113, 0.8113, 0.8113)) == ("III", 12)
-    with pytest.raises(cf.UnmatchedClass):
+    with pytest.raises(cf.ClassificationError, match="no table I row matches"):
         cf.match_row(4, 2.71, (1.0, 1.0, 1.0))
-    with pytest.raises(cf.UnmatchedClass):
+    with pytest.raises(cf.ClassificationError, match="only rank 3 and 4"):
         cf.match_row(2, 0.0, (0.0, 0.0, 0.0))
 
 
@@ -78,7 +78,7 @@ def test_match_row_reports_ambiguity(monkeypatch):
         exact_ge=None,
     )
     monkeypatch.setattr(cf, "REFERENCE_ROWS", {1: ref, 2: twin})
-    with pytest.raises(cf.AmbiguousMatch):
+    with pytest.raises(cf.ClassificationError, match=r"rows \[1, 2\] of table I all match"):
         cf.match_row(4, ref.ge, ref.be2)
 
 

@@ -63,7 +63,7 @@ def test_classify_out_failure_exits_1(tmp_path, capsys):
 
 def test_classify_unmatched_exits_2(monkeypatch, capsys):
     def explode(policy=None, table=None):
-        raise cf.UnmatchedClass("synthetic failure")
+        raise cf.ClassificationError("synthetic failure")
 
     monkeypatch.setattr(cf, "classify_all", explode)
     assert cli.main(["classify", *FAST]) == 2

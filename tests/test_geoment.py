@@ -4,9 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgstate import geoment as gm
 from hgstate import hypercore as hc
+from hgstate import orbits as ob
 from hgstate import statevec as sv
 
 
@@ -65,25 +68,37 @@ def test_monotone_ascent():
 
 
 def test_refined_witness_is_a_fixed_point():
+    # two more sweeps from a converged witness leave its overlap in place
     rng = np.random.default_rng(59)
     for h in rng.integers(0, hc.N_CODES, size=8):
         sol = gm.solve_code(int(h), gm.SolvePolicy(restarts=16))
-        assert abs(gm.refine_witness(sol, sweeps=2) - sol.overlap) < 1e-11
+        phi = sol.witness.qubits[None].copy()
+        gm._sweep(sol.tensor, phi)
+        gm._sweep(sol.tensor, phi)
+        assert abs(np.abs(gm._contract(sol.tensor, phi))[0] - sol.overlap) < 1e-11
 
 
-def test_ge_is_locally_invariant():
-    rng = np.random.default_rng(61)
+# every generator of the local group: X_i, Z_i and the 24 vertex permutations
+_MOVES = ([(hc.apply_x, i) for i in hc.VERTICES] + [(hc.apply_z, i) for i in hc.VERTICES]
+          + [(hc.permute, p) for p in hc.ALL_PERMUTATIONS])
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(h=st.integers(0, hc.N_CODES - 1), word=st.lists(st.sampled_from(_MOVES), min_size=1, max_size=8))
+def test_group_words_preserve_every_invariant(h, word):
+    img = h
+    for move, arg in word:
+        img = move(img, arg)
+    assert ob.orbit_of(img).rep == ob.orbit_of(h).rep
+    assert hc.rank(hc.standardize(img)) == hc.rank(hc.standardize(h))
+    p, q = sv.entropy_profile(h), sv.entropy_profile(img)
+    assert np.allclose(sorted(p.be1), sorted(q.be1), atol=1e-10)
+    assert np.allclose(sorted(p.be2), sorted(q.be2), atol=1e-10)
+    assert sv.verify_stabilizers(img) and sv.verify_stabilizers(h)
+    # at 24 restarts every one of the 32768 codes reaches its orbit's GE to
+    # about 1e-12 (checked once, exhaustively), so any draw can be compared
     policy = gm.SolvePolicy(restarts=24)
-    for h in rng.integers(0, hc.N_CODES, size=10):
-        h = int(h)
-        base = gm.solve_code(h, policy).eg
-        images = [
-            hc.apply_x(h, 2),
-            hc.apply_z(h, 4),
-            hc.permute(h, (3, 1, 4, 2)),
-        ]
-        for img in images:
-            assert abs(gm.solve_code(img, policy).eg - base) < 1e-6
+    assert abs(gm.solve_code(img, policy).eg - gm.solve_code(h, policy).eg) < 1e-6
 
 
 def test_degeneracy_pattern_four_edge():
@@ -92,6 +107,21 @@ def test_degeneracy_pattern_four_edge():
     assert pat.label == "4"
     assert pat.reality == "R"
     assert pat.census  # census lists every competing grouping
+
+
+def _real_qubits(*angles):
+    return np.array([[np.cos(t), np.sin(t)] for t in angles])
+
+
+def test_partition_sizes_join_chains_of_close_states():
+    # fidelity cos(dt) is above 1 - MERGE_TOL for dt = 1e-3, below for 2e-3
+    assert gm._partition_sizes(_real_qubits(0.0, 1.0, 2.0, 3.0)) == (1, 1, 1, 1)
+    assert gm._partition_sizes(_real_qubits(0.0, 1.0, 0.0, 1.0)) == (2, 2)
+    assert gm._partition_sizes(_real_qubits(0.0, 1.0, 1e-3, 2.0)) == (2, 1, 1)
+    assert gm._partition_sizes(_real_qubits(0.0, 0.0, 1e-3, 2.0)) == (3, 1)
+    # the chain 1 - 4 - 3 - 2 is linked only through its neighbours, and its
+    # pairs arrive in an order where merging single qubits breaks the group
+    assert gm._partition_sizes(_real_qubits(0.0, 3e-3, 2e-3, 1e-3)) == (4,)
 
 
 def test_symmetric_z_iteration_attractor():

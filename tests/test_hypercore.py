@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from hgstate import hypercore as hc
+from hgstate import orbits as ob
+from hgstate import statevec as sv
 
 
 # ---------------------------------------------------------------------------
@@ -23,6 +25,27 @@ def test_edge_mask_examples():
     assert hc.edge_mask([1, 2, 3, 4]) == 15
     assert hc.edge_vertices(9) == (1, 4)
     assert hc.edge_size(9) == 2
+
+
+def test_scalar_validators_reject_non_integers():
+    # truncating 3.7 to 3 would silently name another hypergraph
+    with pytest.raises(TypeError):
+        hc.apply_x(3.7, 1)
+    with pytest.raises(TypeError):
+        hc.permute(5.9, (2, 1, 3, 4))
+    with pytest.raises(TypeError):
+        sv.build_state(3.7)
+    with pytest.raises(TypeError):
+        hc.rank(3.7)
+    with pytest.raises(TypeError):
+        ob.orbit_of(3.7)
+    with pytest.raises(TypeError):
+        hc.apply_z(3, 2.0)
+    with pytest.raises(TypeError):
+        hc.edge_vertices(3.0)
+    # numpy integers keep passing
+    assert hc.apply_x(np.uint16(3), np.int64(1)) == hc.apply_x(3, 1)
+    assert hc.edge_vertices(np.int32(9)) == (1, 4)
 
 
 @pytest.mark.parametrize("bad", [[], [0], [5], [1, 1]])
@@ -80,6 +103,14 @@ def test_sign_matrix_matches_scalar():
     m = hc.sign_matrix(codes)
     for k, h in enumerate(codes[:50]):
         assert np.array_equal(m[k], hc.signs_from_hypergraph(int(h)))
+
+
+def test_sign_matrix_rejects_codes_outside_the_range():
+    # a uint16 cast alone would read 32773 as code 5 and 70000 as 4464
+    for bad in ([32773], np.array([5, 70000], dtype=np.int64), [-1], [3.0]):
+        with pytest.raises(ValueError):
+            hc.sign_matrix(bad)
+    assert hc.sign_matrix(np.array([hc.N_CODES - 1], dtype=np.int64)).shape == (1, 16)
 
 
 # ---------------------------------------------------------------------------

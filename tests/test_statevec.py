@@ -37,11 +37,22 @@ def test_controlled_z_diagonal():
     assert np.array_equal(d, np.where((mu & 3) == 3, -1.0, 1.0))
 
 
+def _dense_stabilizer(h, i):
+    """Reference K_i: X_i times the controlled-Z product over N(i), with the
+    global -1 of a loop on i, built as a dense 16x16 matrix."""
+    diag = np.full(16, -1.0 if hc.has_loop(h, i) else 1.0)
+    for e in hc.neighborhood(h, i):
+        diag = diag * sv.controlled_z_diagonal(e)
+    k = np.zeros((16, 16))
+    k[np.arange(16) ^ (1 << (i - 1)), np.arange(16)] = diag
+    return k
+
+
 def test_stabilizer_operator_squares_to_identity():
     rng = np.random.default_rng(29)
     for h in rng.integers(0, hc.N_CODES, size=20):
         for i in hc.VERTICES:
-            k = sv.stabilizer_operator(int(h), i)
+            k = _dense_stabilizer(int(h), i)
             assert np.allclose(k @ k, np.eye(16))
 
 
@@ -51,11 +62,26 @@ def test_verify_stabilizers_sampled():
         assert sv.verify_stabilizers(int(h))
 
 
-def test_neighborhood_equivalence_sampled():
-    rng = np.random.default_rng(37)
-    for h in rng.integers(0, hc.N_CODES, size=60):
-        for i in hc.VERTICES:
-            assert sv.neighborhood_equivalence_check(int(h), i)
+def test_stabilizer_defects_match_dense_reference():
+    # loop-carrying codes included, so the loop's global sign is exercised
+    codes = np.random.default_rng(37).integers(0, hc.N_CODES, size=120)
+    unfixed, noncommuting = sv.stabilizer_defects(codes)
+    assert unfixed.shape == (4, 120) and noncommuting.shape == (6, 120)
+    for col, h in enumerate(codes):
+        psi = sv.build_state(int(h))
+        ks = {i: _dense_stabilizer(int(h), i) for i in hc.VERTICES}
+        for row, i in enumerate(hc.VERTICES):
+            assert unfixed[row, col] == (not np.array_equal(ks[i] @ psi, psi))
+        for row, (i, j) in enumerate(sv.PAIRS):
+            commute = np.array_equal(ks[i] @ ks[j], ks[j] @ ks[i])
+            assert noncommuting[row, col] == (not commute)
+
+
+def test_stabilizer_defects_reject_out_of_range_codes():
+    with pytest.raises(ValueError):
+        sv.stabilizer_defects([5, hc.N_CODES])
+    with pytest.raises(ValueError):
+        sv.verify_stabilizers(-1)
 
 
 def test_reduced_density_basic_properties():
