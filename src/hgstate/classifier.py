@@ -129,7 +129,8 @@ REFERENCE_ROWS: dict[int, ReferenceRow] = _build_reference()
 @dataclass(frozen=True)
 class ClassRecord:
     """Everything reported about one orbit.  Its signature is ``ge`` plus
-    the multisets of ``profile.be2`` and ``profile.be1``."""
+    the multisets of ``profile.be2`` and ``profile.be1``; ``converged`` and
+    ``sweeps`` are solver diagnostics that stay out of the report."""
 
     rep: int
     std_rep: int
@@ -141,6 +142,7 @@ class ClassRecord:
     pattern: gm.DegeneracyPattern
     restarts_hit: int
     converged: bool
+    sweeps: int
     closed_form: float | None
     table: str | None
     row: int | None
@@ -212,6 +214,7 @@ def _record_for(rep: int, size: int, rank: int, policy: gm.SolvePolicy) -> Class
         pattern=pattern,
         restarts_hit=sol.restarts_hit,
         converged=sol.converged,
+        sweeps=sol.sweeps,
         closed_form=closed,
         table=table,
         row=row,

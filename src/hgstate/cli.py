@@ -15,6 +15,7 @@ and the policy on stderr, and returns 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import lru_cache
 
@@ -46,8 +47,8 @@ def _int_at_least(low: int):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

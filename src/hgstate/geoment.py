@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -74,10 +75,13 @@ class SolvePolicy:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        # operator.index rejects floats such as 2.5 but passes numpy integers
+        for name in ("restarts", "max_iter", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.seed < 0:
@@ -94,6 +98,8 @@ class ProductState:
         q = np.asarray(self.qubits, dtype=complex)
         if q.shape != (hc.N_VERTICES, 2):
             raise ValueError(f"product state needs shape (4, 2), got {q.shape}")
+        if not np.isfinite(q).all():
+            raise ValueError("single-qubit amplitudes must be finite")
         norms = np.linalg.norm(q, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValueError("single-qubit states must be unit norm")
@@ -134,12 +140,17 @@ class DegeneracyPattern:
     groups of coinciding states).  ``reality`` is "R" when some witness at
     the best overlap can be gauged entrywise real, else "C".  ``census``
     lists (label, count) over all best-overlap candidates, coarsest first,
-    for reporting competing groupings.
+    for reporting competing groupings.  ``path`` tells how reality was
+    decided, "gauge" when a candidate gauged real outright and "polish"
+    when real-only iteration had to try, and ``polish_iterations`` counts
+    that iteration's steps (0 on the gauge path); neither enters a report.
     """
 
     label: str
     reality: str
     census: tuple[tuple[str, int], ...] = ()
+    path: str = "gauge"
+    polish_iterations: int = 0
 
 
 def state_tensor(s) -> np.ndarray:
@@ -265,7 +276,8 @@ def _newton_step(tensor: np.ndarray, phi: np.ndarray) -> None:
     phi[keep] = step[keep]
 
 
-def _ascend(tensor: np.ndarray, phi: np.ndarray, tol: float, max_iter: int):
+def _ascend(tensor: np.ndarray, phi: np.ndarray, tol: float, max_iter: int,
+            target: float | None = None):
     """Raise the overlap of every restart in ``phi``, in place.
 
     Each iteration is one sweep, preceded by a Newton step once
@@ -273,9 +285,12 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, tol: float, max_iter: int):
     overlap rose by less than ``tol`` over the iteration (a stationarity
     test adds nothing: from a point of gradient norm g a sweep gains about
     g^2 / 2|f|); the loop ends when every restart is done at the same
-    iteration (never at the first) or after ``max_iter`` iterations.
-    Returns (iterations, converged, monotone slack), the slack being the
-    largest drop of any restart's overlap.
+    iteration (never at the first), with stop "tol", or after ``max_iter``
+    iterations, with stop "max_iter".  Given a ``target``, it ends first,
+    with stop "target", at the first iteration where some restart's
+    overlap reaches it.  Returns (iterations, stop, monotone slack,
+    overlaps), the slack being the largest drop of any restart's overlap
+    and the overlaps those of the last sweep.
     """
     overlap = np.zeros(len(phi))
     slack = 0.0
@@ -287,9 +302,11 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, tol: float, max_iter: int):
             slack = max(slack, float(np.max(overlap - new)))
         done = new - overlap < tol
         overlap = new
+        if target is not None and new.max() >= target:
+            return sweeps, "target", slack, overlap
         if sweeps > 1 and bool(done.all()):
-            return sweeps, True, slack
-    return max_iter, False, slack
+            return sweeps, "tol", slack, overlap
+    return max_iter, "max_iter", slack, overlap
 
 
 def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
@@ -311,7 +328,7 @@ def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
     tensor = state_tensor(sv.build_state(h))
     rng = np.random.default_rng([policy.seed, h])
     phi = _random_product_batch(rng, policy.restarts)
-    sweeps, converged, slack = _ascend(tensor, phi, policy.tol, policy.max_iter)
+    sweeps, stop, slack, _ = _ascend(tensor, phi, policy.tol, policy.max_iter)
     overlap = np.abs(_contract(tensor, phi))
     best = int(np.argmax(overlap))
     # Rounding can push the overlap of a unit product pair a hair above 1;
@@ -323,9 +340,9 @@ def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
         eg=-2.0 * math.log2(best_overlap) + 0.0,
         witness=ProductState(phi[best]),
         restarts_hit=int(hit.sum()),
-        converged=converged,
+        converged=stop == "tol",
         sweeps=sweeps,
-        stop="tol" if converged else "max_iter",
+        stop=stop,
         candidates=phi[hit].copy(),
         tensor=tensor,
         monotone_slack=slack,
@@ -336,16 +353,25 @@ def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
 # witness analysis
 
 
-def _partition_sizes(phi) -> tuple[int, ...]:
-    """Group sizes (descending) of coinciding single-qubit states; a
+# the six qubit pairs; bit b of a coincidence mask stands for pair _PAIRS[b]
+_PAIRS = tuple(itertools.combinations(range(hc.N_VERTICES), 2))
+_PAIR_I, _PAIR_J = np.array(_PAIRS).T
+_PAIR_BITS = 1 << np.arange(len(_PAIRS))
+
+
+def _merge(mask: int) -> tuple[int, ...]:
+    """Group sizes (descending) when the pairs set in ``mask`` coincide; a
     coinciding pair merges its two whole groups, so chains of states join."""
     label = list(range(hc.N_VERTICES))
-    for i, j in itertools.combinations(range(hc.N_VERTICES), 2):
-        if abs(np.vdot(phi[i], phi[j])) > 1.0 - MERGE_TOL:
+    for bit, (i, j) in enumerate(_PAIRS):
+        if mask >> bit & 1:
             old, new = max(label[i], label[j]), min(label[i], label[j])
             label = [new if lab == old else lab for lab in label]
     return tuple(sorted(Counter(label).values(), reverse=True))
 
+
+# group sizes for every one of the 2^6 coincidence masks
+_PARTITIONS = tuple(_merge(mask) for mask in range(1 << len(_PAIRS)))
 
 _PARTITION_LABELS = {
     (4,): "4",
@@ -354,6 +380,15 @@ _PARTITION_LABELS = {
     (2, 1, 1): "1,2,1",
     (1, 1, 1, 1): "1,1,1,1",
 }
+
+
+def _partition_sizes(phi: np.ndarray) -> list[tuple[int, ...]]:
+    """Group sizes of coinciding single-qubit states, one tuple per witness
+    of the stack phi[k, qubit]: two states coincide when their fidelity
+    |<phi_i|phi_j>| exceeds 1 - MERGE_TOL."""
+    fidelity = np.abs((phi[:, _PAIR_I].conj() * phi[:, _PAIR_J]).sum(axis=2))
+    masks = (fidelity > 1.0 - MERGE_TOL) @ _PAIR_BITS
+    return [_PARTITIONS[m] for m in masks]
 
 
 def _gauge(phi) -> tuple[np.ndarray, np.ndarray]:
@@ -370,21 +405,26 @@ def _gauge(phi) -> tuple[np.ndarray, np.ndarray]:
     return real / np.linalg.norm(real, axis=-1, keepdims=True), np.abs(v.imag).max(axis=(1, 2))
 
 
-def _best_real_overlap(sol: GeSolution) -> float:
-    """Best overlap reachable by all-real witnesses near the solution.
-
-    Polishes the real parts of every gauged best-overlap candidate plus a
-    fixed batch of 32 random real starts with real-arithmetic sweeps and,
-    past ``NEWTON_AFTER`` of them, real Newton steps (at most 500
-    iterations, tolerance 1e-13); used to decide whether a real witness
-    attains the complex optimum.
-    """
-    tensor = sol.tensor.real
+def _polish_starts(real: np.ndarray) -> np.ndarray:
+    """Starts of the real polish: the gauged candidates ``real`` followed by
+    a fixed batch of 32 random real product states."""
     extra = np.random.default_rng(0x5EED).normal(size=(32, hc.N_VERTICES, 2))
     extra /= np.linalg.norm(extra, axis=2, keepdims=True)
-    phi = np.concatenate((_gauge(sol.candidates)[0], extra))
-    _ascend(tensor, phi, 1e-13, 500)
-    return float(np.max(np.abs(_contract(tensor, phi))))
+    return np.concatenate((real, extra))
+
+
+def _best_real_overlap(tensor: np.ndarray, phi: np.ndarray, target: float):
+    """Best overlap of the real witnesses ``phi`` after polishing, in place.
+
+    Real-arithmetic sweeps and, past ``NEWTON_AFTER`` of them, real Newton
+    steps raise every start (at most 500 iterations, tolerance 1e-13), and
+    stop at the first iteration where one of them reaches ``target``: the
+    caller only asks whether a real witness attains it, and each restart's
+    overlap never falls, so the full run would reach it too.  Returns (the
+    largest overlap of the last sweep, iterations run).
+    """
+    iterations, _, _, overlap = _ascend(tensor, phi, 1e-13, 500, target)
+    return float(overlap.max()), iterations
 
 
 def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
@@ -394,23 +434,28 @@ def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
     1e-9 of the best overlap, the coarsest grouping (fewest distinct
     single-qubit states) wins, earlier restarts breaking ties.  Reality is
     "R" when some best candidate gauges real outright, or when real-only
-    polishing of the candidates reaches the same overlap; degenerate
-    maximizer families often park every random restart at a complex point
-    even though a real witness with the identical overlap exists.
+    polishing of the candidates (plus fixed random real starts) reaches
+    the same overlap; degenerate maximizer families often park every
+    random restart at a complex point even though a real witness with the
+    identical overlap exists.
     """
-    partitions = [_partition_sizes(c) for c in sol.candidates]
+    partitions = _partition_sizes(sol.candidates)
     counts = Counter(partitions)
     coarsest = min(partitions, key=len)
     census = tuple(
         (_PARTITION_LABELS[p], n)
         for p, n in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
     )
-    if (_gauge(sol.candidates)[1] <= REAL_TOL).any():
-        reality = "R"
+    real, imag = _gauge(sol.candidates)
+    if (imag <= REAL_TOL).any():
+        reality, path, iterations = "R", "gauge", 0
     else:
-        reality = "R" if _best_real_overlap(sol) >= sol.overlap - HIT_WINDOW else "C"
+        target = sol.overlap - HIT_WINDOW
+        best, iterations = _best_real_overlap(sol.tensor.real, _polish_starts(real), target)
+        reality, path = ("R" if best >= target else "C"), "polish"
     return DegeneracyPattern(
-        label=_PARTITION_LABELS[coarsest], reality=reality, census=census
+        label=_PARTITION_LABELS[coarsest], reality=reality, census=census,
+        path=path, polish_iterations=iterations,
     )
 
 

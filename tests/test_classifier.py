@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,3 +199,42 @@ def test_reports_are_reproducible(records, graph_records):
     a = cf.emit_report(records, graph_records, "json", seed=0)
     b = cf.emit_report(records, graph_records, "json", seed=0)
     assert a == b
+
+
+def test_degeneracy_diagnostics_at_seed_0(records, graph_records):
+    every = records + graph_records
+    polished = [r.pattern for r in every if r.pattern.path == "polish"]
+    assert len(polished) == 14
+    assert sum(p.polish_iterations for p in polished) == 111
+    # no polish runs into the Newton finish
+    assert max(p.polish_iterations for p in polished) == 47 < gm.NEWTON_AFTER
+    assert {r.pattern.path for r in every} == {"gauge", "polish"}
+    assert all(r.pattern.polish_iterations == 0 for r in every if r.pattern.path == "gauge")
+    assert sum(r.sweeps for r in every) == 1707
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "classify_seed0.json"
+
+
+def _assert_matches_golden(ours, golden, where="report"):
+    """Equal structure and non-float values; floats within 1e-12."""
+    assert type(ours) is type(golden), where
+    if isinstance(golden, dict):
+        assert list(ours) == list(golden), where
+        for key in golden:
+            _assert_matches_golden(ours[key], golden[key], f"{where}.{key}")
+    elif isinstance(golden, list):
+        assert len(ours) == len(golden), where
+        for i, (a, b) in enumerate(zip(ours, golden)):
+            _assert_matches_golden(a, b, f"{where}[{i}]")
+    elif isinstance(golden, float):
+        assert abs(ours - golden) <= 1e-12, (where, ours, golden)
+    else:
+        assert ours == golden, where
+
+
+def test_seed_0_report_matches_the_golden_file(records, graph_records):
+    # a change that means to move the numbers regenerates the file with
+    # `hgstate classify --format json --out tests/data/classify_seed0.json`
+    ours = json.loads(cf.emit_report(records, graph_records, "json", seed=0))
+    _assert_matches_golden(ours, json.loads(GOLDEN.read_text()))

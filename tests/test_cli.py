@@ -29,6 +29,9 @@ def test_no_subcommand_exits_1(capsys):
         ["query"],
         ["classify", "--seed", "-1"],
         ["verify", "--cache", "x"],
+        ["classify", "--tol", "inf"],
+        ["classify", "--tol", "nan"],
+        ["query", "1234", "--tol", "inf"],
     ],
 )
 def test_invalid_flags_exit_1(argv, capsys):

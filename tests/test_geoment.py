@@ -1,6 +1,7 @@
 """Unit tests for the closest-product solver and its oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -33,10 +34,33 @@ def test_solve_policy_validation():
         gm.SolvePolicy(seed=-1)
 
 
+def test_solve_policy_rejects_non_finite_tol_and_non_integers():
+    # an infinite tol would stop every solve as "converged" at iteration 2
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            gm.SolvePolicy(tol=tol)
+    for knob, value in (("restarts", 2.5), ("max_iter", 2.5), ("seed", 1.5)):
+        with pytest.raises(TypeError):
+            gm.SolvePolicy(**{knob: value})
+    policy = gm.SolvePolicy(restarts=np.int64(8), max_iter=np.int32(50), seed=np.uint8(3))
+    assert (policy.restarts, policy.max_iter, policy.seed) == (8, 50, 3)
+    assert {type(policy.restarts), type(policy.max_iter), type(policy.seed)} == {int}
+
+
 def test_product_state_validation():
     with pytest.raises(ValueError):
         gm.ProductState(np.ones((4, 2)))
     gm.ProductState(np.full((4, 2), np.sqrt(0.5)))  # unit rows pass
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_product_state_rejects_non_finite_amplitudes(bad):
+    q = np.full((4, 2), np.sqrt(0.5))
+    q[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        gm.ProductState(q)
+    with pytest.raises(ValueError, match="finite"):
+        gm.ProductState(np.full((4, 2), bad))
 
 
 def test_product_codes_have_zero_ge():
@@ -115,13 +139,113 @@ def _real_qubits(*angles):
 
 def test_partition_sizes_join_chains_of_close_states():
     # fidelity cos(dt) is above 1 - MERGE_TOL for dt = 1e-3, below for 2e-3
-    assert gm._partition_sizes(_real_qubits(0.0, 1.0, 2.0, 3.0)) == (1, 1, 1, 1)
-    assert gm._partition_sizes(_real_qubits(0.0, 1.0, 0.0, 1.0)) == (2, 2)
-    assert gm._partition_sizes(_real_qubits(0.0, 1.0, 1e-3, 2.0)) == (2, 1, 1)
-    assert gm._partition_sizes(_real_qubits(0.0, 0.0, 1e-3, 2.0)) == (3, 1)
-    # the chain 1 - 4 - 3 - 2 is linked only through its neighbours, and its
-    # pairs arrive in an order where merging single qubits breaks the group
-    assert gm._partition_sizes(_real_qubits(0.0, 3e-3, 2e-3, 1e-3)) == (4,)
+    stack = np.array([
+        _real_qubits(0.0, 1.0, 2.0, 3.0),
+        _real_qubits(0.0, 1.0, 0.0, 1.0),
+        _real_qubits(0.0, 1.0, 1e-3, 2.0),
+        _real_qubits(0.0, 0.0, 1e-3, 2.0),
+        # the chain 1 - 4 - 3 - 2 is linked only through its neighbours, and
+        # its pairs arrive in an order where merging single qubits breaks it
+        _real_qubits(0.0, 3e-3, 2e-3, 1e-3),
+    ])
+    assert gm._partition_sizes(stack) == [(1, 1, 1, 1), (2, 2), (2, 1, 1), (3, 1), (4,)]
+
+
+def _components(linked) -> tuple[int, ...]:
+    """Sizes (descending) of the connected components of a 4-vertex graph
+    given as a symmetric boolean adjacency matrix, by depth-first search."""
+    seen, sizes = set(), []
+    for start in range(4):
+        if start in seen:
+            continue
+        group, stack = {start}, [start]
+        while stack:
+            i = stack.pop()
+            for j in range(4):
+                if linked[i][j] and j not in group:
+                    group.add(j)
+                    stack.append(j)
+        seen |= group
+        sizes.append(len(group))
+    return tuple(sorted(sizes, reverse=True))
+
+
+def _reference_partition(phi) -> tuple[int, ...]:
+    """Group sizes of one witness, one np.vdot per pair of qubits."""
+    return _components([[abs(np.vdot(phi[i], phi[j])) > 1.0 - gm.MERGE_TOL
+                         for j in range(4)] for i in range(4)])
+
+
+def test_partition_table_matches_reference_merge():
+    pairs = list(itertools.combinations(range(4), 2))
+    assert len(gm._PARTITIONS) == 64
+    for mask in range(64):
+        linked = np.zeros((4, 4), dtype=bool)
+        for bit, (i, j) in enumerate(pairs):
+            linked[i, j] = linked[j, i] = bool(mask >> bit & 1)
+        assert gm._PARTITIONS[mask] == _components(linked), mask
+
+
+# a qubit is (cos t, e^{ia} sin t) up to a global phase, with t an anchor plus
+# a multiple of 1e-3, so that qubits on one anchor form chains: neighbours
+# 1e-3 apart coincide, qubits 2e-3 or more apart do not
+_QUBIT = st.tuples(st.sampled_from([0.0, 0.7, 1.9]), st.integers(0, 3),
+                   st.sampled_from([0.0, 0.9]), st.floats(0.0, 2.0 * math.pi))
+
+
+def _qubit_state(anchor, steps, relative, phase):
+    t = anchor + steps * 1e-3
+    return np.exp(1j * phase) * np.array([np.cos(t), np.exp(1j * relative) * np.sin(t)])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(stack=st.lists(st.lists(_QUBIT, min_size=4, max_size=4), min_size=1, max_size=8))
+def test_batched_partitions_match_per_witness_merge(stack):
+    phi = np.array([[_qubit_state(*q) for q in witness] for witness in stack])
+    assert gm._partition_sizes(phi) == [_reference_partition(w) for w in phi]
+
+
+def test_ascend_stops_at_the_first_iteration_reaching_the_target():
+    # under NEWTON_AFTER iterations _ascend runs plain sweeps, so repeated
+    # _sweep calls give its per-iteration overlaps; the target is one that
+    # the best restart reaches by a rise below 1e-6
+    tensor = gm.state_tensor(sv.build_state(16436)).real
+    rng = np.random.default_rng(101)
+    starts = rng.normal(size=(4, 4, 2))
+    starts /= np.linalg.norm(starts, axis=2, keepdims=True)
+    phi = starts.copy()
+    trail = [gm._sweep(tensor, phi).max() for _ in range(30)]
+    k = next(n for n in range(1, 30) if 0 < trail[n] - trail[n - 1] < 1e-6)
+    iterations, stop, _, overlap = gm._ascend(tensor, starts.copy(), 1e-13, 500, trail[k])
+    assert (iterations, stop, overlap.max()) == (k + 1, "target", trail[k])
+    # a target never reached leaves the run as it is without one
+    with_target, without = starts.copy(), starts.copy()
+    ended = gm._ascend(tensor, with_target, 1e-13, 500, 2.0)
+    plain = gm._ascend(tensor, without, 1e-13, 500)
+    assert ended[:3] == plain[:3] and ended[1] == "tol"
+    assert np.array_equal(with_target, without) and np.array_equal(ended[3], plain[3])
+
+
+def test_early_stop_keeps_the_reality_decision(classification):
+    # for every rep whose reality needs the real polish, stopping at the
+    # target decides as polishing to convergence does; reps that never
+    # reach the target ("C") end with bit-identical iterates
+    records, graphs = classification
+    polished = [r for r in records + graphs if r.pattern.path == "polish"]
+    assert len(polished) == 14
+    for record in polished:
+        sol = gm.solve_code(record.rep)
+        tensor, target = sol.tensor.real, sol.overlap - gm.HIT_WINDOW
+        early = gm._polish_starts(gm._gauge(sol.candidates)[0])
+        full = early.copy()
+        best, iterations = gm._best_real_overlap(tensor, early, target)
+        _, stop, _, overlap = gm._ascend(tensor, full, 1e-13, 500)
+        assert stop == "tol", record.rep
+        assert (best >= target) == (overlap.max() >= target), record.rep
+        assert record.pattern.reality == ("R" if best >= target else "C")
+        assert iterations == record.pattern.polish_iterations
+        if best < target:
+            assert np.array_equal(early, full), record.rep
 
 
 def test_symmetric_z_iteration_attractor():
