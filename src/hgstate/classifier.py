@@ -195,20 +195,20 @@ def _check_distinct(records) -> None:
                 )
 
 
-def _record_for(rep: int, size: int, rank: int, policy: gm.SolvePolicy) -> ClassRecord:
-    sol = gm.solve_code(rep, policy)
-    profile = sv.entropy_profile(rep)
+def _record_for(orbit: ob.OrbitRecord, policy: gm.SolvePolicy) -> ClassRecord:
+    sol = gm.solve_code(orbit.rep, policy)
+    profile = sv.entropy_profile(orbit.rep)
     pattern = gm.degeneracy_pattern(sol)
     table = row = closed = None
-    if rank in (3, 4):
-        table, row = match_row(rank, sol.eg, profile.be2)
+    if orbit.rank in (3, 4):
+        table, row = match_row(orbit.rank, sol.eg, profile.be2)
         closed = REFERENCE_ROWS[row].exact_ge
     return ClassRecord(
-        rep=rep,
-        std_rep=hc.standardize(rep),
-        rank=rank,
-        orbit_size=size,
-        m=ob._multiplicity(size, rank),
+        rep=orbit.rep,
+        std_rep=hc.standardize(orbit.rep),
+        rank=orbit.rank,
+        orbit_size=orbit.size,
+        m=orbit.m,
         ge=sol.eg,
         profile=profile,
         pattern=pattern,
@@ -236,12 +236,9 @@ def classify_all(
     table = table or ob.enumerate_orbits()
     matched: list[ClassRecord] = []
     graphs: list[ClassRecord] = []
-    for cid in range(table.n_orbits):
-        rep = int(table.reps[cid])
-        size = int(table.sizes[cid])
-        rank = int(table.rep_rank[cid])
-        record = _record_for(rep, size, rank, policy)
-        (matched if rank in (3, 4) else graphs).append(record)
+    for rep in table.reps:
+        record = _record_for(ob.orbit_of(int(rep), table), policy)
+        (matched if record.rank in (3, 4) else graphs).append(record)
     _check_distinct(matched)
     rows = [r.row for r in matched]
     if sorted(rows) != list(range(1, 29)):

@@ -9,13 +9,14 @@ stderr, and returns 2.  ``query`` returns 1 on a parse error naming the
 offending token and 2 when the code's class cannot be matched; when its
 solve stops at the iteration cap it still prints the report, names the code
 and the policy on stderr, and returns 2.
-``verify`` returns 2 when any invariant suite fails.
+``verify`` returns 2 when any invariant suite fails.  Only
+``geoment.SolvePolicy`` checks the solver flags, naming the field on error; a
+restart is done once an iteration gains less than the fixed ``geoment.TOL``.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from functools import lru_cache
 
@@ -36,30 +37,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int):
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-        return value
-    return integer
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=_int_at_least(1), default=gm.DEFAULT_RESTARTS,
+    # SolvePolicy alone checks the values; main() reports its error through p
+    p.set_defaults(policy_parser=p)
+    p.add_argument("--restarts", type=int, default=gm.DEFAULT_RESTARTS,
                    help="random restarts per solve (default %(default)s)")
-    p.add_argument("--tol", type=_positive_float, default=gm.DEFAULT_TOL,
-                   help="per-iteration overlap improvement threshold (default %(default)s)")
-    p.add_argument("--max-iter", type=_int_at_least(1), default=gm.DEFAULT_MAX_ITER,
+    p.add_argument("--max-iter", type=int, default=gm.DEFAULT_MAX_ITER,
                    help="iteration cap per solve, Newton iterations included (default %(default)s)")
-    p.add_argument("--seed", type=_int_at_least(0), default=gm.DEFAULT_SEED,
+    p.add_argument("--seed", type=int, default=gm.DEFAULT_SEED,
                    help="base seed for the restart streams (default %(default)s)")
 
 
@@ -83,13 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _policy(args) -> gm.SolvePolicy:
-    return gm.SolvePolicy(restarts=args.restarts, tol=args.tol,
-                          max_iter=args.max_iter, seed=args.seed)
-
-
 def cmd_classify(args) -> int:
-    policy = _policy(args)
+    policy = args.policy
     try:
         records, graphs = cf.classify_all(policy)
     except cf.ClassificationError as exc:
@@ -118,7 +98,7 @@ def cmd_query(args) -> int:
     except ValueError as exc:
         print(f"hgstate: bad edge list: {exc}", file=sys.stderr)
         return 1
-    policy = _policy(args)
+    policy = args.policy
     record = ob.orbit_of(code)
     std = hc.standardize(code)
     state = sv.build_state(code)
@@ -164,8 +144,11 @@ def suite_roundtrip() -> tuple[bool, str]:
 
 @lru_cache(maxsize=1)
 def _stabilizer_defects() -> tuple[np.ndarray, np.ndarray]:
-    """Defects of every code, once per process; each suite reads one half."""
-    return sv.stabilizer_defects(np.arange(hc.N_CODES))
+    """Read-only defects of every code, once per process; each suite reads one half."""
+    verdicts = sv.stabilizer_defects(np.arange(hc.N_CODES))
+    for v in verdicts:
+        v.flags.writeable = False
+    return verdicts
 
 
 def suite_stabilizer() -> tuple[bool, str]:
@@ -258,6 +241,11 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command != "verify":
+            try:
+                args.policy = gm.SolvePolicy(args.restarts, args.max_iter, args.seed)
+            except ValueError as exc:
+                args.policy_parser.error(str(exc))
     except SystemExit as exc:
         # argparse exits on bad flags and on --help; report the code
         # instead so embedders can call main() without trapping exits

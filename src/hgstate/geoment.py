@@ -40,10 +40,11 @@ from . import hypercore as hc
 from . import statevec as sv
 
 DEFAULT_RESTARTS = 64
-DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 5000
 DEFAULT_SEED = 0
 
+# a restart is done when one iteration raises its overlap by less than this
+TOL = 1e-12
 # overlaps this close to the best are treated as hitting the best
 HIT_WINDOW = 1e-9
 # single-qubit states this close in fidelity count as the same state
@@ -70,7 +71,6 @@ class SolvePolicy:
     """Knobs of the randomized closest-product solve."""
 
     restarts: int = DEFAULT_RESTARTS
-    tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     seed: int = DEFAULT_SEED
 
@@ -80,8 +80,6 @@ class SolvePolicy:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.seed < 0:
@@ -117,7 +115,7 @@ class GeSolution:
     iterations run, each one alternating sweep (after ``NEWTON_AFTER`` of
     them, a Newton step plus a sweep), and ``stop`` names why they ended:
     "tol" when at one iteration every restart improved its overlap by less
-    than the tolerance, "max_iter" when the cap was hit first.
+    than ``TOL``, "max_iter" when the cap was hit first.
     """
 
     overlap: float
@@ -153,15 +151,6 @@ class DegeneracyPattern:
     polish_iterations: int = 0
 
 
-def state_tensor(s) -> np.ndarray:
-    """Reshape 16 amplitudes into T[mu1, mu2, mu3, mu4]."""
-    s = np.asarray(s)
-    if s.shape != (hc.N_BASIS,):
-        raise ValueError(f"state must have 16 amplitudes, got shape {s.shape}")
-    # C-order reshape puts qubit 4 first; reverse axes so qubit 1 is first
-    return s.reshape((2,) * hc.N_VERTICES).transpose(3, 2, 1, 0).astype(complex)
-
-
 def _random_product_batch(rng, restarts: int) -> np.ndarray:
     phi = rng.normal(size=(restarts, hc.N_VERTICES, 2)) + 1j * rng.normal(
         size=(restarts, hc.N_VERTICES, 2)
@@ -182,12 +171,7 @@ def _update(q: np.ndarray, env: np.ndarray) -> np.ndarray:
     """
     re, im = env.real, env.imag
     norm = np.sqrt((re * re + im * im).sum(axis=1))
-    safe = norm > 1e-300
-    # masked assignment costs more; a zero environment is rare
-    if safe.all():
-        q[:] = env.conj() / norm[:, None]
-    else:
-        q[safe] = env[safe].conj() / norm[safe, None]
+    np.divide(env.conj(), norm[:, None], out=q, where=norm[:, None] > 1e-300)
     return norm
 
 
@@ -316,19 +300,18 @@ def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
     alternating sweeps, with a Newton step before each sweep after the
     first ``NEWTON_AFTER``.  The solve stops with ``stop == "tol"`` at the
     first iteration in which every restart improved its overlap by less
-    than ``tol``, and with ``stop == "max_iter"`` after ``max_iter``
+    than ``TOL``, and with ``stop == "max_iter"`` after ``max_iter``
     iterations, Newton iterations included (the solution is then flagged
     unconverged rather than raising).  ``sweeps`` is the number of
-    iterations.  The restart
-    stream is seeded from the policy seed and the code, and the reported
-    witness is the lowest-indexed restart achieving the best overlap, so
-    per-class results do not depend on evaluation order.
+    iterations.  The restart stream is seeded from the policy seed and the
+    code, and the reported witness is the lowest-indexed restart achieving
+    the best overlap, so per-class results do not depend on evaluation order.
     """
     policy = policy or SolvePolicy()
-    tensor = state_tensor(sv.build_state(h))
+    tensor = sv.state_tensor(sv.build_state(h)).astype(complex)
     rng = np.random.default_rng([policy.seed, h])
     phi = _random_product_batch(rng, policy.restarts)
-    sweeps, stop, slack, _ = _ascend(tensor, phi, policy.tol, policy.max_iter)
+    sweeps, stop, slack, _ = _ascend(tensor, phi, TOL, policy.max_iter)
     overlap = np.abs(_contract(tensor, phi))
     best = int(np.argmax(overlap))
     # Rounding can push the overlap of a unit product pair a hair above 1;
@@ -560,7 +543,7 @@ def real_grid_eg(s, points: int = 24) -> float:
     real this matches the iterative solve; complex-witness states sit
     strictly above the grid value.
     """
-    tensor = state_tensor(s).real
+    tensor = sv.state_tensor(s)
     centers = np.full(hc.N_VERTICES, math.pi / 2.0)
     half = math.pi / 2.0
     best = 0.0

@@ -101,7 +101,7 @@ def code_of_edges(edges) -> int:
         _check_edge(e)
         bit = 1 << (e - 1)
         if h & bit:
-            raise ValueError(f"duplicate edge mask {e}")
+            raise ValueError(f"duplicate edge {format_edges(bit)}")
         h |= bit
     return h
 
@@ -316,29 +316,22 @@ def parse_edges(text: str) -> int:
 
     Each group is a run of vertex digits (a single digit is a loop); the
     empty string is the edgeless hypergraph.  Rejects characters outside
-    1..4, repeated vertices inside a group, and repeated groups.
+    1..4, repeated vertices and repeated groups, naming the group.
     """
     text = text.strip()
     if not text:
         return 0
-    h = 0
+    edges = []
     for token in text.split(","):
         token = token.strip()
-        if not token:
-            raise ValueError("empty edge group in edge list")
-        mask = 0
-        for ch in token:
-            if ch not in "1234":
-                raise ValueError(f"bad vertex {ch!r} in edge {token!r}")
-            bit = 1 << (int(ch) - 1)
-            if mask & bit:
-                raise ValueError(f"duplicate vertex {ch!r} in edge {token!r}")
-            mask |= bit
-        code_bit = 1 << (mask - 1)
-        if h & code_bit:
-            raise ValueError(f"edge {token!r} listed twice")
-        h |= code_bit
-    return h
+        # int() also reads non-ASCII digits (Arabic-Indic, fullwidth); only ASCII 1-4 pass
+        if not token or set(token) - set("1234"):
+            raise ValueError(f"edge {token!r} is not a run of the vertex digits 1-4")
+        try:
+            edges.append(edge_mask(map(int, token)))
+        except ValueError as exc:
+            raise ValueError(f"edge {token!r}: {exc}") from None
+    return code_of_edges(edges)
 
 
 def format_edges(h: int) -> str:

@@ -58,13 +58,7 @@ class OrbitRecord:
     rep: int
     size: int
     rank: int
-    m: int  # see _multiplicity()
-
-
-def _multiplicity(size: int, rank: int) -> int:
-    """Multiplicity m of an orbit: its size over 256 for standardized rank
-    4, over 128 for rank 3, and over 16 for graph orbits (rank 2 or 0)."""
-    return size // {4: 256, 3: 128}.get(rank, 16)
+    m: int  # see orbit_of()
 
 
 def generator_tables() -> list[np.ndarray]:
@@ -110,23 +104,23 @@ def enumerate_orbits() -> OrbitTable:
             break
     reps, class_id, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     rep_rank = np.array([hc.rank(hc.standardize(int(r))) for r in reps], dtype=np.int64)
-    return OrbitTable(
-        class_id=class_id.astype(np.uint16),
-        reps=reps.astype(np.uint16),
-        sizes=sizes.astype(np.int64),
-        rep_rank=rep_rank,
-    )
+    arrays = class_id.astype(np.uint16), reps.astype(np.uint16), sizes.astype(np.int64), rep_rank
+    for a in arrays:  # every caller in the process shares them
+        a.flags.writeable = False
+    return OrbitTable(*arrays)
 
 
 def orbit_of(h: int, table: OrbitTable | None = None) -> OrbitRecord:
-    """Orbit membership data of one code."""
+    """Orbit membership data of one code.  Its multiplicity m is the orbit
+    size over 256 for standardized rank 4, over 128 for rank 3, and over
+    16 for graph orbits (rank 2 or 0)."""
     hc._check_code(h)
     table = table or enumerate_orbits()
     cid = int(table.class_id[h])
     size = int(table.sizes[cid])
     rank = int(table.rep_rank[cid])
     return OrbitRecord(rep=int(table.reps[cid]), size=size, rank=rank,
-                       m=_multiplicity(size, rank))
+                       m=size // {4: 256, 3: 128}.get(rank, 16))
 
 
 def rank_census(table: OrbitTable | None = None) -> dict[int, int]:

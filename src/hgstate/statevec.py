@@ -74,22 +74,27 @@ def verify_stabilizers(h: int) -> bool:
 # reduced states and entropies
 
 
+def state_tensor(s) -> np.ndarray:
+    """Real amplitudes as T[mu1, mu2, mu3, mu4], one axis per qubit."""
+    s = np.asarray(s)
+    if np.iscomplexobj(s) or s.shape != (hc.N_BASIS,):
+        raise ValueError(f"state must be 16 real amplitudes, got {s.dtype} of shape {s.shape}")
+    # C-order reshape puts qubit 4 first; reverse axes so qubit 1 is first
+    return s.astype(float).reshape((2,) * hc.N_VERTICES).transpose(3, 2, 1, 0)
+
+
 def reduced_density(s: np.ndarray, keep) -> np.ndarray:
-    """Partial trace keeping one or two qubits.
+    """Partial trace of a real state keeping one or two qubits.
 
     ``keep`` is an iterable of vertex numbers.  Cuts that keep 0, 3 or 4
     qubits are rejected: the complement view (or the purity of the full
     state) already covers them.
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (hc.N_BASIS,):
-        raise ValueError(f"state must have 16 amplitudes, got shape {s.shape}")
+    tensor = state_tensor(s)
     kept = hc.edge_vertices(hc.edge_mask(keep))
     if len(kept) not in (1, 2):
         raise ValueError(f"keep must name 1 or 2 qubits, got {kept}")
-    # C-order reshape puts qubit 4 on the first axis; move kept axes first
-    tensor = s.reshape((2,) * hc.N_VERTICES)
-    axes = [hc.N_VERTICES - v for v in kept]
+    axes = [v - 1 for v in kept]
     rest = [ax for ax in range(hc.N_VERTICES) if ax not in axes]
     m = tensor.transpose(axes + rest).reshape(1 << len(kept), -1)
     return m @ m.T
@@ -97,6 +102,8 @@ def reduced_density(s: np.ndarray, keep) -> np.ndarray:
 
 def entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits, with eigenvalues clamped into [0, 1]."""
+    if np.iscomplexobj(rho):
+        raise ValueError("density matrix must be real")
     lam = np.linalg.eigvalsh(np.asarray(rho, dtype=float))
     lam = np.clip(lam, 0.0, 1.0)
     lam = lam[lam > 1e-15]

@@ -23,20 +23,25 @@ def test_no_subcommand_exits_1(capsys):
     "argv",
     [
         ["classify", "--restarts", "0"],
-        ["classify", "--tol", "-1"],
+        ["classify", "--max-iter", "0"],
         ["classify", "--format", "yaml"],
         ["verify", "--suite", "nonsense"],
         ["query"],
         ["classify", "--seed", "-1"],
         ["verify", "--cache", "x"],
-        ["classify", "--tol", "inf"],
-        ["classify", "--tol", "nan"],
-        ["query", "1234", "--tol", "inf"],
+        ["query", "1234", "--restarts", "2.5"],
+        ["classify", "--max-iter", "2.5"],
+        ["query", "1234", "--tol", "1e-9"],  # the tolerance is fixed, not a flag
     ],
 )
 def test_invalid_flags_exit_1(argv, capsys):
     assert cli.main(argv) == 1
-    assert "usage" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage" in err
+    # the message names the flag, or the SolvePolicy field it sets
+    flag = next((a for a in argv if a.startswith("--")), None)
+    if flag:
+        assert flag[2:].replace("-", "_") in err.replace("-", "_")
 
 
 def test_classify_json_report(tmp_path, capsys):
@@ -114,6 +119,14 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "SUITES", broken)
     assert cli.main(["verify"]) == 2
     assert "census: FAIL" in capsys.readouterr().out
+
+
+def test_stabilizer_verdicts_are_read_only():
+    # both stabilizer suites read these memoised verdicts; a write would
+    # make a later suite in the process fail
+    for verdicts in cli._stabilizer_defects():
+        with pytest.raises(ValueError, match="read-only"):
+            verdicts[0, 0] = True
 
 
 def test_classify_unconverged_exits_2(capsys):

@@ -259,10 +259,26 @@ def test_parse_format_roundtrip_random():
         assert hc.parse_edges(hc.format_edges(h)) == h
 
 
-@pytest.mark.parametrize("bad", ["125", "1234,,12", "112", "12,12", "1 2"])
+# malformed edge lists and the token each rejection must name; int() reads
+# the Arabic-Indic and fullwidth digits, so only the character check stops them
+_BAD_EDGE_LISTS = {
+    "125": "125",
+    "1234,,12": "''",
+    "112": "112",
+    "12,12": "12",
+    "1 2": "1 2",
+    "15": "15",
+    "1,,2": "''",
+    "\u0661\u0662": "\u0661\u0662",
+    "\uff11": "\uff11",
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_EDGE_LISTS))
 def test_parse_edges_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         hc.parse_edges(bad)
+    assert _BAD_EDGE_LISTS[bad] in str(exc.value)
 
 
 def test_basis_string_roundtrip():

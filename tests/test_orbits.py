@@ -77,3 +77,12 @@ def test_standardized_rank_table(orbit_table):
     sample = np.random.default_rng(71).integers(0, hc.N_CODES, size=300)
     for h in sample:
         assert int(table[h]) == hc.rank(hc.standardize(int(h)))
+
+
+def test_orbit_table_is_read_only(orbit_table):
+    # the table is memoised for the whole process; a write would corrupt
+    # every later orbit_of and rank_census
+    for name in ("class_id", "reps", "sizes", "rep_rank"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(orbit_table, name)[0] = 1
+    assert ob.enumerate_orbits() is orbit_table

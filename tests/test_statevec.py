@@ -84,6 +84,45 @@ def test_stabilizer_defects_reject_out_of_range_codes():
         sv.verify_stabilizers(-1)
 
 
+def test_state_tensor_index_convention():
+    s = sv.build_state(hc.parse_edges("1234,123"))
+    t = sv.state_tensor(s)
+    assert t.shape == (2, 2, 2, 2)
+    for mu in range(16):
+        bits = [(mu >> v) & 1 for v in range(4)]
+        assert t[bits[0], bits[1], bits[2], bits[3]] == s[mu]
+
+
+def _reduced_density_qubit_4_first(s, keep):
+    """Reference partial trace on the plain C-order reshape, where qubit 4
+    is the first axis, with the kept axes moved first."""
+    axes = [4 - v for v in keep]
+    rest = [ax for ax in range(4) if ax not in axes]
+    m = s.reshape((2,) * 4).transpose(axes + rest).reshape(1 << len(keep), -1)
+    return m @ m.T
+
+
+def test_reduced_density_matches_the_qubit_4_first_formula_exactly(orbit_table):
+    # every amplitude is +-1/4, so each entry is an exact sum of +-1/16 terms
+    for rep in orbit_table.reps:
+        s = sv.build_state(int(rep))
+        for keep in sv.ONE_CUTS + sv.TWO_CUTS:
+            expected = _reduced_density_qubit_4_first(s, keep)
+            assert np.array_equal(sv.reduced_density(s, keep), expected), (rep, keep)
+
+
+def test_complex_input_is_rejected():
+    # a cast to float would drop the imaginary part: entropy -0.0, not 1
+    psi = 1j * sv.build_state(7)
+    with pytest.raises(ValueError, match="real"):
+        sv.reduced_density(psi, [1])
+    with pytest.raises(ValueError, match="real"):
+        sv.state_tensor(psi)
+    with pytest.raises(ValueError, match="real"):
+        sv.entropy(np.diag([0.75, 0.25]) + 0j)
+    assert np.isclose(sv.entropy(sv.reduced_density(-psi.imag, [1])), 1.0)
+
+
 def test_reduced_density_basic_properties():
     rng = np.random.default_rng(41)
     for h in rng.integers(0, hc.N_CODES, size=25):
