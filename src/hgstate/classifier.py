@@ -201,7 +201,10 @@ def _record_for(orbit: ob.OrbitRecord, policy: gm.SolvePolicy) -> ClassRecord:
     pattern = gm.degeneracy_pattern(sol)
     table = row = closed = None
     if orbit.rank in (3, 4):
-        table, row = match_row(orbit.rank, sol.eg, profile.be2)
+        try:
+            table, row = match_row(orbit.rank, sol.eg, profile.be2)
+        except ClassificationError as exc:
+            raise ClassificationError(f"rep {orbit.rep} (rank {orbit.rank}), row match: {exc}") from exc
         closed = REFERENCE_ROWS[row].exact_ge
     return ClassRecord(
         rep=orbit.rep,
@@ -230,7 +233,7 @@ def classify_all(
     and the graph-state classes sorted by representative.  Raises a
     :class:`ClassificationError` when a signature collides, fails to
     match, or matches ambiguously (none of which happens for this family;
-    the checks guard regressions).
+    the checks guard regressions); the message names the reps involved.
     """
     policy = policy or gm.SolvePolicy()
     table = table or ob.enumerate_orbits()
@@ -240,9 +243,11 @@ def classify_all(
         record = _record_for(ob.orbit_of(int(rep), table), policy)
         (matched if record.rank in (3, 4) else graphs).append(record)
     _check_distinct(matched)
-    rows = [r.row for r in matched]
-    if sorted(rows) != list(range(1, 29)):
-        raise ClassificationError(f"reference rows not matched bijectively: {sorted(rows)}")
+    reps_by_row = {row: [r.rep for r in matched if r.row == row] for row in REFERENCE_ROWS}
+    wrong = "; ".join(f"row {row} matched by reps {reps}"
+                      for row, reps in reps_by_row.items() if len(reps) != 1)
+    if wrong:
+        raise ClassificationError(f"reference rows not matched bijectively: {wrong}")
     matched.sort(key=lambda r: r.row)
     graphs.sort(key=lambda r: r.rep)
     return matched, graphs

@@ -7,10 +7,10 @@ states fixed, the optimal fourth is the conjugated, normalized
 environment (the contraction of the state against the other three), and
 cycling through the qubits makes the overlap non-decreasing.  Random
 restarts guard against local maxima; their merge is deterministic for a
-fixed seed.  All restarts advance together: a sweep views the state as a
-4x4 matrix T[ab, cd] and shares two partial contractions between the
-qubits, one against qubits 3 and 4 (for the updates of qubits 1 and 2)
-and one against the updated qubits 1 and 2 (for qubits 3 and 4).
+fixed seed.  All restarts advance together: a sweep views the real state
+as a 4x4 matrix T[ab, cd] and shares two partial contractions between
+the qubits, one against qubits 3 and 4 (for the updates of qubits 1 and
+2) and one against the updated qubits 1 and 2 (for qubits 3 and 4).
 
 Alternating sweeps converge linearly only at nondegenerate maxima, and
 crawl near degenerate maxima and saddles.  A solve still running after
@@ -23,7 +23,7 @@ The module also carries the closed-form overlap values known for many
 classes, the one-parameter fixed-point iteration for the symmetric
 three-qubit witness, an independent grid maximizer over real product
 states, and the analysis of a converged witness (which qubits share a
-state, and whether the witness can be made real).
+state, and whether a real polish attains its overlap).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -49,8 +50,6 @@ TOL = 1e-12
 HIT_WINDOW = 1e-9
 # single-qubit states this close in fidelity count as the same state
 MERGE_TOL = 1e-6
-# largest tolerated imaginary part when gauging a witness real
-REAL_TOL = 1e-6
 # sweeps after which each further sweep is preceded by a Newton step
 NEWTON_AFTER = 100
 # curvature magnitude, relative to |f|^2, below which a Newton direction is flat
@@ -126,7 +125,7 @@ class GeSolution:
     sweeps: int
     stop: str
     candidates: np.ndarray = field(repr=False)  # complex, shape (k, 4, 2)
-    tensor: np.ndarray = field(repr=False)      # complex, shape (2, 2, 2, 2)
+    tensor: np.ndarray = field(repr=False)      # real, shape (2, 2, 2, 2)
     monotone_slack: float = 0.0
 
 
@@ -135,19 +134,17 @@ class DegeneracyPattern:
     """Grouping of a witness's single-qubit states, plus its reality flag.
 
     ``label`` is one of "4", "1,3", "2,2", "1,2,1", "1,1,1,1" (sizes of the
-    groups of coinciding states).  ``reality`` is "R" when some witness at
-    the best overlap can be gauged entrywise real, else "C".  ``census``
-    lists (label, count) over all best-overlap candidates, coarsest first,
-    for reporting competing groupings.  ``path`` tells how reality was
-    decided, "gauge" when a candidate gauged real outright and "polish"
-    when real-only iteration had to try, and ``polish_iterations`` counts
-    that iteration's steps (0 on the gauge path); neither enters a report.
+    groups of coinciding states).  ``reality`` is "R" when the real polish
+    brings some real witness within ``HIT_WINDOW`` of the best overlap,
+    else "C".  ``census`` lists (label, count) over all best-overlap
+    candidates, coarsest first, for reporting competing groupings.
+    ``polish_iterations`` counts the polish's iterations, 1 when a gauged
+    candidate was already real; it stays out of every report.
     """
 
     label: str
     reality: str
     census: tuple[tuple[str, int], ...] = ()
-    path: str = "gauge"
     polish_iterations: int = 0
 
 
@@ -185,8 +182,8 @@ def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     updated pair, gives those of qubits 3 and 4 (Tab.phi4, then phi3.Tab).
     Each qubit thus sees exactly the values the qubit-by-qubit order gives
     it, so this is the plain Gauss-Seidel iteration, with two (R, 4) @ (4, 4)
-    products and four batched 2x2 products per sweep.  ``tensor`` and
-    ``phi`` may both be real (the real-polish path) or complex.
+    products and four batched 2x2 products per sweep.  ``phi`` may be real
+    (the real polish) or complex; numpy upcasts a real ``tensor`` to match.
 
     Returns the overlap estimates |f| after the sweep (exact for each
     restart because the last-updated qubit is the normalized environment).
@@ -308,7 +305,7 @@ def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
     the best overlap, so per-class results do not depend on evaluation order.
     """
     policy = policy or SolvePolicy()
-    tensor = sv.state_tensor(sv.build_state(h)).astype(complex)
+    tensor = sv.state_tensor(sv.build_state(h))
     rng = np.random.default_rng([policy.seed, h])
     phi = _random_product_batch(rng, policy.restarts)
     sweeps, stop, slack, _ = _ascend(tensor, phi, TOL, policy.max_iter)
@@ -374,26 +371,26 @@ def _partition_sizes(phi: np.ndarray) -> list[tuple[int, ...]]:
     return [_PARTITIONS[m] for m in masks]
 
 
-def _gauge(phi) -> tuple[np.ndarray, np.ndarray]:
-    """Per-qubit phase gauge of witnesses phi[k, qubit] toward real amplitudes.
-
-    Each qubit's pair is divided by the phase of its larger component, so
-    its real part keeps norm at least 1/sqrt(2).  Returns the renormalized
-    real parts and, per witness, the largest imaginary part dropped.
-    """
+def _gauge(phi) -> np.ndarray:
+    """Real product states from witnesses phi[k, qubit] by a per-qubit phase
+    gauge: each qubit's pair is divided by the phase of its larger
+    component, so its real part keeps norm at least 1/sqrt(2), and that
+    real part is renormalized."""
     x, y = phi[..., 0], phi[..., 1]
     ref = np.where(np.abs(x) >= np.abs(y), x, y)
-    v = phi * (ref.conjugate() / np.abs(ref))[..., None]
-    real = v.real
-    return real / np.linalg.norm(real, axis=-1, keepdims=True), np.abs(v.imag).max(axis=(1, 2))
+    real = (phi * (ref.conjugate() / np.abs(ref))[..., None]).real
+    return real / np.linalg.norm(real, axis=-1, keepdims=True)
 
 
-def _polish_starts(real: np.ndarray) -> np.ndarray:
-    """Starts of the real polish: the gauged candidates ``real`` followed by
-    a fixed batch of 32 random real product states."""
-    extra = np.random.default_rng(0x5EED).normal(size=(32, hc.N_VERTICES, 2))
-    extra /= np.linalg.norm(extra, axis=2, keepdims=True)
-    return np.concatenate((real, extra))
+@cache
+def _real_starts() -> np.ndarray:
+    """The 32 fixed random real product states every real polish adds to the
+    gauged candidates, read-only; drawn on first use, as numpy.random takes
+    about 18 ms to import."""
+    starts = np.random.default_rng(0x5EED).normal(size=(32, hc.N_VERTICES, 2))
+    starts /= np.linalg.norm(starts, axis=2, keepdims=True)
+    starts.flags.writeable = False
+    return starts
 
 
 def _best_real_overlap(tensor: np.ndarray, phi: np.ndarray, target: float):
@@ -416,11 +413,12 @@ def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
     The label follows the declared tie-break: among all restarts within
     1e-9 of the best overlap, the coarsest grouping (fewest distinct
     single-qubit states) wins, earlier restarts breaking ties.  Reality is
-    "R" when some best candidate gauges real outright, or when real-only
-    polishing of the candidates (plus fixed random real starts) reaches
-    the same overlap; degenerate maximizer families often park every
-    random restart at a complex point even though a real witness with the
-    identical overlap exists.
+    "R" when real-only polishing of the gauged candidates (plus fixed
+    random real starts) reaches the best overlap less ``HIT_WINDOW``;
+    degenerate maximizer families often park every random restart at a
+    complex point even though a real witness with the identical overlap
+    exists.  A candidate real up to per-qubit phases hits at iteration 1:
+    the state is real, so dropping imaginary parts of size d costs O(d^2).
     """
     partitions = _partition_sizes(sol.candidates)
     counts = Counter(partitions)
@@ -429,16 +427,12 @@ def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
         (_PARTITION_LABELS[p], n)
         for p, n in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
     )
-    real, imag = _gauge(sol.candidates)
-    if (imag <= REAL_TOL).any():
-        reality, path, iterations = "R", "gauge", 0
-    else:
-        target = sol.overlap - HIT_WINDOW
-        best, iterations = _best_real_overlap(sol.tensor.real, _polish_starts(real), target)
-        reality, path = ("R" if best >= target else "C"), "polish"
+    target = sol.overlap - HIT_WINDOW
+    starts = np.concatenate((_gauge(sol.candidates), _real_starts()))
+    best, iterations = _best_real_overlap(sol.tensor, starts, target)
     return DegeneracyPattern(
-        label=_PARTITION_LABELS[coarsest], reality=reality, census=census,
-        path=path, polish_iterations=iterations,
+        label=_PARTITION_LABELS[coarsest], reality="R" if best >= target else "C",
+        census=census, polish_iterations=iterations,
     )
 
 

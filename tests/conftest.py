@@ -4,6 +4,7 @@ expensive enough that the suite computes each once per session."""
 import pytest
 
 from hgstate import classifier as cf
+from hgstate import geoment as gm
 from hgstate import orbits as ob
 
 # one "ACCEPTANCE n: PASS/FAIL" line per criterion, printed after the run
@@ -28,6 +29,13 @@ def records(classification):
 @pytest.fixture(scope="session")
 def graph_records(classification):
     return classification[1]
+
+
+@pytest.fixture(scope="session")
+def solutions(classification):
+    """The default-policy solve of every class rep, keyed by rep."""
+    records, graphs = classification
+    return {r.rep: gm.solve_code(r.rep) for r in records + graphs}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -34,7 +34,7 @@ def test_reference_rows_carry_closed_forms():
     assert have == set(gm.closed_form_values())
 
 
-def test_signature_of_four_edge_state():
+def test_four_edge_state_matches_row_1():
     h = hc.parse_edges("1234")
     profile = sv.entropy_profile(h)
     assert abs(gm.solve_code(h).eg - 0.3043) < 5e-4
@@ -201,16 +201,40 @@ def test_reports_are_reproducible(records, graph_records):
     assert a == b
 
 
-def test_degeneracy_diagnostics_at_seed_0(records, graph_records):
+def test_degeneracy_diagnostics_at_seed_0(records, graph_records, solutions):
     every = records + graph_records
-    polished = [r.pattern for r in every if r.pattern.path == "polish"]
-    assert len(polished) == 14
-    assert sum(p.polish_iterations for p in polished) == 111
+    iterations = [r.pattern.polish_iterations for r in every]
+    assert len(iterations) == 39 and min(iterations) >= 1
+    assert sum(iterations) == 136
+    # the 25 gauge-real classes below and 9 others polish in one iteration
+    assert iterations.count(1) == 34
     # no polish runs into the Newton finish
-    assert max(p.polish_iterations for p in polished) == 47 < gm.NEWTON_AFTER
-    assert {r.pattern.path for r in every} == {"gauge", "polish"}
-    assert all(r.pattern.polish_iterations == 0 for r in every if r.pattern.path == "gauge")
+    assert max(iterations) == 47 < gm.NEWTON_AFTER
     assert sum(r.sweeps for r in every) == 1707
+    # reference: a candidate whose per-qubit phase gauge leaves imaginary
+    # parts of at most 1e-6 is real already, and the polish says so at once
+    gauged = 0
+    for r in every:
+        phi = solutions[r.rep].candidates
+        x, y = phi[..., 0], phi[..., 1]
+        ref = np.where(np.abs(x) >= np.abs(y), x, y)
+        residual = np.abs((phi * (ref.conj() / np.abs(ref))[..., None]).imag).max(axis=(1, 2))
+        if (residual <= 1e-6).any():
+            gauged += 1
+            assert (r.pattern.reality, r.pattern.polish_iterations) == ("R", 1), r.rep
+    assert gauged == 25
+
+
+def test_bijection_failure_names_rows_and_reps(orbit_table, monkeypatch):
+    # every class matched to row 1: the error names that row with all its reps
+    monkeypatch.setattr(cf, "match_row", lambda rank, ge, be2: ("I", 1))
+    with pytest.raises(cf.ClassificationError) as info:
+        cf.classify_all(gm.SolvePolicy(restarts=5), orbit_table)
+    message = str(info.value)
+    reps = [int(rep) for rep, rank in zip(orbit_table.reps, orbit_table.rep_rank) if rank in (3, 4)]
+    assert len(reps) == 28
+    assert f"row 1 matched by reps {reps}" in message
+    assert "; row 2 matched by reps []; row 3 matched by reps []" in message
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "classify_seed0.json"

@@ -69,6 +69,18 @@ def test_classify_out_failure_exits_1(tmp_path, capsys):
     assert "cannot write report" in capsys.readouterr().err
 
 
+def test_classify_row_match_failure_names_rep_stage_and_policy(orbit_table, monkeypatch, capsys):
+    # no computed value lies strictly within 0 of a printed one, so the
+    # first rank-3 or rank-4 orbit fails its row match
+    monkeypatch.setattr(cf, "TABLE_TOL", 0.0)
+    rep, rank = next((int(rep), int(rank)) for rep, rank in zip(orbit_table.reps, orbit_table.rep_rank)
+                     if rank in (3, 4))
+    assert cli.main(["classify", *FAST]) == 2
+    err = capsys.readouterr().err
+    assert f"rep {rep} (rank {rank}), row match: no table " in err
+    assert str(gm.SolvePolicy(restarts=5)) in err
+
+
 def test_classify_unmatched_exits_2(monkeypatch, capsys):
     def explode(policy=None, table=None):
         raise cf.ClassificationError("synthetic failure")

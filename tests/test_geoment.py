@@ -76,7 +76,7 @@ def test_monotone_ascent():
         assert sol.monotone_slack <= 1e-14
 
 
-def test_refined_witness_is_a_fixed_point():
+def test_converged_witness_is_a_fixed_point():
     # two more sweeps from a converged witness leave its overlap in place
     rng = np.random.default_rng(59)
     for h in rng.integers(0, hc.N_CODES, size=8):
@@ -211,17 +211,17 @@ def test_ascend_stops_at_the_first_iteration_reaching_the_target():
     assert np.array_equal(with_target, without) and np.array_equal(ended[3], plain[3])
 
 
-def test_early_stop_keeps_the_reality_decision(classification):
-    # for every rep whose reality needs the real polish, stopping at the
-    # target decides as polishing to convergence does; reps that never
-    # reach the target ("C") end with bit-identical iterates
+def test_early_stop_keeps_the_reality_decision(classification, solutions):
+    # for every rep, stopping the real polish at the target decides as
+    # polishing to convergence does; reps that never reach the target
+    # ("C") end with bit-identical iterates
     records, graphs = classification
-    polished = [r for r in records + graphs if r.pattern.path == "polish"]
-    assert len(polished) == 14
-    for record in polished:
-        sol = gm.solve_code(record.rep)
-        tensor, target = sol.tensor.real, sol.overlap - gm.HIT_WINDOW
-        early = gm._polish_starts(gm._gauge(sol.candidates)[0])
+    every = records + graphs
+    assert len(every) == 39
+    for record in every:
+        sol = solutions[record.rep]
+        tensor, target = sol.tensor, sol.overlap - gm.HIT_WINDOW
+        early = np.concatenate((gm._gauge(sol.candidates), gm._real_starts()))
         full = early.copy()
         best, iterations = gm._best_real_overlap(tensor, early, target)
         _, stop, _, overlap = gm._ascend(tensor, full, 1e-13, 500)

@@ -48,7 +48,7 @@ def _dense_stabilizer(h, i):
     return k
 
 
-def test_stabilizer_operator_squares_to_identity():
+def test_dense_stabilizer_reference_squares_to_identity():
     rng = np.random.default_rng(29)
     for h in rng.integers(0, hc.N_CODES, size=20):
         for i in hc.VERTICES:
