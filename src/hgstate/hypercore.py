@@ -11,7 +11,8 @@ strings: g(mu) is the parity of the number of edges contained in the
 support of mu.  This map is a bijection between codes and sign functions
 with g(0000) = 0 (one binary Moebius transform maps each to the other),
 which is what lets an equally weighted four-qubit state be named by a
-single integer.
+single integer.  Packed, g is one 16-bit word with bit mu equal to g(mu);
+the exhaustive checks run on these words.
 
 Local moves act directly on codes: X on vertex i replaces the edge set E
 by N(i) xor E where N(i) is the neighborhood of i, Z on vertex i toggles
@@ -127,18 +128,8 @@ def _subset_xor(words):
     return words
 
 
-def _signs(codes):
-    """Sign functions of an int or an array of codes, on a new last axis.
-
-    A code shifted up one bit is the edge indicator over basis indices
-    (index 0, the empty edge, never set).
-    """
-    words = np.asarray(_subset_xor(codes << 1))
-    return (words[..., None] & _BITS) != 0
-
-
 def _codes_from_signs(g):
-    """Inverse of ``_signs`` over the last axis of a boolean array."""
+    """Inverse of ``sign_matrix`` over the last axis of a boolean array."""
     return _subset_xor(g @ _BITS) >> 1
 
 
@@ -149,7 +140,7 @@ def signs_from_hypergraph(h: int) -> np.ndarray:
     has bit (v-1) set when vertex v reads 1.
     """
     _check_code(h)
-    return _signs(int(h))
+    return sign_matrix(int(h))
 
 
 def hypergraph_from_signs(g) -> int:
@@ -167,13 +158,32 @@ def hypergraph_from_signs(g) -> int:
     return int(_codes_from_signs(f))
 
 
-def sign_matrix(codes=None) -> np.ndarray:
-    """Sign functions of many codes stacked into a boolean (len, 16) array."""
+def sign_words(codes=None) -> np.ndarray:
+    """Sign functions of many codes (all by default) as uint16 words.
+
+    Bit mu of a word is g(mu).  A code shifted up one bit is the edge
+    indicator over basis indices (index 0, the empty edge, never set), so
+    one Moebius transform turns it into the signs.
+    """
     codes = np.arange(N_CODES) if codes is None else np.asarray(codes)
     # one comparison: a negative code wraps far above the range as unsigned
     if codes.dtype.kind not in "iu" or (codes.astype(np.uint64) >= N_CODES).any():
         raise ValueError("hypergraph codes must be integers in [0, 32768)")
-    return _signs(codes.astype(np.uint16))
+    return _subset_xor(codes.astype(np.uint16) << 1)
+
+
+def sign_matrix(codes=None) -> np.ndarray:
+    """Sign functions of many codes as a boolean (len, 16) array: the bits
+    of ``sign_words`` spread over a new last axis."""
+    return (sign_words(codes)[..., None] & _BITS) != 0
+
+
+def flip_basis(words, i: int):
+    """Sign words read at mu ^ bit_i: swap the bits of each basis pair
+    that differ in vertex i, one shift each way."""
+    _check_vertex(i)
+    lower, shift = _LOWER[i - 1], 1 << (i - 1)
+    return ((words & lower) << shift) | ((words >> shift) & lower)
 
 
 # ---------------------------------------------------------------------------

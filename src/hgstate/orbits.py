@@ -1,11 +1,14 @@
 """Exhaustive orbits of all 32768 codes under local moves.
 
-The group is generated by the four X moves, the four Z moves, and the 24
-vertex permutations.  Every generator is a precomputed permutation table
-over the full code space, so orbit finding is plain label propagation:
-each code repeatedly adopts the smallest label reachable through any
-generator until nothing changes.  The smallest code of an orbit is its
-canonical representative.
+The group is generated by the four X moves, the four Z moves, and the
+vertex permutations, of which the three adjacent transpositions suffice:
+they generate all 24.  Orbits under a group are the components under any
+generating set, so these 11 generators give the same partition as the
+whole group, and closure under them is closure under the group.  Every
+generator is a precomputed permutation table over the full code space,
+so orbit finding is plain label propagation: each code repeatedly adopts
+the smallest label reachable through any generator until nothing
+changes.  The smallest code of an orbit is its canonical representative.
 
 Orbit sizes must divide the group order 16 * 16 * 24 = 6144, and the rank
 of the standardized representative is constant along each orbit; both are
@@ -23,6 +26,8 @@ import numpy as np
 from . import hypercore as hc
 
 GROUP_ORDER = 16 * 16 * 24
+# the adjacent transpositions of vertices (1 2), (2 3) and (3 4)
+TRANSPOSITIONS = ((2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3))
 
 # code-space bit masks of the edges of each cardinality
 _EDGE_BITS_BY_SIZE = {
@@ -62,10 +67,11 @@ class OrbitRecord:
 
 
 def generator_tables() -> list[np.ndarray]:
-    """Image tables of all 32 generators over the full code space."""
+    """Image tables of a generating set over the full code space: the four
+    X moves, the four Z moves and the three ``TRANSPOSITIONS``."""
     tables = [hc.x_image_table(i) for i in hc.VERTICES]
     tables += [hc.z_image_table(i) for i in hc.VERTICES]
-    tables += [hc.permutation_image_table(p) for p in hc.ALL_PERMUTATIONS]
+    tables += [hc.permutation_image_table(p) for p in TRANSPOSITIONS]
     return tables
 
 
@@ -89,11 +95,13 @@ def standardized_rank_table() -> np.ndarray:
 def enumerate_orbits() -> OrbitTable:
     """Partition the whole code space by min-label propagation."""
     tables = generator_tables()
-    labels = np.arange(hc.N_CODES, dtype=np.uint16)
+    labels = codes = np.arange(hc.N_CODES)
     while True:
         before = labels
+        # gather through an intp copy made per use: it reuses one freed
+        # buffer, where 11 intp tables kept at once would fault in 2.8 MB
         for t in tables:
-            labels = np.minimum(labels, labels[t])
+            labels = np.minimum(labels, labels[t.astype(np.intp)])
         # path compression: follow labels until they are fixed points
         while True:
             nxt = labels[labels]
@@ -102,9 +110,13 @@ def enumerate_orbits() -> OrbitTable:
             labels = nxt
         if np.array_equal(labels, before):
             break
-    reps, class_id, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    # the fixed points are the orbit minima; ids count them in ascending order
+    is_rep = labels == codes
+    class_id = (np.cumsum(is_rep) - 1)[labels]
+    reps = np.flatnonzero(is_rep)
     rep_rank = np.array([hc.rank(hc.standardize(int(r))) for r in reps], dtype=np.int64)
-    arrays = class_id.astype(np.uint16), reps.astype(np.uint16), sizes.astype(np.int64), rep_rank
+    arrays = (class_id.astype(np.uint16), reps.astype(np.uint16),
+              np.bincount(class_id).astype(np.int64), rep_rank)
     for a in arrays:  # every caller in the process shares them
         a.flags.writeable = False
     return OrbitTable(*arrays)

@@ -41,25 +41,24 @@ def controlled_z_diagonal(e: int) -> np.ndarray:
 
 
 def stabilizer_defects(codes) -> tuple[np.ndarray, np.ndarray]:
-    """Fix and commutation failures of the stabilizers K_i, read off signs.
+    """Fix and commutation failures of the stabilizers K_i, read off sign words.
 
     K_i = X_i D_i, where D_i, the controlled-Z product over N(i) with the
-    global -1 of a loop on i, has the signs of code apply_x(h, i) ^ h xor
-    the loop flag.  With g the signs of |H>, K_i fixes |H> iff
-    D_i(mu) ^ g(mu) ^ g(mu ^ bit_i) = 0 for all mu, and K_i, K_j commute iff
-    D_j(mu) ^ D_i(mu ^ bit_j) = D_i(mu) ^ D_j(mu ^ bit_i).  Returns boolean
-    (4, n) fix failures and (6, n) commutation failures, rows by vertex and
-    by ``PAIRS``, one column per code.
+    global -1 of a loop on i, has the sign word of code apply_x(h, i) ^ h,
+    all 16 bits flipped for the loop.  With g the sign word of |H> and F_i
+    the basis flip mu -> mu ^ bit_i (``hypercore.flip_basis``), K_i fixes
+    |H> iff D_i ^ g ^ F_i(g) = 0, and K_i, K_j commute iff
+    D_j ^ F_j(D_i) = D_i ^ F_i(D_j).  Returns boolean (4, n) fix failures
+    and (6, n) commutation failures, rows by vertex and by ``PAIRS``, one
+    column per code.
     """
-    g = hc.sign_matrix(codes)
+    g = hc.sign_words(codes)
     codes = np.asarray(codes, dtype=np.uint16)
-    flip, d = {}, {}
-    for i in hc.VERTICES:
-        flip[i] = np.arange(hc.N_BASIS) ^ (1 << (i - 1))
-        loop = (codes & hc._LOOP[i - 1]) != 0
-        d[i] = hc.sign_matrix(hc._x_move(codes, i) ^ codes) ^ loop[:, None]
-    unfixed = [(d[i] ^ g ^ g[:, flip[i]]).any(axis=1) for i in hc.VERTICES]
-    noncommuting = [(d[j] ^ d[i][:, flip[j]] ^ d[i] ^ d[j][:, flip[i]]).any(axis=1)
+    d = {i: hc.sign_words(hc._x_move(codes, i) ^ codes)
+         ^ np.where(codes & hc._LOOP[i - 1], np.uint16(0xFFFF), np.uint16(0))
+         for i in hc.VERTICES}
+    unfixed = [(d[i] ^ g ^ hc.flip_basis(g, i)) != 0 for i in hc.VERTICES]
+    noncommuting = [(d[j] ^ hc.flip_basis(d[i], j) ^ d[i] ^ hc.flip_basis(d[j], i)) != 0
                     for i, j in PAIRS]
     return np.array(unfixed), np.array(noncommuting)
 

@@ -8,6 +8,8 @@ import pytest
 from hgstate import classifier as cf
 from hgstate import cli
 from hgstate import geoment as gm
+from hgstate import hypercore as hc
+from hgstate import orbits as ob
 
 # the fewest restarts that classify all 28 rows at every seed in 0..63
 # (measured); the seed stays at its default
@@ -133,12 +135,28 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     assert "census: FAIL" in capsys.readouterr().out
 
 
-def test_stabilizer_verdicts_are_read_only():
-    # both stabilizer suites read these memoised verdicts; a write would
-    # make a later suite in the process fail
-    for verdicts in cli._stabilizer_defects():
-        with pytest.raises(ValueError, match="read-only"):
-            verdicts[0, 0] = True
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_verify_suite_passes_alone_from_a_cold_orbit_table(suite, monkeypatch, capsys):
+    # the undecorated enumeration: nothing another test or suite computed
+    # in this process is reused
+    monkeypatch.setattr(ob, "enumerate_orbits", ob.enumerate_orbits.__wrapped__)
+    assert cli.main(["verify", "--suite", suite]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{suite}: PASS (")
+
+
+def test_closure_reports_the_number_of_generators_checked():
+    assert cli.suite_closure() == (True, "39 orbits closed under the 11 generators")
+
+
+def test_transforms_fails_naming_the_vertex_of_a_wrong_x_table(monkeypatch):
+    right = hc.x_image_table
+
+    def wrong(i):
+        return hc.z_image_table(i) if i == 3 else right(i)
+
+    monkeypatch.setattr(hc, "x_image_table", wrong)
+    assert cli.suite_transforms() == (False, "X move on vertex 3 broke the amplitude action")
 
 
 def test_classify_unconverged_exits_2(capsys):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgstate import hypercore as hc
 from hgstate import orbits as ob
@@ -111,6 +113,43 @@ def test_sign_matrix_rejects_codes_outside_the_range():
         with pytest.raises(ValueError):
             hc.sign_matrix(bad)
     assert hc.sign_matrix(np.array([hc.N_CODES - 1], dtype=np.int64)).shape == (1, 16)
+
+
+def _unpack(words):
+    """Bit mu of each word, on a new boolean last axis."""
+    return (np.asarray(words)[..., None] >> np.arange(hc.N_BASIS) & 1).astype(bool)
+
+
+def test_sign_words_unpack_to_sign_matrix():
+    words = hc.sign_words()
+    assert words.dtype == np.uint16 and words.shape == (hc.N_CODES,)
+    assert np.array_equal(_unpack(words), hc.sign_matrix())
+
+
+def test_flip_basis_matches_the_dense_column_gather():
+    g = hc.sign_matrix()
+    words = hc.sign_words()
+    mu = np.arange(hc.N_BASIS)
+    for i in hc.VERTICES:
+        assert np.array_equal(_unpack(hc.flip_basis(words, i)), g[:, mu ^ (1 << (i - 1))])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(words=st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=16),
+       i=st.sampled_from(hc.VERTICES))
+def test_flip_basis_is_an_involution(words, i):
+    w = np.array(words, dtype=np.uint16)
+    flipped = hc.flip_basis(w, i)
+    assert flipped.dtype == np.uint16
+    assert np.array_equal(hc.flip_basis(flipped, i), w)
+
+
+@pytest.mark.parametrize("check", [hc.sign_words, sv.stabilizer_defects])
+@pytest.mark.parametrize("bad", [[3.0], [-1], [32773], np.array([70000], dtype=np.int64)],
+                         ids=["float", "negative", "above", "int64-70000"])
+def test_word_layer_rejects_codes_outside_the_range(check, bad):
+    with pytest.raises(ValueError, match=r"\[0, 32768\)"):
+        check(bad)
 
 
 # ---------------------------------------------------------------------------

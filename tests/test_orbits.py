@@ -44,7 +44,50 @@ def test_closure_under_generators(orbit_table):
 
 
 def test_generator_count():
-    assert len(ob.generator_tables()) == 32  # 4 X + 4 Z + 24 permutations
+    assert len(ob.generator_tables()) == 11  # 4 X + 4 Z + 3 transpositions
+
+
+def _full_generator_tables():
+    """The 4 X, 4 Z and all 24 permutation tables: the whole group's moves."""
+    tables = [hc.x_image_table(i) for i in hc.VERTICES]
+    tables += [hc.z_image_table(i) for i in hc.VERTICES]
+    return tables + [hc.permutation_image_table(p) for p in hc.ALL_PERMUTATIONS]
+
+
+def test_closure_under_all_32_moves(orbit_table):
+    cid = orbit_table.class_id
+    for table in _full_generator_tables():
+        assert np.array_equal(cid[table], cid)
+
+
+def test_transpositions_generate_every_permutation():
+    def compose(p, q):  # q first, then p
+        return tuple(p[v - 1] for v in q)
+
+    reached = {tuple(hc.VERTICES)}
+    frontier = list(reached)
+    while frontier:
+        new = {compose(t, p) for p in frontier for t in ob.TRANSPOSITIONS} - reached
+        reached |= new
+        frontier = list(new)
+    assert reached == set(hc.ALL_PERMUTATIONS)
+    assert all(np.array_equal(t, hc.permutation_image_table(p))
+               for t, p in zip(ob.generator_tables()[8:], ob.TRANSPOSITIONS, strict=True))
+
+
+def test_class_id_matches_propagation_over_all_32_moves(orbit_table):
+    # reference: Jacobi min-label propagation over the whole group's moves,
+    # then ids by ascending orbit minimum
+    labels = np.arange(hc.N_CODES)
+    tables = _full_generator_tables()
+    while True:
+        nxt = np.minimum.reduce([labels] + [labels[t] for t in tables])
+        if np.array_equal(nxt, labels):
+            break
+        labels = nxt
+    reps, class_id = np.unique(labels, return_inverse=True)
+    assert np.array_equal(orbit_table.reps, reps)
+    assert np.array_equal(orbit_table.class_id, class_id)
 
 
 def test_orbit_of_known_cases(orbit_table):
