@@ -10,7 +10,6 @@ import numpy as np
 
 from hgstate import geoment as gm
 from hgstate import hypercore as hc
-from hgstate import statevec as sv
 
 print("=== closest product state for the four-edge state ===")
 h = hc.parse_edges("1234")
@@ -24,14 +23,13 @@ for i, q in enumerate(sol.witness.qubits, start=1):
 
 print("\n=== how the near-best witnesses group ===")
 pat = gm.degeneracy_pattern(sol)
-print(f"pattern {pat.label!r}, witness field {pat.reality} "
-      f", census {pat.census}")
+print(f"pattern {pat.label!r}, witness field {pat.reality}, census {pat.census}")
 print("(groups share qubit factors; the label lists group sizes)")
 
 print("\n=== a state whose optimal witness is genuinely complex ===")
-h7 = hc.parse_edges("1234,124,134,234,123")
-rec7 = gm.degeneracy_pattern(gm.solve_code(h7))
-print(f"edges 1234,124,134,234,123: pattern {rec7.label!r}, field {rec7.reality}")
+h11 = hc.parse_edges("1234,124,134,234,123")  # in the orbit of row 11
+rec11 = gm.degeneracy_pattern(gm.solve_code(h11))
+print(f"edges 1234,124,134,234,123: pattern {rec11.label!r}, field {rec11.reality}")
 
 print("\n=== the symmetric fixed-point iteration ===")
 print("for the triangle state the witness ratio z = y/x obeys")
@@ -39,8 +37,12 @@ print("z -> (1 + 2z - z^2)/(1 + z)^2, with a cubic fixed point:")
 rng = np.random.default_rng(1)
 for _ in range(3):
     z0 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    z = gm.stable_symmetric_z(seed=int(rng.integers(1 << 30)))
-    print(f"  start near {z0:+.2f}: z = {z.real:.12f} "
+    try:
+        z = gm.symmetric_z_iteration(z0)
+    except gm.IterationDiverged:
+        print(f"  start {z0:+.2f}: falls into the pole at z = -1")
+        continue
+    print(f"  start {z0:+.2f}: z = {z.real:.12f} "
           f"(residual {abs(gm.symmetric_cubic_residual(z)):.1e})")
 print(f"closed form root: {gm.symmetric_z_closed_form():.12f}")
 print(f"induced E_g for the triangle state: {gm.triangle_eg_closed_form():.12f}")
@@ -49,8 +51,14 @@ print("\n=== closed forms vs the iterative solver ===")
 for n, exact in sorted(gm.closed_form_values().items())[:5]:
     print(f"  class {n:>2}: exact {exact:.8f}")
 
-print("\n=== independent cross-check on a coarse real grid ===")
-s = sv.build_state(h)
-grid = gm.real_grid_eg(s, points=24)
-print(f"grid maximum E_g {grid:.7f} vs solver {sol.eg:.7f} "
-      f"(grid can only overestimate)")
+print("\n=== the best real product state, from the two-angle reduction ===")
+print("with real qubits 1 and 2 fixed, the best real qubits 3 and 4 are the top")
+print("singular vectors of a real 2x2 matrix; a grid search over the two angles")
+print("finds the real optimum, and a branch-and-bound proves a bound when it falls short")
+for name, edges in (("1234", "1234"), ("row 7", "1234,12,13,23")):
+    sol = gm.solve_code(hc.parse_edges(edges))
+    best, _, bound, evaluations = gm._best_real_overlap(sol.tensor, sol.overlap)
+    proof = (f"every real one <= {bound:.6f}" if bound < sol.overlap - gm.REAL_GAP
+             else "a real witness attains it")
+    print(f"  {name:>5}: real {best:.6f} vs complex {sol.overlap:.6f}, {proof} "
+          f"({evaluations} evaluations)")

@@ -198,7 +198,10 @@ def _check_distinct(records) -> None:
 def _record_for(orbit: ob.OrbitRecord, policy: gm.SolvePolicy) -> ClassRecord:
     sol = gm.solve_code(orbit.rep, policy)
     profile = sv.entropy_profile(orbit.rep)
-    pattern = gm.degeneracy_pattern(sol)
+    try:
+        pattern = gm.degeneracy_pattern(sol)
+    except gm.RealityUndecided as exc:
+        raise ClassificationError(f"rep {orbit.rep} (rank {orbit.rank}), reality: {exc}") from exc
     table = row = closed = None
     if orbit.rank in (3, 4):
         try:
@@ -232,8 +235,9 @@ def classify_all(
     Returns the 28 matched hypergraph classes sorted by reference row,
     and the graph-state classes sorted by representative.  Raises a
     :class:`ClassificationError` when a signature collides, fails to
-    match, or matches ambiguously (none of which happens for this family;
-    the checks guard regressions); the message names the reps involved.
+    match, or matches ambiguously, or when a reality is undecided (none of
+    which happens for this family; the checks guard regressions); the
+    message names the reps involved.
     """
     policy = policy or gm.SolvePolicy()
     table = table or ob.enumerate_orbits()

@@ -3,9 +3,9 @@
 Exit codes follow a fixed contract; 1 always means an I/O or argument
 problem.  ``classify`` returns 0 when all 28 hypergraph classes match
 their reference rows and every solve converged, and 2 on any unmatched,
-ambiguous, or colliding signature; when a class's solve stops at the
-iteration cap it still writes the report, names the class and the policy on
-stderr, and returns 2.  ``query`` returns 1 on a parse error naming the
+ambiguous or colliding signature or undecided reality; when a class's
+solve stops at the iteration cap it still writes the report, names the
+class and the policy on stderr, and returns 2.  ``query`` returns 1 on a parse error naming the
 offending token and 2 when the code's class cannot be matched; when its
 solve stops at the iteration cap it still prints the report, names the code
 and the policy on stderr, and returns 2.

@@ -21,9 +21,9 @@ The one solve entry point is :func:`solve_code`, set only through a
 
 The module also carries the closed-form overlap values known for many
 classes, the one-parameter fixed-point iteration for the symmetric
-three-qubit witness, an independent grid maximizer over real product
-states, and the analysis of a converged witness (which qubits share a
-state, and whether a real polish attains its overlap).
+three-qubit witness, and the analysis of a converged witness: which
+qubits share a state, and whether a real product state attains its
+overlap, decided over the two angles that fix real qubits 1 and 2.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -54,6 +53,12 @@ MERGE_TOL = 1e-6
 NEWTON_AFTER = 100
 # curvature magnitude, relative to |f|^2, below which a Newton direction is flat
 FLAT_CURVATURE = 1e-6
+# a class is "C" when its best real overlap is proved this far below its overlap
+REAL_GAP = 1e-6
+# the reality search's start grid points per angle, zoom levels and evaluation cap
+START_GRID = 16
+ZOOM_LEVELS = 10
+MAX_EVALUATIONS = 1 << 16
 
 # indices, in the flattened local-frame tensor of _newton_step, of the
 # entries with qubit i (or qubits i and j) along the tangent direction
@@ -63,6 +68,10 @@ _OFF_DIAGONAL = ~np.eye(hc.N_VERTICES, dtype=bool)
 
 class IterationDiverged(RuntimeError):
     """The one-parameter iteration ran into its pole; restart upstream."""
+
+
+class RealityUndecided(RuntimeError):
+    """The reality search neither found a real witness nor proved there is none."""
 
 
 @dataclass(frozen=True)
@@ -134,18 +143,17 @@ class DegeneracyPattern:
     """Grouping of a witness's single-qubit states, plus its reality flag.
 
     ``label`` is one of "4", "1,3", "2,2", "1,2,1", "1,1,1,1" (sizes of the
-    groups of coinciding states).  ``reality`` is "R" when the real polish
-    brings some real witness within ``HIT_WINDOW`` of the best overlap,
-    else "C".  ``census`` lists (label, count) over all best-overlap
-    candidates, coarsest first, for reporting competing groupings.
-    ``polish_iterations`` counts the polish's iterations, 1 when a gauged
-    candidate was already real; it stays out of every report.
+    groups of coinciding states).  ``reality`` is "R" or "C" (see
+    :func:`degeneracy_pattern`).  ``census`` lists (label, count) over all
+    best-overlap candidates, coarsest first, for reporting competing
+    groupings.  ``evaluations`` counts the reality search's evaluations; it
+    stays out of every report.
     """
 
     label: str
     reality: str
     census: tuple[tuple[str, int], ...] = ()
-    polish_iterations: int = 0
+    evaluations: int = 0
 
 
 def _random_product_batch(rng, restarts: int) -> np.ndarray:
@@ -182,8 +190,8 @@ def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     updated pair, gives those of qubits 3 and 4 (Tab.phi4, then phi3.Tab).
     Each qubit thus sees exactly the values the qubit-by-qubit order gives
     it, so this is the plain Gauss-Seidel iteration, with two (R, 4) @ (4, 4)
-    products and four batched 2x2 products per sweep.  ``phi`` may be real
-    (the real polish) or complex; numpy upcasts a real ``tensor`` to match.
+    products and four batched 2x2 products per sweep; numpy upcasts the real
+    ``tensor`` to match a complex ``phi``.
 
     Returns the overlap estimates |f| after the sweep (exact for each
     restart because the last-updated qubit is the normalized environment).
@@ -209,12 +217,12 @@ def _newton_step(tensor: np.ndarray, phi: np.ndarray) -> None:
 
     Qubit i moves as (p_i + t_i u_i) / |p_i + t_i u_i| along its tangent
     u_i = (-conj(y_i), conj(x_i)), orthogonal to p_i = (x_i, y_i); the
-    complex t_i give 8 real parameters (4 when ``phi`` is real, t_i real)
-    and no gauge freedom.  Expressed in the per-qubit frame (p_i, u_i) the
-    state has 16 entries C[s1 s2 s3 s4]: f = C[0000], the single-slot
-    contractions G_i put u in slot i, the pair contractions G_ij in slots
-    i and j.  To second order |f|^2 gains 2 Re(f* sum t_i G_i) +
-    |sum t_i G_i|^2 + 2 Re(f* sum_{i<j} t_i t_j G_ij) - |f|^2 sum |t_i|^2.
+    complex t_i give 8 real parameters and no gauge freedom.  Expressed in
+    the per-qubit frame (p_i, u_i) the state has 16 entries C[s1 s2 s3 s4]:
+    f = C[0000], the single-slot contractions G_i put u in slot i, the pair
+    contractions G_ij in slots i and j.  To second order |f|^2 gains
+    2 Re(f* sum t_i G_i) + |sum t_i G_i|^2 + 2 Re(f* sum_{i<j} t_i t_j G_ij)
+    - |f|^2 sum |t_i|^2.
     Along each eigen-direction of that model's Hessian with curvature
     lambda the step is (gradient component) / |lambda|: the Newton step
     where lambda < 0, and uphill, away from the saddle, where lambda > 0
@@ -223,7 +231,6 @@ def _newton_step(tensor: np.ndarray, phi: np.ndarray) -> None:
     step only when the overlap does not drop.
     """
     r = len(phi)
-    real = not np.iscomplexobj(phi)
     u = np.stack((-phi[:, :, 1].conj(), phi[:, :, 0].conj()), axis=2)
     w = np.stack((phi, u), axis=2)  # per qubit the rows (p_i, u_i)
     c = w[:, 0] @ tensor.reshape(2, 8)
@@ -235,12 +242,9 @@ def _newton_step(tensor: np.ndarray, phi: np.ndarray) -> None:
     fg = f_conj[:, None] * g
     gg = g.conj()[:, :, None] * g[:, None, :]
     pair = f_conj[:, None, None] * c[:, _PAIR] * _OFF_DIAGONAL
-    if real:
-        half_grad, hess = fg, gg + pair
-    else:
-        plus, minus = gg + pair, gg - pair
-        half_grad = np.concatenate((fg.real, -fg.imag), axis=1)
-        hess = np.block([[plus.real, -plus.imag], [minus.imag, minus.real]])
+    plus, minus = gg + pair, gg - pair
+    half_grad = np.concatenate((fg.real, -fg.imag), axis=1)
+    hess = np.block([[plus.real, -plus.imag], [minus.imag, minus.real]])
     f_abs = np.abs(f)
     f2 = (f.real * f.real + f.imag * f.imag)[:, None]
     hess -= f2[:, :, None] * np.eye(hess.shape[1])
@@ -250,28 +254,25 @@ def _newton_step(tensor: np.ndarray, phi: np.ndarray) -> None:
     coef = (half_grad[:, None, :] @ vecs)[:, 0]
     coef = np.where(steep, coef / np.where(steep, curv, 1.0), 0.0)
     x = (vecs @ coef[:, :, None])[:, :, 0]
-    t = x if real else x[:, :4] + 1j * x[:, 4:]
+    t = x[:, :4] + 1j * x[:, 4:]
     step = phi + t[:, :, None] * u
     step /= np.linalg.norm(step, axis=2, keepdims=True)
     keep = np.abs(_contract(tensor, step)) >= f_abs
     phi[keep] = step[keep]
 
 
-def _ascend(tensor: np.ndarray, phi: np.ndarray, tol: float, max_iter: int,
-            target: float | None = None):
+def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
     """Raise the overlap of every restart in ``phi``, in place.
 
     Each iteration is one sweep, preceded by a Newton step once
     ``NEWTON_AFTER`` iterations have passed.  A restart is done when its
-    overlap rose by less than ``tol`` over the iteration (a stationarity
+    overlap rose by less than ``TOL`` over the iteration (a stationarity
     test adds nothing: from a point of gradient norm g a sweep gains about
     g^2 / 2|f|); the loop ends when every restart is done at the same
     iteration (never at the first), with stop "tol", or after ``max_iter``
-    iterations, with stop "max_iter".  Given a ``target``, it ends first,
-    with stop "target", at the first iteration where some restart's
-    overlap reaches it.  Returns (iterations, stop, monotone slack,
-    overlaps), the slack being the largest drop of any restart's overlap
-    and the overlaps those of the last sweep.
+    iterations, with stop "max_iter".  Returns (iterations, stop, monotone
+    slack, overlaps), the slack being the largest drop of any restart's
+    overlap and the overlaps those of the last sweep.
     """
     overlap = np.zeros(len(phi))
     slack = 0.0
@@ -281,10 +282,8 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, tol: float, max_iter: int,
         new = _sweep(tensor, phi)
         if sweeps > 1:
             slack = max(slack, float(np.max(overlap - new)))
-        done = new - overlap < tol
+        done = new - overlap < TOL
         overlap = new
-        if target is not None and new.max() >= target:
-            return sweeps, "target", slack, overlap
         if sweeps > 1 and bool(done.all()):
             return sweeps, "tol", slack, overlap
     return max_iter, "max_iter", slack, overlap
@@ -308,7 +307,7 @@ def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
     tensor = sv.state_tensor(sv.build_state(h))
     rng = np.random.default_rng([policy.seed, h])
     phi = _random_product_batch(rng, policy.restarts)
-    sweeps, stop, slack, _ = _ascend(tensor, phi, TOL, policy.max_iter)
+    sweeps, stop, slack, _ = _ascend(tensor, phi, policy.max_iter)
     overlap = np.abs(_contract(tensor, phi))
     best = int(np.argmax(overlap))
     # Rounding can push the overlap of a unit product pair a hair above 1;
@@ -371,40 +370,74 @@ def _partition_sizes(phi: np.ndarray) -> list[tuple[int, ...]]:
     return [_PARTITIONS[m] for m in masks]
 
 
-def _gauge(phi) -> np.ndarray:
-    """Real product states from witnesses phi[k, qubit] by a per-qubit phase
-    gauge: each qubit's pair is divided by the phase of its larger
-    component, so its real part keeps norm at least 1/sqrt(2), and that
-    real part is renormalized."""
-    x, y = phi[..., 0], phi[..., 1]
-    ref = np.where(np.abs(x) >= np.abs(y), x, y)
-    real = (phi * (ref.conjugate() / np.abs(ref))[..., None]).real
-    return real / np.linalg.norm(real, axis=-1, keepdims=True)
+# the start grid's box centres over [0, pi]^2, then the offsets of a 9x9 zoom
+# grid and of a box's four children, in units of the new spacing
+_START = (np.indices((START_GRID, START_GRID)).reshape(2, -1).T + 0.5) * (math.pi / START_GRID)
+_ZOOM = np.indices((9, 9)).reshape(2, -1).T - 4.0
+_CHILDREN = 2.0 * np.indices((2, 2)).reshape(2, -1).T - 1.0
 
 
-@cache
-def _real_starts() -> np.ndarray:
-    """The 32 fixed random real product states every real polish adds to the
-    gauged candidates, read-only; drawn on first use, as numpy.random takes
-    about 18 ms to import."""
-    starts = np.random.default_rng(0x5EED).normal(size=(32, hc.N_VERTICES, 2))
-    starts /= np.linalg.norm(starts, axis=2, keepdims=True)
-    starts.flags.writeable = False
-    return starts
+def _top_singular(tensor: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """sigma_max of M = sum_ab a_a b_b T[a, b, :, :], with a and b the real
+    qubits (cos t, sin t) of each angle pair angles[..., :]; the closed form
+    sigma^2 = (|M|^2 + sqrt(|M|^4 - 4 det^2)) / 2, without its cancellation."""
+    q = np.stack((np.cos(angles), np.sin(angles)), axis=-1).reshape(-1, 2, 2)
+    m00, m01, m10, m11 = tensor.reshape(4, 4).T @ _pair(q[:, 0], q[:, 1]).T
+    sigma = np.hypot(m00 + m11, m01 - m10) + np.hypot(m00 - m11, m01 + m10)
+    return 0.5 * sigma.reshape(angles.shape[:-1])
 
 
-def _best_real_overlap(tensor: np.ndarray, phi: np.ndarray, target: float):
-    """Best overlap of the real witnesses ``phi`` after polishing, in place.
+def _best_real_overlap(tensor: np.ndarray, overlap: float):
+    """(best real product overlap found, its witness, a proved upper bound
+    on all of them, evaluations).
 
-    Real-arithmetic sweeps and, past ``NEWTON_AFTER`` of them, real Newton
-    steps raise every start (at most 500 iterations, tolerance 1e-13), and
-    stop at the first iteration where one of them reaches ``target``: the
-    caller only asks whether a real witness attains it, and each restart's
-    overlap never falls, so the full run would reach it too.  Returns (the
-    largest overlap of the last sweep, iterations run).
+    With real qubits 1 and 2 fixed by angles t1, t2, the best real qubits 3
+    and 4 are the top singular vectors of M (:func:`_top_singular`), so the
+    real maximum is that of sigma_max(M) over [0, pi]^2.  Each derivative
+    of it is an overlap with a unit product state, so a box of half-width w
+    and centre value v holds nothing above v + 2 |T| w.  The best two of a
+    START_GRID^2 grid of boxes seed up to ZOOM_LEVELS 9x9 grids, each a
+    quarter the spacing of the last, until the best value is HIT_WINDOW
+    from ``overlap``.  Short of overlap - REAL_GAP, branch-and-bound then
+    quarters every box whose bound reaches it, until none does or the next
+    level would pass MAX_EVALUATIONS; the bound is the final boxes' largest.
     """
-    iterations, _, _, overlap = _ascend(tensor, phi, 1e-13, 500, target)
-    return float(overlap.max()), iterations
+    hit, ceiling = overlap - HIT_WINDOW, overlap - REAL_GAP
+    slope = 2.0 * float(np.linalg.norm(tensor))
+    best, at, evaluations = -math.inf, None, 0
+
+    def evaluate(angles):
+        nonlocal best, at, evaluations
+        values = _top_singular(tensor, angles)
+        evaluations += values.size
+        i = int(values.argmax())
+        if values.flat[i] > best:
+            best, at = float(values.flat[i]), angles.reshape(-1, 2)[i]
+        return values
+
+    boxes, half = _START, math.pi / (2 * START_GRID)
+    values = evaluate(boxes)
+    seeds, spacing = boxes[np.argsort(-values, kind="stable")[:2]], 2.0 * half
+    for _ in range(ZOOM_LEVELS):
+        if best >= hit:
+            break
+        spacing /= 4.0
+        grids = seeds[:, None] + spacing * _ZOOM
+        seeds = grids[[0, 1], evaluate(grids).argmax(axis=1)]
+    retired = -math.inf
+    while best < ceiling:
+        live = values + slope * half >= ceiling
+        retired = max(retired, np.max(values[~live], initial=-math.inf) + slope * half)
+        boxes, values = boxes[live], values[live]
+        if not len(boxes) or evaluations + 4 * len(boxes) > MAX_EVALUATIONS:
+            break
+        half /= 2.0
+        boxes = (boxes[:, None] + half * _CHILDREN).reshape(-1, 2)
+        values = evaluate(boxes)
+    bound = float(max(retired, np.max(values, initial=-math.inf) + slope * half))
+    a, b = np.stack((np.cos(at), np.sin(at)), axis=-1)
+    u, _, vt = np.linalg.svd((np.outer(a, b).reshape(4) @ tensor.reshape(4, 4)).reshape(2, 2))
+    return best, ProductState(np.array((a, b, u[:, 0], vt[0]))), bound, evaluations
 
 
 def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
@@ -413,12 +446,9 @@ def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
     The label follows the declared tie-break: among all restarts within
     1e-9 of the best overlap, the coarsest grouping (fewest distinct
     single-qubit states) wins, earlier restarts breaking ties.  Reality is
-    "R" when real-only polishing of the gauged candidates (plus fixed
-    random real starts) reaches the best overlap less ``HIT_WINDOW``;
-    degenerate maximizer families often park every random restart at a
-    complex point even though a real witness with the identical overlap
-    exists.  A candidate real up to per-qubit phases hits at iteration 1:
-    the state is real, so dropping imaginary parts of size d costs O(d^2).
+    "R" when the real witness of :func:`_best_real_overlap` comes within
+    ``HIT_WINDOW`` of the best overlap, "C" when its proved bound stays
+    ``REAL_GAP`` below it; anything else raises :class:`RealityUndecided`.
     """
     partitions = _partition_sizes(sol.candidates)
     counts = Counter(partitions)
@@ -427,12 +457,14 @@ def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
         (_PARTITION_LABELS[p], n)
         for p, n in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
     )
-    target = sol.overlap - HIT_WINDOW
-    starts = np.concatenate((_gauge(sol.candidates), _real_starts()))
-    best, iterations = _best_real_overlap(sol.tensor, starts, target)
+    best, _, bound, evaluations = _best_real_overlap(sol.tensor, sol.overlap)
+    real = best >= sol.overlap - HIT_WINDOW
+    if not real and bound >= sol.overlap - REAL_GAP:
+        raise RealityUndecided(f"best real overlap {best:.12f} and bound {bound:.12f} decide "
+                               f"nothing against {sol.overlap:.12f} in {evaluations} evaluations")
     return DegeneracyPattern(
-        label=_PARTITION_LABELS[coarsest], reality="R" if best >= target else "C",
-        census=census, polish_iterations=iterations,
+        label=_PARTITION_LABELS[coarsest], reality="R" if real else "C",
+        census=census, evaluations=evaluations,
     )
 
 
@@ -522,41 +554,3 @@ def closed_form_values() -> dict[int, float]:
         26: 6.0 - 2.0 * log2(3.0 + sqrt(5.0)),
         28: 4.0 - 2.0 * log2(3.0),
     }
-
-
-# ---------------------------------------------------------------------------
-# independent real-witness grid maximizer
-
-
-def real_grid_eg(s, points: int = 24) -> float:
-    """E_g upper bound from nested grid search over real product states.
-
-    Each qubit is parametrized by one angle, (cos t, sin t) with t in
-    [0, pi); the full 4-angle grid is evaluated at three levels, each
-    centred on the previous maximum at a finer spacing.  For states whose closest product state is
-    real this matches the iterative solve; complex-witness states sit
-    strictly above the grid value.
-    """
-    tensor = sv.state_tensor(s)
-    centers = np.full(hc.N_VERTICES, math.pi / 2.0)
-    half = math.pi / 2.0
-    best = 0.0
-    for _ in range(3):
-        angles = [
-            np.linspace(c - half, c + half, points, endpoint=False) for c in centers
-        ]
-        qubit_grids = [np.stack([np.cos(a), np.sin(a)], axis=1) for a in angles]
-        f = np.einsum(
-            "abcd,ia,jb,kc,ld->ijkl",
-            tensor,
-            qubit_grids[0],
-            qubit_grids[1],
-            qubit_grids[2],
-            qubit_grids[3],
-        )
-        flat = int(np.argmax(np.abs(f)))
-        idx = np.unravel_index(flat, f.shape)
-        best = float(np.abs(f[idx]))
-        centers = np.array([angles[q][idx[q]] for q in range(hc.N_VERTICES)])
-        half = half / points * 2.0
-    return -2.0 * math.log2(best)

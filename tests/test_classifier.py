@@ -201,28 +201,19 @@ def test_reports_are_reproducible(records, graph_records):
     assert a == b
 
 
-def test_degeneracy_diagnostics_at_seed_0(records, graph_records, solutions):
+def test_degeneracy_diagnostics_at_seed_0(records, graph_records):
     every = records + graph_records
-    iterations = [r.pattern.polish_iterations for r in every]
-    assert len(iterations) == 39 and min(iterations) >= 1
-    assert sum(iterations) == 136
-    # the 25 gauge-real classes below and 9 others polish in one iteration
-    assert iterations.count(1) == 34
-    # no polish runs into the Newton finish
-    assert max(iterations) == 47 < gm.NEWTON_AFTER
+    evaluations = {r.rep: r.pattern.evaluations for r in every}
+    assert len(evaluations) == 39 and sum(evaluations.values()) == 40554
+    # an "R" class stops zooming at the hit window, four on the start grid
+    start, zoomed = gm.START_GRID**2, gm.START_GRID**2 + 2 * len(gm._ZOOM) * gm.ZOOM_LEVELS
+    real = [evaluations[r.rep] for r in every if r.pattern.reality == "R"]
+    assert len(real) == 34 and real.count(start) == 4 and max(real) == 1228
+    # a "C" class zooms every level; graph reps 52 and 2868 are proved on the
+    # start grid, rows 17, 7 and 11 after branch-and-bound levels
+    proved = {r.rep: evaluations[r.rep] for r in every if r.pattern.reality == "C"}
+    assert proved == {52: zoomed, 2868: zoomed, 3136: 2192, 16436: 5164, 19252: 2760}
     assert sum(r.sweeps for r in every) == 1707
-    # reference: a candidate whose per-qubit phase gauge leaves imaginary
-    # parts of at most 1e-6 is real already, and the polish says so at once
-    gauged = 0
-    for r in every:
-        phi = solutions[r.rep].candidates
-        x, y = phi[..., 0], phi[..., 1]
-        ref = np.where(np.abs(x) >= np.abs(y), x, y)
-        residual = np.abs((phi * (ref.conj() / np.abs(ref))[..., None]).imag).max(axis=(1, 2))
-        if (residual <= 1e-6).any():
-            gauged += 1
-            assert (r.pattern.reality, r.pattern.polish_iterations) == ("R", 1), r.rep
-    assert gauged == 25
 
 
 def test_bijection_failure_names_rows_and_reps(orbit_table, monkeypatch):

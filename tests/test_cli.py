@@ -83,6 +83,18 @@ def test_classify_row_match_failure_names_rep_stage_and_policy(orbit_table, monk
     assert str(gm.SolvePolicy(restarts=5)) in err
 
 
+def test_classify_undecided_reality_names_rep_and_stage(orbit_table, monkeypatch, capsys):
+    # with no evaluations to spare, "C" can be proved only on the start grid:
+    # graph reps 52 and 2868 still are, and rep 3136 (row 17), the next "C"
+    # class in rep order, ends undecided
+    monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
+    rank = int(orbit_table.rep_rank[list(orbit_table.reps).index(3136)])
+    assert cli.main(["classify", *FAST]) == 2
+    err = capsys.readouterr().err
+    assert f"rep 3136 (rank {rank}), reality: best real overlap " in err
+    assert str(gm.SolvePolicy(restarts=5)) in err
+
+
 def test_classify_unmatched_exits_2(monkeypatch, capsys):
     def explode(policy=None, table=None):
         raise cf.ClassificationError("synthetic failure")
