@@ -1,9 +1,9 @@
 """Geometric entanglement: distance to the closest product state.
 
 E_g = -2 log2 max|<phi|psi>| over product states |phi>.  The maximizer
-is found by alternating single-qubit updates from many random starts;
-the overlap sequence is monotone, so the only failure mode is a local
-maximum, which extra restarts rule out.
+is found by alternating single-qubit updates from gm.RESTARTS random
+starts at a fixed seed; the overlap sequence is monotone, so the only
+failure mode is a local maximum, which the other restarts rule out.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ print("=== closest product state for the four-edge state ===")
 h = hc.parse_edges("1234")
 sol = gm.solve_code(h)
 print(f"overlap {sol.overlap:.6f} -> E_g = {sol.eg:.6f}")
-print(f"{sol.restarts_hit} of 64 restarts reached the optimum; "
+print(f"{sol.restarts_hit} of {gm.RESTARTS} restarts reached the optimum; "
       f"converged: {sol.converged}; monotone slack {sol.monotone_slack:.1e}")
 print("witness (one amplitude pair per qubit):")
 for i, q in enumerate(sol.witness.qubits, start=1):

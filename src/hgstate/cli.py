@@ -9,9 +9,10 @@ class and the policy on stderr, and returns 2.  ``query`` returns 1 on a parse e
 offending token and 2 when the code's class cannot be matched; when its
 solve stops at the iteration cap it still prints the report, names the code
 and the policy on stderr, and returns 2.
-``verify`` returns 2 when any invariant suite fails.  Only
-``geoment.SolvePolicy`` checks the solver flags, naming the field on error; a
-restart is done once an iteration gains less than the fixed ``geoment.TOL``.
+``verify`` returns 2 when any invariant suite fails.  The one solver flag,
+``--max-iter``, is checked only by ``geoment.SolvePolicy``, which names the
+field on error; every solve runs ``geoment.RESTARTS`` restarts at seed 0,
+each done once an iteration gains less than the fixed ``geoment.TOL``.
 """
 
 from __future__ import annotations
@@ -37,14 +38,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    # SolvePolicy alone checks the values; main() reports its error through p
+    # SolvePolicy alone checks the value; main() reports its error through p
     p.set_defaults(policy_parser=p)
-    p.add_argument("--restarts", type=int, default=gm.DEFAULT_RESTARTS,
-                   help="random restarts per solve (default %(default)s)")
     p.add_argument("--max-iter", type=int, default=gm.DEFAULT_MAX_ITER,
                    help="iteration cap per solve, Newton iterations included (default %(default)s)")
-    p.add_argument("--seed", type=int, default=gm.DEFAULT_SEED,
-                   help="base seed for the restart streams (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +71,7 @@ def cmd_classify(args) -> int:
     except cf.ClassificationError as exc:
         print(f"hgstate: classification failed under {policy}: {exc}", file=sys.stderr)
         return 2
-    report = cf.emit_report(records, graphs, args.format, args.seed)
+    report = cf.emit_report(records, graphs, args.format, policy.seed)
     if args.out is None:
         sys.stdout.write(report)
     else:
@@ -231,7 +228,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command != "verify":
             try:
-                args.policy = gm.SolvePolicy(args.restarts, args.max_iter, args.seed)
+                args.policy = gm.SolvePolicy(args.max_iter)
             except ValueError as exc:
                 args.policy_parser.error(str(exc))
     except SystemExit as exc:

@@ -5,12 +5,13 @@ maximized over product states Phi = phi_1 x phi_2 x phi_3 x phi_4.  The
 maximizer is found by alternating sweeps: holding three single-qubit
 states fixed, the optimal fourth is the conjugated, normalized
 environment (the contraction of the state against the other three), and
-cycling through the qubits makes the overlap non-decreasing.  Random
-restarts guard against local maxima; their merge is deterministic for a
-fixed seed.  All restarts advance together: a sweep views the real state
-as a 4x4 matrix T[ab, cd] and shares two partial contractions between
-the qubits, one against qubits 3 and 4 (for the updates of qubits 1 and
-2) and one against the updated qubits 1 and 2 (for qubits 3 and 4).
+cycling through the qubits makes the overlap non-decreasing.
+``RESTARTS`` random restarts guard against local maxima; their merge is
+deterministic for a fixed seed.  All restarts advance together: a sweep
+views the real state as a 4x4 matrix T[ab, cd] and shares two partial
+contractions between the qubits, one against qubits 3 and 4 (for the
+updates of qubits 1 and 2) and one against the updated qubits 1 and 2
+(for qubits 3 and 4).
 
 Alternating sweeps converge linearly only at nondegenerate maxima, and
 crawl near degenerate maxima and saddles.  A solve still running after
@@ -39,9 +40,9 @@ import numpy as np
 from . import hypercore as hc
 from . import statevec as sv
 
-DEFAULT_RESTARTS = 64
+# random restarts per solve
+RESTARTS = 64
 DEFAULT_MAX_ITER = 5000
-DEFAULT_SEED = 0
 
 # a restart is done when one iteration raises its overlap by less than this
 TOL = 1e-12
@@ -78,16 +79,13 @@ class RealityUndecided(RuntimeError):
 class SolvePolicy:
     """Knobs of the randomized closest-product solve."""
 
-    restarts: int = DEFAULT_RESTARTS
     max_iter: int = DEFAULT_MAX_ITER
-    seed: int = DEFAULT_SEED
+    seed: int = 0
 
     def __post_init__(self):
         # operator.index rejects floats such as 2.5 but passes numpy integers
-        for name in ("restarts", "max_iter", "seed"):
+        for name in ("max_iter", "seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.seed < 0:
@@ -306,7 +304,7 @@ def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
     policy = policy or SolvePolicy()
     tensor = sv.state_tensor(sv.build_state(h))
     rng = np.random.default_rng([policy.seed, h])
-    phi = _random_product_batch(rng, policy.restarts)
+    phi = _random_product_batch(rng, RESTARTS)
     sweeps, stop, slack, _ = _ascend(tensor, phi, policy.max_iter)
     overlap = np.abs(_contract(tensor, phi))
     best = int(np.argmax(overlap))
@@ -491,20 +489,6 @@ def symmetric_z_iteration(z0: complex) -> complex:
             return nxt
         z = nxt
     return z
-
-
-def stable_symmetric_z(seed: int = 0) -> complex:
-    """Run the symmetric iteration from random complex starts in |z| <= 2,
-    redrawing (up to 64 draws) whenever a start falls into the pole's basin."""
-    rng = np.random.default_rng(seed)
-    for _ in range(64):
-        radius = 2.0 * math.sqrt(rng.uniform())
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        try:
-            return symmetric_z_iteration(radius * complex(math.cos(angle), math.sin(angle)))
-        except IterationDiverged:
-            continue
-    raise IterationDiverged("no convergent start found in 64 draws")
 
 
 def symmetric_cubic_residual(z: complex) -> complex:

@@ -106,7 +106,8 @@ def entropy(rho: np.ndarray) -> float:
     lam = np.linalg.eigvalsh(np.asarray(rho, dtype=float))
     lam = np.clip(lam, 0.0, 1.0)
     lam = lam[lam > 1e-15]
-    return float(-(lam * np.log2(lam)).sum())
+    # + 0.0 turns the -0.0 of a pure cut into 0.0
+    return float(-(lam * np.log2(lam)).sum()) + 0.0
 
 
 @dataclass(frozen=True)

@@ -220,7 +220,7 @@ def test_bijection_failure_names_rows_and_reps(orbit_table, monkeypatch):
     # every class matched to row 1: the error names that row with all its reps
     monkeypatch.setattr(cf, "match_row", lambda rank, ge, be2: ("I", 1))
     with pytest.raises(cf.ClassificationError) as info:
-        cf.classify_all(gm.SolvePolicy(restarts=5), orbit_table)
+        cf.classify_all(table=orbit_table)
     message = str(info.value)
     reps = [int(rep) for rep, rank in zip(orbit_table.reps, orbit_table.rep_rank) if rank in (3, 4)]
     assert len(reps) == 28

@@ -11,10 +11,6 @@ from hgstate import geoment as gm
 from hgstate import hypercore as hc
 from hgstate import orbits as ob
 
-# the fewest restarts that classify all 28 rows at every seed in 0..63
-# (measured); the seed stays at its default
-FAST = ["--restarts", "5"]
-
 
 def test_no_subcommand_exits_1(capsys):
     assert cli.main([]) == 1
@@ -24,14 +20,14 @@ def test_no_subcommand_exits_1(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["classify", "--restarts", "0"],
+        ["classify", "--restarts", "0"],  # the restart count is fixed, not a flag
         ["classify", "--max-iter", "0"],
         ["classify", "--format", "yaml"],
         ["verify", "--suite", "nonsense"],
         ["query"],
-        ["classify", "--seed", "-1"],
+        ["classify", "--seed", "-1"],  # so is the seed
         ["verify", "--cache", "x"],
-        ["query", "1234", "--restarts", "2.5"],
+        ["query", "1234", "--restarts", "2.5"],  # gone from query as well
         ["classify", "--max-iter", "2.5"],
         ["query", "1234", "--tol", "1e-9"],  # the tolerance is fixed, not a flag
     ],
@@ -46,28 +42,32 @@ def test_invalid_flags_exit_1(argv, capsys):
         assert flag[2:].replace("-", "_") in err.replace("-", "_")
 
 
-def test_classify_json_report(tmp_path, capsys):
+def test_classify_json_report(tmp_path, classification, capsys):
     out = tmp_path / "report.json"
-    code = cli.main(["classify", "--format", "json", "--out", str(out), *FAST])
+    code = cli.main(["classify", "--format", "json", "--out", str(out)])
     assert code == 0
+    # the CLI's one solve configuration is the library default
+    assert out.read_text() == cf.emit_report(*classification, "json", 0)
     rep = json.loads(out.read_text())
     assert len(rep["classes"]) == 39
-    assert rep["seed"] == gm.DEFAULT_SEED
+    assert rep["seed"] == 0
     rows = [c["paper_row"] for c in rep["classes"] if c["paper_row"]]
     assert sorted(rows) == list(range(1, 29))
 
 
-def test_classify_stdout_and_determinism(capsys):
-    assert cli.main(["classify", "--format", "csv", *FAST]) == 0
-    first = capsys.readouterr().out
-    assert cli.main(["classify", "--format", "csv", *FAST]) == 0
-    assert capsys.readouterr().out == first
-    assert first.count("\n") == 40  # header + 39 classes
+def test_classify_stdout_and_determinism(classification, capsys):
+    # one run, compared with the report of a separate session classification
+    assert cli.main(["classify", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out == cf.emit_report(*classification, "csv", 0)
+    assert out.count("\n") == 40  # header + 39 classes
 
 
-def test_classify_out_failure_exits_1(tmp_path, capsys):
+def test_classify_out_failure_exits_1(tmp_path, classification, monkeypatch, capsys):
+    # the write fails after the classification, so reuse the session's
+    monkeypatch.setattr(cf, "classify_all", lambda policy: classification)
     missing = tmp_path / "no" / "such" / "dir" / "report.json"
-    assert cli.main(["classify", "--out", str(missing), *FAST]) == 1
+    assert cli.main(["classify", "--out", str(missing)]) == 1
     assert "cannot write report" in capsys.readouterr().err
 
 
@@ -77,10 +77,10 @@ def test_classify_row_match_failure_names_rep_stage_and_policy(orbit_table, monk
     monkeypatch.setattr(cf, "TABLE_TOL", 0.0)
     rep, rank = next((int(rep), int(rank)) for rep, rank in zip(orbit_table.reps, orbit_table.rep_rank)
                      if rank in (3, 4))
-    assert cli.main(["classify", *FAST]) == 2
+    assert cli.main(["classify"]) == 2
     err = capsys.readouterr().err
     assert f"rep {rep} (rank {rank}), row match: no table " in err
-    assert str(gm.SolvePolicy(restarts=5)) in err
+    assert str(gm.SolvePolicy()) in err
 
 
 def test_classify_undecided_reality_names_rep_and_stage(orbit_table, monkeypatch, capsys):
@@ -89,10 +89,10 @@ def test_classify_undecided_reality_names_rep_and_stage(orbit_table, monkeypatch
     # class in rep order, ends undecided
     monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
     rank = int(orbit_table.rep_rank[list(orbit_table.reps).index(3136)])
-    assert cli.main(["classify", *FAST]) == 2
+    assert cli.main(["classify"]) == 2
     err = capsys.readouterr().err
     assert f"rep 3136 (rank {rank}), reality: best real overlap " in err
-    assert str(gm.SolvePolicy(restarts=5)) in err
+    assert str(gm.SolvePolicy()) in err
 
 
 def test_classify_unmatched_exits_2(monkeypatch, capsys):
@@ -100,12 +100,12 @@ def test_classify_unmatched_exits_2(monkeypatch, capsys):
         raise cf.ClassificationError("synthetic failure")
 
     monkeypatch.setattr(cf, "classify_all", explode)
-    assert cli.main(["classify", *FAST]) == 2
+    assert cli.main(["classify"]) == 2
     assert "classification failed" in capsys.readouterr().err
 
 
 def test_query_worked_example(capsys):
-    assert cli.main(["query", "1234,123", "--restarts", "4"]) == 0
+    assert cli.main(["query", "1234,123"]) == 0
     out = capsys.readouterr().out
     assert "standardized: 1234" in out
     assert "size 256" in out
@@ -114,7 +114,7 @@ def test_query_worked_example(capsys):
 
 
 def test_query_empty_edge_list(capsys):
-    assert cli.main(["query", "", "--restarts", "4"]) == 0
+    assert cli.main(["query", ""]) == 0
     out = capsys.readouterr().out
     assert "ge:           0.000000" in out
 
@@ -173,9 +173,9 @@ def test_transforms_fails_naming_the_vertex_of_a_wrong_x_table(monkeypatch):
 
 def test_classify_unconverged_exits_2(capsys):
     # at 50 sweeps, before the Newton finish starts, the row-28
-    # representative 13652 and four other classes stop at the cap, yet
+    # representative 13652 and twelve other classes stop at the cap, yet
     # every class still matches its row
-    assert cli.main(["classify", "--format", "csv", *FAST, "--max-iter", "50"]) == 2
+    assert cli.main(["classify", "--format", "csv", "--max-iter", "50"]) == 2
     captured = capsys.readouterr()
     assert captured.out.count("\n") == 40  # the report is still written
     assert "rep 13652 (row 28) did not converge" in captured.err
@@ -194,7 +194,7 @@ def test_query_unconverged_exits_2(capsys):
 
 
 def test_query_unmatched_exits_2(capsys):
-    assert cli.main(["query", "1234", "--restarts", "1", "--max-iter", "1"]) == 2
+    assert cli.main(["query", "1234", "--max-iter", "1"]) == 2
     err = capsys.readouterr().err
     assert "code 16384 not classified" in err and "max_iter=1" in err
     assert "Traceback" not in err

@@ -1,5 +1,7 @@
 """Unit tests for statevector construction, stabilizers, and entropies."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,14 @@ def test_entropy_values():
     assert sv.entropy(np.diag([1.0, 0.0])) == 0.0
     assert np.isclose(sv.entropy(np.diag([0.5, 0.5])), 1.0)
     assert np.isclose(sv.entropy(np.diag([0.75, 0.25])), 0.8113, atol=5e-5)
+
+
+def test_pure_cuts_have_a_positive_zero_entropy():
+    # -(1 * log2 1) is -0.0, which reports would print as -0.0000
+    assert math.copysign(1.0, sv.entropy(np.diag([1.0, 0.0]))) == 1.0
+    p = sv.entropy_profile(hc.parse_edges("12"))
+    assert p.be1[2:] == (0.0, 0.0)
+    assert all(math.copysign(1.0, v) == 1.0 for v in p.be1 + p.be2)
 
 
 def test_entropy_complement_symmetry():
