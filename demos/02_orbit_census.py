@@ -2,9 +2,12 @@
 
 The group is generated by local X and Z on each vertex plus the 24
 vertex permutations (order 16*16*24 = 6144 acting on codes); two
-codes in one orbit describe locally equivalent states.  Enumeration is
-a label-propagation sweep over precomputed image tables, so the whole
-partition takes well under a second.
+codes in one orbit describe locally equivalent states.  A Z move only
+toggles a loop, and the X moves and permutations map loops to loops, so
+every orbit is a union of whole cosets of the Z moves.  Enumeration is
+therefore exact as a label-propagation sweep over the 2^11 = 2048
+loop-free codes, one per coset, and the whole partition takes about a
+millisecond.
 """
 
 import time

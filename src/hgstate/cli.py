@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -44,6 +45,7 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration cap per solve, Newton iterations included (default %(default)s)")
 
 
+@cache  # built once per process: embedders call main() many times
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hgstate",
                      description="four-qubit hypergraph states: orbits and entanglement")
@@ -138,19 +140,23 @@ def suite_roundtrip() -> tuple[bool, str]:
     return ok, f"{hc.N_CODES} codes round-tripped" if ok else "round trip broke"
 
 
-def suite_stabilizer() -> tuple[bool, str]:
+def _all_defects():
+    return sv.stabilizer_defects(np.arange(hc.N_CODES))
+
+
+def suite_stabilizer(defects=_all_defects) -> tuple[bool, str]:
     """The generators K_i pairwise commute, for every code."""
-    noncommuting = sv.stabilizer_defects(np.arange(hc.N_CODES))[1]
+    noncommuting = defects()[1]
     for (i, j), bad in zip(sv.PAIRS, noncommuting):
         if bad.any():
             return False, f"K_{i} and K_{j} do not commute on {int(bad.sum())} states"
     return True, f"{hc.N_CODES} codes x 6 stabilizer pairs commute"
 
 
-def suite_equivalence() -> tuple[bool, str]:
+def suite_equivalence(defects=_all_defects) -> tuple[bool, str]:
     """K_i fixes every state: the neighborhood controlled-Z product maps
     |H> to X_i |H> exactly, for every code and vertex."""
-    unfixed = sv.stabilizer_defects(np.arange(hc.N_CODES))[0]
+    unfixed = defects()[0]
     for i, bad in zip(hc.VERTICES, unfixed):
         if bad.any():
             return False, f"K_{i} does not fix {int(bad.sum())} states"
@@ -215,9 +221,12 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    # the two K_i suites share one evaluation, made afresh by every run
+    defects = cache(_all_defects)
     failed = False
     for name in names:
-        ok, detail = SUITES[name]()
+        suite = SUITES[name]
+        ok, detail = suite(defects) if name in ("equivalence", "stabilizer") else suite()
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
         failed = failed or not ok
     return 2 if failed else 0

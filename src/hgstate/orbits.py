@@ -4,11 +4,14 @@ The group is generated by the four X moves, the four Z moves, and the
 vertex permutations, of which the three adjacent transpositions suffice:
 they generate all 24.  Orbits under a group are the components under any
 generating set, so these 11 generators give the same partition as the
-whole group, and closure under them is closure under the group.  Every
-generator is a precomputed permutation table over the full code space,
-so orbit finding is plain label propagation: each code repeatedly adopts
-the smallest label reachable through any generator until nothing
-changes.  The smallest code of an orbit is its canonical representative.
+whole group, and closure under them is closure under the group.  A Z
+move toggles one loop bit, and the X moves and transpositions are linear
+and map loops to loops, so every orbit is a union of the 2**11 = 2048
+cosets of the Z moves.  Label propagation on their loop-free members is
+therefore exact: each adopts the smallest label reachable through an X
+move or a transposition, loops dropped, until nothing changes.  A coset's
+smallest code is its loop-free one, so each orbit's smallest code, its
+canonical representative, is loop-free too.
 
 Orbit sizes must divide the group order 16 * 16 * 24 = 6144, and the rank
 of the standardized representative is constant along each orbit; both are
@@ -93,15 +96,17 @@ def standardized_rank_table() -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def enumerate_orbits() -> OrbitTable:
-    """Partition the whole code space by min-label propagation."""
-    tables = generator_tables()
-    labels = codes = np.arange(hc.N_CODES)
+    """Partition the code space by min-label propagation on the loop-free codes."""
+    codes = np.arange(hc.N_CODES)
+    free = (codes & hc._LOOP_BITS) == 0  # one loop-free code per Z coset
+    quotient, index = np.flatnonzero(free), np.cumsum(free) - 1  # index[quotient[k]] == k
+    moves = [index[hc._x_move(quotient, i) & ~hc._LOOP_BITS] for i in hc.VERTICES]
+    moves += [index[hc._permutation_move(quotient, p) & ~hc._LOOP_BITS] for p in TRANSPOSITIONS]
+    labels = positions = np.arange(quotient.size)
     while True:
         before = labels
-        # gather through an intp copy made per use: it reuses one freed
-        # buffer, where 11 intp tables kept at once would fault in 2.8 MB
-        for t in tables:
-            labels = np.minimum(labels, labels[t.astype(np.intp)])
+        for m in moves:
+            labels = np.minimum(labels, labels[m])
         # path compression: follow labels until they are fixed points
         while True:
             nxt = labels[labels]
@@ -111,9 +116,9 @@ def enumerate_orbits() -> OrbitTable:
         if np.array_equal(labels, before):
             break
     # the fixed points are the orbit minima; ids count them in ascending order
-    is_rep = labels == codes
-    class_id = (np.cumsum(is_rep) - 1)[labels]
-    reps = np.flatnonzero(is_rep)
+    is_rep = labels == positions
+    class_id = (np.cumsum(is_rep) - 1)[labels][index[codes & ~hc._LOOP_BITS]]
+    reps = quotient[is_rep]
     rep_rank = np.array([hc.rank(hc.standardize(int(r))) for r in reps], dtype=np.int64)
     arrays = (class_id.astype(np.uint16), reps.astype(np.uint16),
               np.bincount(class_id).astype(np.int64), rep_rank)

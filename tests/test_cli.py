@@ -10,6 +10,7 @@ from hgstate import cli
 from hgstate import geoment as gm
 from hgstate import hypercore as hc
 from hgstate import orbits as ob
+from hgstate import statevec as sv
 
 
 def test_no_subcommand_exits_1(capsys):
@@ -155,6 +156,25 @@ def test_verify_suite_passes_alone_from_a_cold_orbit_table(suite, monkeypatch, c
     assert cli.main(["verify", "--suite", suite]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{suite}: PASS (")
+
+
+def test_verify_evaluates_the_stabilizer_defects_once_per_run(monkeypatch, capsys):
+    calls = []
+
+    def counted(codes, real=sv.stabilizer_defects):
+        calls.append(len(codes))
+        return real(codes)
+
+    monkeypatch.setattr(sv, "stabilizer_defects", counted)
+    assert cli.main(["verify"]) == 0
+    assert cli.main(["verify", "--suite", "census"]) == 0
+    assert cli.main(["verify", "--suite", "stabilizer"]) == 0
+    assert calls == [hc.N_CODES, hc.N_CODES]  # nothing outlives a run
+    assert capsys.readouterr().out.count(": PASS") == 8
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_closure_reports_the_number_of_generators_checked():

@@ -60,6 +60,27 @@ def test_closure_under_all_32_moves(orbit_table):
         assert np.array_equal(cid[table], cid)
 
 
+_LOOPS = tuple(hc.parse_edges(str(i)) for i in hc.VERTICES)
+
+
+def test_x_moves_and_transpositions_commute_with_every_loop_toggle():
+    # the premise of enumerating on the loop-free codes: these moves carry
+    # each Z coset onto a whole Z coset
+    codes = np.arange(hc.N_CODES)
+    moves = [hc.x_image_table(i) for i in hc.VERTICES]
+    moves += [hc.permutation_image_table(p) for p in ob.TRANSPOSITIONS]
+    for move in moves:
+        for loop in _LOOPS:
+            image = int(move[loop])
+            assert image in _LOOPS
+            assert np.array_equal(move[codes ^ loop], move ^ image)
+
+
+def test_class_id_is_constant_on_every_z_coset(orbit_table):
+    cid = orbit_table.class_id
+    assert np.array_equal(cid, cid[np.arange(hc.N_CODES) & ~sum(_LOOPS)])
+
+
 def test_transpositions_generate_every_permutation():
     def compose(p, q):  # q first, then p
         return tuple(p[v - 1] for v in q)
