@@ -70,8 +70,8 @@ class OrbitRecord:
 
 
 def generator_tables() -> list[np.ndarray]:
-    """Image tables of a generating set over the full code space: the four
-    X moves, the four Z moves and the three ``TRANSPOSITIONS``."""
+    """uint16 image tables, read with ``np.take``, of a generating set over the
+    whole code space: four X moves, four Z moves, three ``TRANSPOSITIONS``."""
     tables = [hc.x_image_table(i) for i in hc.VERTICES]
     tables += [hc.z_image_table(i) for i in hc.VERTICES]
     tables += [hc.permutation_image_table(p) for p in TRANSPOSITIONS]
@@ -98,8 +98,9 @@ def standardized_rank_table() -> np.ndarray:
 def enumerate_orbits() -> OrbitTable:
     """Partition the code space by min-label propagation on the loop-free codes."""
     codes = np.arange(hc.N_CODES)
-    free = (codes & hc._LOOP_BITS) == 0  # one loop-free code per Z coset
-    quotient, index = np.flatnonzero(free), np.cumsum(free) - 1  # index[quotient[k]] == k
+    quotient = np.flatnonzero((codes & hc._LOOP_BITS) == 0)  # one loop-free code per Z coset
+    index = np.zeros_like(codes)  # index[quotient[k]] == k; read only at loop-free codes
+    index[quotient] = np.arange(quotient.size)
     moves = [index[hc._x_move(quotient, i) & ~hc._LOOP_BITS] for i in hc.VERTICES]
     moves += [index[hc._permutation_move(quotient, p) & ~hc._LOOP_BITS] for p in TRANSPOSITIONS]
     labels = positions = np.arange(quotient.size)
@@ -148,7 +149,7 @@ def rank_census(table: OrbitTable | None = None) -> dict[int, int]:
     """
     table = table or enumerate_orbits()
     per_code = standardized_rank_table()
-    mixed = np.flatnonzero(per_code != table.rep_rank[table.class_id])
+    mixed = np.flatnonzero(per_code != np.take(table.rep_rank, table.class_id))
     if mixed.size:
         cid = int(table.class_id[mixed[0]])
         raise RuntimeError(f"orbit {cid} (rep {table.reps[cid]}) mixes standardized ranks")

@@ -54,8 +54,8 @@ def stabilizer_defects(codes) -> tuple[np.ndarray, np.ndarray]:
     """
     g = hc.sign_words(codes)
     codes = np.asarray(codes, dtype=np.uint16)
-    d = {i: hc.sign_words(hc._x_move(codes, i) ^ codes)
-         ^ np.where(codes & hc._LOOP[i - 1], np.uint16(0xFFFF), np.uint16(0))
+    d = {i: hc._sign_words(hc._x_move(codes, i) ^ codes)
+         ^ ((codes & hc._LOOP[i - 1]) != 0) * np.uint16(0xFFFF)
          for i in hc.VERTICES}
     unfixed = [(d[i] ^ g ^ hc.flip_basis(g, i)) != 0 for i in hc.VERTICES]
     noncommuting = [(d[j] ^ hc.flip_basis(d[i], j) ^ d[i] ^ hc.flip_basis(d[j], i)) != 0

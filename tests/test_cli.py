@@ -191,6 +191,64 @@ def test_transforms_fails_naming_the_vertex_of_a_wrong_x_table(monkeypatch):
     assert cli.suite_transforms() == (False, "X move on vertex 3 broke the amplitude action")
 
 
+# each suite below fails on one planted fault, so none of them can pass vacuously
+
+
+def test_roundtrip_fails_on_a_sign_word_off_by_one_bit(monkeypatch):
+    right = hc.sign_words
+
+    def wrong(codes=None):
+        words = right(codes).copy()
+        words[12345] ^= 1 << 7
+        return words
+
+    monkeypatch.setattr(hc, "sign_words", wrong)
+    assert cli.suite_roundtrip() == (False, "round trip broke")
+
+
+def test_closure_fails_on_a_table_that_maps_one_code_across_orbits(monkeypatch):
+    right = ob.generator_tables
+
+    def wrong():
+        tables = right()
+        tables[5] = tables[5].copy()
+        tables[5][0] = 1 << (hc.FULL_EDGE - 1)  # the edgeless code to the 4-edge
+        return tables
+
+    monkeypatch.setattr(ob, "generator_tables", wrong)
+    assert cli.suite_closure() == (False, "a generator escaped its orbit")
+
+
+def test_census_fails_when_one_code_changes_rank(monkeypatch):
+    right = ob.rank_census
+    monkeypatch.setattr(ob, "rank_census", lambda table: {**right(table), 4: 16383, 3: 15361})
+    assert cli.suite_census() == (
+        False, "rank4 16383, rank3 15361, graphs 1024; orbit counts 11/17")
+
+
+def _defects_with(monkeypatch, row, column, which):
+    right = sv.stabilizer_defects
+
+    def wrong(codes):
+        defects = right(codes)
+        defects[which][row, column] = True
+        return defects
+
+    monkeypatch.setattr(sv, "stabilizer_defects", wrong)
+
+
+def test_stabilizer_fails_naming_the_pair_of_a_planted_defect(monkeypatch):
+    _defects_with(monkeypatch, sv.PAIRS.index((2, 4)), 4321, which=1)
+    assert cli.suite_stabilizer() == (False, "K_2 and K_4 do not commute on 1 states")
+    assert cli.suite_equivalence()[0]
+
+
+def test_equivalence_fails_naming_the_vertex_of_a_planted_defect(monkeypatch):
+    _defects_with(monkeypatch, 2, 777, which=0)
+    assert cli.suite_equivalence() == (False, "K_3 does not fix 1 states")
+    assert cli.suite_stabilizer()[0]
+
+
 def test_classify_unconverged_exits_2(capsys):
     # at 50 sweeps, before the Newton finish starts, the row-28
     # representative 13652 and twelve other classes stop at the cap, yet

@@ -126,6 +126,27 @@ def test_sign_words_unpack_to_sign_matrix():
     assert np.array_equal(_unpack(words), hc.sign_matrix())
 
 
+def test_default_sign_words_match_the_checked_path():
+    # the default path skips the range check; it must not skip anything else
+    words = hc.sign_words()
+    checked = hc.sign_words(np.arange(hc.N_CODES))
+    assert words.dtype == checked.dtype == np.uint16
+    assert np.array_equal(words, checked)
+    for h in range(0, hc.N_CODES, 97):
+        assert np.array_equal(_unpack(words[h]), hc.signs_from_hypergraph(h))
+        # g(mu) straight from the definition: parity of the edges inside supp(mu)
+        inside = [sum(h >> (e - 1) & 1 for e in range(1, hc.N_BASIS) if e & ~mu == 0) % 2
+                  for mu in range(hc.N_BASIS)]
+        assert _unpack(words[h]).tolist() == [bool(b) for b in inside]
+
+
+def test_stabilizer_defects_agree_for_any_integer_dtype_of_the_codes():
+    codes = np.arange(0, hc.N_CODES, 5)
+    for got, want in zip(sv.stabilizer_defects(codes.astype(np.uint16)),
+                         sv.stabilizer_defects(codes)):
+        assert np.array_equal(got, want)
+
+
 def test_flip_basis_matches_the_dense_column_gather():
     g = hc.sign_matrix()
     words = hc.sign_words()
@@ -144,6 +165,7 @@ def test_flip_basis_is_an_involution(words, i):
     assert np.array_equal(hc.flip_basis(flipped, i), w)
 
 
+# the word layer checks its inputs itself, not only through sign_matrix
 @pytest.mark.parametrize("check", [hc.sign_words, sv.stabilizer_defects])
 @pytest.mark.parametrize("bad", [[3.0], [-1], [32773], np.array([70000], dtype=np.int64)],
                          ids=["float", "negative", "above", "int64-70000"])
