@@ -45,6 +45,6 @@ for (i, j), bad in zip(sv.PAIRS, noncommuting[:, 0]):
 print(f"all stabilizer and commutation checks: {sv.verify_stabilizers(h)}")
 
 print("\n=== the same checks over all 32768 codes at once ===")
-unfixed, noncommuting = sv.stabilizer_defects(np.arange(hc.N_CODES))
+unfixed, noncommuting = sv.stabilizer_defects(hc.ALL_CODES)
 print(f"  states not fixed by some K_i: {int(unfixed.any(axis=0).sum())}")
 print(f"  states with a non-commuting pair: {int(noncommuting.any(axis=0).sum())}")

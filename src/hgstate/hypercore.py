@@ -12,7 +12,8 @@ support of mu.  This map is a bijection between codes and sign functions
 with g(0000) = 0 (one binary Moebius transform maps each to the other),
 which is what lets an equally weighted four-qubit state be named by a
 single integer.  Packed, g is one 16-bit word with bit mu equal to g(mu);
-the exhaustive checks run on these words.
+the exhaustive checks run on the words of ``ALL_CODES``, every code as one
+read-only uint16 array, made by ``sign_words``, the one checked path.
 
 Local moves act directly on codes: X on vertex i replaces the edge set E
 by N(i) xor E where N(i) is the neighborhood of i, Z on vertex i toggles
@@ -33,6 +34,10 @@ N_BASIS = 1 << N_VERTICES          # 16 basis strings
 N_EDGE_KINDS = N_BASIS - 1         # 15 possible hyperedges
 N_CODES = 1 << N_EDGE_KINDS        # 32768 hypergraphs
 FULL_EDGE = N_BASIS - 1            # the 4-vertex edge {1,2,3,4}
+
+# every code once, in order: the one whole-space array
+ALL_CODES = np.arange(N_CODES, dtype=np.uint16)
+ALL_CODES.flags.writeable = False
 
 VERTICES = tuple(range(1, N_VERTICES + 1))
 
@@ -128,11 +133,6 @@ def _subset_xor(words):
     return words
 
 
-def _codes_from_signs(g):
-    """Inverse of ``sign_matrix`` over the last axis of a boolean array."""
-    return _subset_xor(g @ _BITS) >> 1
-
-
 def signs_from_hypergraph(h: int) -> np.ndarray:
     """Sign function of a code: g[mu] = parity of edges inside supp(mu).
 
@@ -155,31 +155,24 @@ def hypergraph_from_signs(g) -> int:
         raise ValueError(f"sign function must have 16 entries, got shape {f.shape}")
     if f[0]:
         raise ValueError("sign function has g(0000) = 1; flip the global phase first")
-    return int(_codes_from_signs(f))
+    return int(_subset_xor(f @ _BITS) >> 1)
 
 
-def sign_words(codes=None) -> np.ndarray:
-    """Sign functions of many codes (all by default) as uint16 words.
+def sign_words(codes) -> np.ndarray:
+    """Sign functions of integer codes as uint16 words, one per code.
 
     Bit mu of a word is g(mu).  A code shifted up one bit is the edge
     indicator over basis indices (index 0, the empty edge, never set), so
-    one Moebius transform turns it into the signs.
+    one Moebius transform turns it into the signs.  Every call checks the
+    range with one ``min`` and one ``max``, which allocate nothing.
     """
-    if codes is None:
-        return _sign_words(np.arange(N_CODES, dtype=np.uint16))
     codes = np.asarray(codes)
-    # one comparison: a negative code wraps far above the range as unsigned
-    if codes.dtype.kind not in "iu" or (codes.astype(np.uint64) >= N_CODES).any():
+    if codes.dtype.kind not in "iu" or codes.size and (codes.min() < 0 or codes.max() >= N_CODES):
         raise ValueError("hypergraph codes must be integers in [0, 32768)")
-    return _sign_words(codes.astype(np.uint16))
+    return _subset_xor(codes.astype(np.uint16, copy=False) << 1)
 
 
-def _sign_words(codes):
-    """``sign_words`` of uint16 codes known to be in range, left unchecked."""
-    return _subset_xor(codes << 1)
-
-
-def sign_matrix(codes=None) -> np.ndarray:
+def sign_matrix(codes) -> np.ndarray:
     """Sign functions of many codes as a boolean (len, 16) array: the bits
     of ``sign_words`` spread over a new last axis."""
     return (sign_words(codes)[..., None] & _BITS) != 0
@@ -195,11 +188,12 @@ def flip_basis(words, i: int):
 
 # ---------------------------------------------------------------------------
 # local moves: one shift-and-xor formula per move, applied to a validated
-# int by the scalar moves and to every code at once by the uint16 image
-# tables, which np.take reads about twice as fast as indexing with them
+# int by the scalar moves and to ``ALL_CODES`` by the uint16 image tables,
+# which np.take reads about twice as fast as indexing with them
 
-# code bit of the loop on vertex v+1
+# code bit of the loop on vertex v+1, and all four together
 _LOOP = tuple(1 << ((1 << v) - 1) for v in range(N_VERTICES))
+LOOP_BITS = sum(_LOOP)
 # code bits of the edges that contain vertex v+1, its loop excepted
 _X_SOURCES = tuple(
     sum(1 << (e - 1) for e in range(1, N_BASIS) if e >> v & 1 and e != 1 << v)
@@ -211,6 +205,13 @@ def _x_move(codes, i: int):
     """E -> N(i) xor E: every stored edge e containing i other than the
     loop toggles e minus i, whose code bit sits 2**(i-1) places lower."""
     return codes ^ ((codes & _X_SOURCES[i - 1]) >> (1 << (i - 1)))
+
+
+def loop_words(codes, i: int):
+    """0xFFFF where the code stores the loop {i}, else 0: the global sign a
+    loop on i puts on the sign word of an X move on i, as uint16 words."""
+    _check_vertex(i)
+    return ((codes & _LOOP[i - 1]) != 0) * np.uint16(0xFFFF)
 
 
 @lru_cache(maxsize=len(ALL_PERMUTATIONS))
@@ -273,18 +274,18 @@ def permute(h: int, p) -> int:
 def x_image_table(i: int) -> np.ndarray:
     """apply_x(c, i) for every code c at once, as uint16: gather with ``np.take``."""
     _check_vertex(i)
-    return _x_move(np.arange(N_CODES, dtype=np.uint16), i)
+    return _x_move(ALL_CODES, i)
 
 
 def z_image_table(i: int) -> np.ndarray:
     """apply_z(c, i) for every code c at once, as uint16: gather with ``np.take``."""
     _check_vertex(i)
-    return np.arange(N_CODES, dtype=np.uint16) ^ _LOOP[i - 1]
+    return ALL_CODES ^ _LOOP[i - 1]
 
 
 def permutation_image_table(p) -> np.ndarray:
     """permute(c, p) for every code c at once, as uint16: gather with ``np.take``."""
-    return _permutation_move(np.arange(N_CODES, dtype=np.uint16), p)
+    return _permutation_move(ALL_CODES, p)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +298,10 @@ def rank(h: int) -> int:
     return max((_EDGE_SIZE[e] for e in range(1, N_BASIS) if h >> (e - 1) & 1), default=0)
 
 
-_LOOP_BITS = sum(_LOOP)
-
-
 def strip_loops(h: int) -> int:
     """Remove every loop via Z moves (stays in the local-equivalence orbit)."""
     _check_code(h)
-    return h & ~_LOOP_BITS
+    return h & ~LOOP_BITS
 
 
 def standardize(h: int) -> int:

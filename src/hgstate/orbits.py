@@ -85,44 +85,41 @@ def standardized_rank_table() -> np.ndarray:
     the 4-edge is present, so the outcome is readable off the raw bits:
     rank 4 iff the 4-edge bit is set, else 3 iff any 3-edge bit, else 2
     iff any 2-edge bit, else 0.  (Checked against real standardization in
-    the tests.)
+    the tests.)  Returned as uint8.
     """
-    codes = np.arange(hc.N_CODES, dtype=np.uint32)
-    rank = np.zeros(hc.N_CODES, dtype=np.int64)
+    rank = np.zeros(hc.N_CODES, dtype=np.uint8)
     for k in (2, 3, 4):
-        rank[(codes & _EDGE_BITS_BY_SIZE[k]) != 0] = k
+        rank[(hc.ALL_CODES & _EDGE_BITS_BY_SIZE[k]) != 0] = k
     return rank
 
 
 @lru_cache(maxsize=1)
 def enumerate_orbits() -> OrbitTable:
-    """Partition the code space by min-label propagation on the loop-free codes."""
-    codes = np.arange(hc.N_CODES)
-    quotient = np.flatnonzero((codes & hc._LOOP_BITS) == 0)  # one loop-free code per Z coset
+    """Partition the code space by min-label propagation on the loop-free codes:
+    the generators are involutions, so sweeps that lower each label to the
+    smallest one a generator reaches end at the orbit minima.  All uint16."""
+    codes = hc.ALL_CODES
+    drop_loops = (hc.N_CODES - 1) ^ hc.LOOP_BITS
+    quotient = codes[(codes & hc.LOOP_BITS) == 0]  # one loop-free code per Z coset
+    labels = positions = np.arange(quotient.size, dtype=np.uint16)
     index = np.zeros_like(codes)  # index[quotient[k]] == k; read only at loop-free codes
-    index[quotient] = np.arange(quotient.size)
-    moves = [index[hc._x_move(quotient, i) & ~hc._LOOP_BITS] for i in hc.VERTICES]
-    moves += [index[hc._permutation_move(quotient, p) & ~hc._LOOP_BITS] for p in TRANSPOSITIONS]
-    labels = positions = np.arange(quotient.size)
+    index[quotient] = positions
+    moves = [np.take(index, hc._x_move(quotient, i) & drop_loops) for i in hc.VERTICES]
+    moves += [np.take(index, hc._permutation_move(quotient, p) & drop_loops)
+              for p in TRANSPOSITIONS]
     while True:
         before = labels
         for m in moves:
-            labels = np.minimum(labels, labels[m])
-        # path compression: follow labels until they are fixed points
-        while True:
-            nxt = labels[labels]
-            if np.array_equal(nxt, labels):
-                break
-            labels = nxt
+            labels = np.minimum(labels, np.take(labels, m))
         if np.array_equal(labels, before):
             break
     # the fixed points are the orbit minima; ids count them in ascending order
     is_rep = labels == positions
-    class_id = (np.cumsum(is_rep) - 1)[labels][index[codes & ~hc._LOOP_BITS]]
+    ids = np.cumsum(is_rep, dtype=np.uint16) - 1
+    class_id = np.take(np.take(ids, labels), np.take(index, codes & drop_loops))
     reps = quotient[is_rep]
     rep_rank = np.array([hc.rank(hc.standardize(int(r))) for r in reps], dtype=np.int64)
-    arrays = (class_id.astype(np.uint16), reps.astype(np.uint16),
-              np.bincount(class_id).astype(np.int64), rep_rank)
+    arrays = (class_id, reps, np.bincount(class_id).astype(np.int64), rep_rank)
     for a in arrays:  # every caller in the process shares them
         a.flags.writeable = False
     return OrbitTable(*arrays)
@@ -149,7 +146,7 @@ def rank_census(table: OrbitTable | None = None) -> dict[int, int]:
     """
     table = table or enumerate_orbits()
     per_code = standardized_rank_table()
-    mixed = np.flatnonzero(per_code != np.take(table.rep_rank, table.class_id))
+    mixed = np.flatnonzero(per_code != np.take(table.rep_rank.astype(np.uint8), table.class_id))
     if mixed.size:
         cid = int(table.class_id[mixed[0]])
         raise RuntimeError(f"orbit {cid} (rep {table.reps[cid]}) mixes standardized ranks")

@@ -45,7 +45,7 @@ def stabilizer_defects(codes) -> tuple[np.ndarray, np.ndarray]:
 
     K_i = X_i D_i, where D_i, the controlled-Z product over N(i) with the
     global -1 of a loop on i, has the sign word of code apply_x(h, i) ^ h,
-    all 16 bits flipped for the loop.  With g the sign word of |H> and F_i
+    xor ``hypercore.loop_words`` for the loop.  With g the sign word of |H> and F_i
     the basis flip mu -> mu ^ bit_i (``hypercore.flip_basis``), K_i fixes
     |H> iff D_i ^ g ^ F_i(g) = 0, and K_i, K_j commute iff
     D_j ^ F_j(D_i) = D_i ^ F_i(D_j).  Returns boolean (4, n) fix failures
@@ -54,8 +54,7 @@ def stabilizer_defects(codes) -> tuple[np.ndarray, np.ndarray]:
     """
     g = hc.sign_words(codes)
     codes = np.asarray(codes, dtype=np.uint16)
-    d = {i: hc._sign_words(hc._x_move(codes, i) ^ codes)
-         ^ ((codes & hc._LOOP[i - 1]) != 0) * np.uint16(0xFFFF)
+    d = {i: hc.sign_words(hc._x_move(codes, i) ^ codes) ^ hc.loop_words(codes, i)
          for i in hc.VERTICES}
     unfixed = [(d[i] ^ g ^ hc.flip_basis(g, i)) != 0 for i in hc.VERTICES]
     noncommuting = [(d[j] ^ hc.flip_basis(d[i], j) ^ d[i] ^ hc.flip_basis(d[j], i)) != 0

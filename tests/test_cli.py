@@ -197,7 +197,7 @@ def test_transforms_fails_naming_the_vertex_of_a_wrong_x_table(monkeypatch):
 def test_roundtrip_fails_on_a_sign_word_off_by_one_bit(monkeypatch):
     right = hc.sign_words
 
-    def wrong(codes=None):
+    def wrong(codes):
         words = right(codes).copy()
         words[12345] ^= 1 << 7
         return words
@@ -224,6 +224,20 @@ def test_census_fails_when_one_code_changes_rank(monkeypatch):
     monkeypatch.setattr(ob, "rank_census", lambda table: {**right(table), 4: 16383, 3: 15361})
     assert cli.suite_census() == (
         False, "rank4 16383, rank3 15361, graphs 1024; orbit counts 11/17")
+
+
+def test_verify_reports_an_orbit_of_mixed_rank_as_a_census_failure(monkeypatch, capsys):
+    right = ob.standardized_rank_table
+
+    def wrong():
+        rank = right()
+        rank[1 << (hc.FULL_EDGE - 1)] = 0  # the lone 4-edge read as rank 0
+        return rank
+
+    monkeypatch.setattr(ob, "standardized_rank_table", wrong)
+    assert cli.main(["verify", "--suite", "census"]) == 2
+    assert capsys.readouterr().out == (
+        "census: FAIL (orbit 28 (rep 16384) mixes standardized ranks)\n")
 
 
 def _defects_with(monkeypatch, row, column, which):

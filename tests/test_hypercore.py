@@ -120,18 +120,15 @@ def _unpack(words):
     return (np.asarray(words)[..., None] >> np.arange(hc.N_BASIS) & 1).astype(bool)
 
 
+def test_all_codes_is_a_read_only_uint16_arange():
+    assert hc.ALL_CODES.dtype == np.uint16 and not hc.ALL_CODES.flags.writeable
+    assert np.array_equal(hc.ALL_CODES, np.arange(hc.N_CODES))
+
+
 def test_sign_words_unpack_to_sign_matrix():
-    words = hc.sign_words()
+    words = hc.sign_words(hc.ALL_CODES)
     assert words.dtype == np.uint16 and words.shape == (hc.N_CODES,)
-    assert np.array_equal(_unpack(words), hc.sign_matrix())
-
-
-def test_default_sign_words_match_the_checked_path():
-    # the default path skips the range check; it must not skip anything else
-    words = hc.sign_words()
-    checked = hc.sign_words(np.arange(hc.N_CODES))
-    assert words.dtype == checked.dtype == np.uint16
-    assert np.array_equal(words, checked)
+    assert np.array_equal(_unpack(words), hc.sign_matrix(hc.ALL_CODES))
     for h in range(0, hc.N_CODES, 97):
         assert np.array_equal(_unpack(words[h]), hc.signs_from_hypergraph(h))
         # g(mu) straight from the definition: parity of the edges inside supp(mu)
@@ -148,8 +145,8 @@ def test_stabilizer_defects_agree_for_any_integer_dtype_of_the_codes():
 
 
 def test_flip_basis_matches_the_dense_column_gather():
-    g = hc.sign_matrix()
-    words = hc.sign_words()
+    g = hc.sign_matrix(hc.ALL_CODES)
+    words = hc.sign_words(hc.ALL_CODES)
     mu = np.arange(hc.N_BASIS)
     for i in hc.VERTICES:
         assert np.array_equal(_unpack(hc.flip_basis(words, i)), g[:, mu ^ (1 << (i - 1))])
@@ -167,11 +164,23 @@ def test_flip_basis_is_an_involution(words, i):
 
 # the word layer checks its inputs itself, not only through sign_matrix
 @pytest.mark.parametrize("check", [hc.sign_words, sv.stabilizer_defects])
-@pytest.mark.parametrize("bad", [[3.0], [-1], [32773], np.array([70000], dtype=np.int64)],
-                         ids=["float", "negative", "above", "int64-70000"])
-def test_word_layer_rejects_codes_outside_the_range(check, bad):
-    with pytest.raises(ValueError, match=r"\[0, 32768\)"):
-        check(bad)
+@pytest.mark.parametrize("codes, ok", [
+    pytest.param([3.0], False, id="float"),
+    pytest.param([-1], False, id="negative"),
+    pytest.param([32773], False, id="above"),
+    pytest.param(np.array([70000], dtype=np.int64), False, id="int64-70000"),
+    pytest.param(np.int8(-1), False, id="int8-scalar-minus-1"),
+    pytest.param(np.array([2**64 - 1], dtype=np.uint64), False, id="uint64-max"),
+    pytest.param(np.array([hc.N_CODES], dtype=np.int64), False, id="int64-32768"),
+    pytest.param(np.array([], dtype=np.int64), True, id="int64-empty"),
+    pytest.param(np.array([hc.N_CODES - 1], dtype=np.uint16), True, id="uint16-32767"),
+])
+def test_word_layer_rejects_codes_outside_the_range(check, codes, ok):
+    if ok:
+        check(codes)
+    else:
+        with pytest.raises(ValueError, match=r"\[0, 32768\)"):
+            check(codes)
 
 
 # ---------------------------------------------------------------------------

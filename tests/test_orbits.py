@@ -17,6 +17,12 @@ def test_partition_shape(orbit_table):
     assert all(ob.GROUP_ORDER % int(s) == 0 for s in t.sizes)
 
 
+def test_orbit_table_dtypes(orbit_table):
+    t = orbit_table
+    assert t.class_id.dtype == t.reps.dtype == np.uint16
+    assert t.sizes.dtype == t.rep_rank.dtype == np.int64
+
+
 def test_rank_census(orbit_table):
     assert ob.rank_census(orbit_table) == {0: 16, 2: 1008, 3: 15360, 4: 16384}
 
