@@ -135,8 +135,9 @@ def cmd_query(args) -> int:
 
 def suite_roundtrip() -> tuple[bool, str]:
     """Sign-function round trip over all 32768 codes, on the packed sign
-    words: one more Moebius transform, shifted down a bit, gives the code."""
-    ok = bool(np.array_equal(hc._subset_xor(hc.sign_words(hc.ALL_CODES)) >> 1, hc.ALL_CODES))
+    words: each has g(0000) = 0, and ``hc.codes_of_words`` gives the code back."""
+    words = hc.sign_words(hc.ALL_CODES)
+    ok = not (words & 1).any() and np.array_equal(hc.codes_of_words(words), hc.ALL_CODES)
     return ok, f"{hc.N_CODES} codes round-tripped" if ok else "round trip broke"
 
 
@@ -168,28 +169,33 @@ def suite_transforms() -> tuple[bool, str]:
 
     X on vertex i permutes amplitudes by the bit-i flip up to one global
     sign, which must equal the loop flag on i; Z flips the signs of the
-    eight amplitudes with mu_i = 1.  Both are checked on sign words read
-    through the move tables with ``np.take``."""
+    eight amplitudes with mu_i = 1, the sign word of the loop {i}.  Both are
+    checked on sign words read through the move tables with ``np.take``."""
     g = hc.sign_words(hc.ALL_CODES)
+    loops = hc.sign_words([hc.code_of_edges([1 << (i - 1)]) for i in hc.VERTICES])
     for i in hc.VERTICES:
         diff = np.take(g, hc.x_image_table(i)) ^ hc.flip_basis(g, i)
         if (diff != hc.loop_words(hc.ALL_CODES, i)).any():
             return False, f"X move on vertex {i} broke the amplitude action"
-        if ((np.take(g, hc.z_image_table(i)) ^ g) != (0xFFFF ^ hc._LOWER[i - 1])).any():
+        if ((np.take(g, hc.z_image_table(i)) ^ g) != loops[i - 1]).any():
             return False, f"Z move on vertex {i} broke the amplitude action"
     return True, "X and Z moves consistent with the amplitude action on all codes"
 
 
 def suite_closure() -> tuple[bool, str]:
-    """Every generator preserves orbit ids, and sizes divide the group order."""
+    """Each class is one orbit, by the orbit-stabilizer certificate of ``ob``."""
     table = ob.enumerate_orbits()
-    tables = ob.generator_tables()
-    for t in tables:
-        if not np.array_equal(np.take(table.class_id, t), table.class_id):
-            return False, "a generator escaped its orbit"
-    if (ob.GROUP_ORDER % table.sizes).max() != 0:
-        return False, "an orbit size does not divide the group order"
-    return True, f"{table.n_orbits} orbits closed under the {len(tables)} generators"
+    cid, n = table.class_id, table.n_orbits
+    if not np.array_equal(np.take(cid, hc.ALL_CODES & (hc.N_CODES - 1 ^ hc.LOOP_BITS)), cid):
+        return False, "class ids differ within a Z coset"
+    images = ob.images(table.reps)
+    left = (np.take(cid, images) != np.arange(n)).any(axis=0)
+    sizes = np.bincount(cid, minlength=n)[:n]
+    short = (images == table.reps).sum(axis=0) * sizes != ob.GROUP_ORDER
+    for k in np.flatnonzero(left | short)[:1]:
+        why = "an image of its rep lies outside it" if left[k] else "its size is not 6144/|Stab|"
+        return False, f"class {k} (rep {table.reps[k]}): {why}"
+    return bool(sizes.sum() == hc.N_CODES), f"{n} single-orbit classes hold {sizes.sum()} codes"
 
 
 def suite_census() -> tuple[bool, str]:

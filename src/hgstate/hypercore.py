@@ -15,10 +15,10 @@ single integer.  Packed, g is one 16-bit word with bit mu equal to g(mu);
 the exhaustive checks run on the words of ``ALL_CODES``, every code as one
 read-only uint16 array, made by ``sign_words``, the one checked path.
 
-Local moves act directly on codes: X on vertex i replaces the edge set E
-by N(i) xor E where N(i) is the neighborhood of i, Z on vertex i toggles
-the loop {i}, and vertex permutations relabel every edge.  All three are
-involutions or group actions and never leave the 15-bit code space.
+Local moves act directly on codes: X on vertex i replaces the edge set E by
+N(i) xor E, N(i) the neighborhood of i; Z on vertex i toggles the loop {i};
+vertex permutations relabel every edge.  None leaves the 15-bit code space,
+and ``act`` applies them to code arrays, ``ALL_CODES`` in the image tables.
 """
 
 from __future__ import annotations
@@ -53,14 +53,22 @@ def _check_vertex(i: int) -> None:
         raise ValueError(f"vertex must be in 1..4, got {i!r}")
 
 
-def _check_edge(e: int) -> None:
+def check_edge(e: int) -> None:
     if not 1 <= operator.index(e) <= N_EDGE_KINDS:
         raise ValueError(f"edge mask must be in 1..15, got {e!r}")
 
 
-def _check_code(h: int) -> None:
+def check_code(h: int) -> None:
     if not 0 <= operator.index(h) < N_CODES:
         raise ValueError(f"hypergraph code must be in [0, 32768), got {h!r}")
+
+
+def _checked(values, stop: int, what: str) -> np.ndarray:
+    a = np.asarray(values)  # one max, and one min if signed: no copy
+    kind = a.dtype.kind
+    if kind not in "iu" or a.size and (a.max() >= stop or kind == "i" and a.min() < 0):
+        raise ValueError(f"{what} must be integers in [0, {stop})")
+    return a
 
 
 def edge_mask(vertices) -> int:
@@ -72,19 +80,19 @@ def edge_mask(vertices) -> int:
         if mask & bit:
             raise ValueError(f"duplicate vertex {v} in edge")
         mask |= bit
-    _check_edge(mask)
+    check_edge(mask)
     return mask
 
 
 def edge_vertices(e: int) -> tuple[int, ...]:
     """Unpack an edge mask into its sorted vertices."""
-    _check_edge(e)
+    check_edge(e)
     return tuple(v for v in VERTICES if e & (1 << (v - 1)))
 
 
 def edge_size(e: int) -> int:
     """Number of vertices in an edge mask (1 for a loop, up to 4)."""
-    _check_edge(e)
+    check_edge(e)
     return _EDGE_SIZE[e]
 
 
@@ -94,7 +102,7 @@ def edges_of(h: int) -> tuple[int, ...]:
     The ordering (size descending, then vertex-lexicographic) is the
     display order used by ``format_edges`` and the reports.
     """
-    _check_code(h)
+    check_code(h)
     present = [e for e in range(1, N_BASIS) if h >> (e - 1) & 1]
     present.sort(key=lambda e: (-_EDGE_SIZE[e], edge_vertices(e)))
     return tuple(present)
@@ -104,7 +112,7 @@ def code_of_edges(edges) -> int:
     """Assemble a code from an iterable of distinct edge masks."""
     h = 0
     for e in edges:
-        _check_edge(e)
+        check_edge(e)
         bit = 1 << (e - 1)
         if h & bit:
             raise ValueError(f"duplicate edge {format_edges(bit)}")
@@ -139,7 +147,7 @@ def signs_from_hypergraph(h: int) -> np.ndarray:
     Returned as a boolean array over the 16 basis indices; basis index mu
     has bit (v-1) set when vertex v reads 1.
     """
-    _check_code(h)
+    check_code(h)
     return sign_matrix(int(h))
 
 
@@ -153,9 +161,7 @@ def hypergraph_from_signs(g) -> int:
     f = np.asarray(g, dtype=bool)
     if f.shape != (N_BASIS,):
         raise ValueError(f"sign function must have 16 entries, got shape {f.shape}")
-    if f[0]:
-        raise ValueError("sign function has g(0000) = 1; flip the global phase first")
-    return int(_subset_xor(f @ _BITS) >> 1)
+    return int(codes_of_words(f @ _BITS))
 
 
 def sign_words(codes) -> np.ndarray:
@@ -163,13 +169,18 @@ def sign_words(codes) -> np.ndarray:
 
     Bit mu of a word is g(mu).  A code shifted up one bit is the edge
     indicator over basis indices (index 0, the empty edge, never set), so
-    one Moebius transform turns it into the signs.  Every call checks the
-    range with one ``min`` and one ``max``, which allocate nothing.
+    one Moebius transform turns it into the signs.  Every call checks the range.
     """
-    codes = np.asarray(codes)
-    if codes.dtype.kind not in "iu" or codes.size and (codes.min() < 0 or codes.max() >= N_CODES):
-        raise ValueError("hypergraph codes must be integers in [0, 32768)")
+    codes = _checked(codes, N_CODES, "hypergraph codes")
     return _subset_xor(codes.astype(np.uint16, copy=False) << 1)
+
+
+def codes_of_words(words) -> np.ndarray:
+    """Invert ``sign_words`` by one more Moebius transform, shifted down a bit."""
+    words = _checked(words, 1 << N_BASIS, "sign words")
+    if (words & 1).any():
+        raise ValueError("sign function has g(0000) = 1; flip the global phase first")
+    return _subset_xor(words) >> 1
 
 
 def sign_matrix(codes) -> np.ndarray:
@@ -188,8 +199,8 @@ def flip_basis(words, i: int):
 
 # ---------------------------------------------------------------------------
 # local moves: one shift-and-xor formula per move, applied to a validated
-# int by the scalar moves and to ``ALL_CODES`` by the uint16 image tables,
-# which np.take reads about twice as fast as indexing with them
+# int by the scalar moves and to code arrays by ``act``, which makes the
+# uint16 image tables; np.take reads them twice as fast as indexing does
 
 # code bit of the loop on vertex v+1, and all four together
 _LOOP = tuple(1 << ((1 << v) - 1) for v in range(N_VERTICES))
@@ -235,6 +246,18 @@ def _permutation_move(codes, p):
     return out
 
 
+def act(codes, p=VERTICES, x_mask: int = 0) -> np.ndarray:
+    """Permutation p, then X on each vertex v with bit v-1 of x_mask set (none: codes as is)."""
+    codes = _checked(codes, N_CODES, "hypergraph codes")
+    if not 0 <= operator.index(x_mask) < N_BASIS:
+        raise ValueError(f"X mask must be in 0..15, got {x_mask!r}")
+    codes = codes if tuple(p) == VERTICES else _permutation_move(codes, p)
+    for i in VERTICES:
+        if x_mask >> (i - 1) & 1:
+            codes = _x_move(codes, i)
+    return codes
+
+
 def neighborhood(h: int, i: int) -> tuple[int, ...]:
     """Edges e \\ {i} for every stored edge containing vertex i.
 
@@ -246,35 +269,35 @@ def neighborhood(h: int, i: int) -> tuple[int, ...]:
 
 def has_loop(h: int, i: int) -> bool:
     """Whether the code stores the loop {i}."""
-    _check_code(h)
+    check_code(h)
     _check_vertex(i)
     return bool(h & _LOOP[i - 1])
 
 
 def apply_x(h: int, i: int) -> int:
     """Pauli X on vertex i at code level: E -> N(i) xor E.  Involutive."""
-    _check_code(h)
+    check_code(h)
     _check_vertex(i)
     return _x_move(int(h), i)
 
 
 def apply_z(h: int, i: int) -> int:
     """Pauli Z on vertex i at code level: toggle the loop {i}.  Involutive."""
-    _check_code(h)
+    check_code(h)
     _check_vertex(i)
     return int(h) ^ _LOOP[i - 1]
 
 
 def permute(h: int, p) -> int:
     """Relabel every edge of a code through permutation p."""
-    _check_code(h)
+    check_code(h)
     return _permutation_move(int(h), p)
 
 
 def x_image_table(i: int) -> np.ndarray:
     """apply_x(c, i) for every code c at once, as uint16: gather with ``np.take``."""
     _check_vertex(i)
-    return _x_move(ALL_CODES, i)
+    return act(ALL_CODES, x_mask=1 << (i - 1))
 
 
 def z_image_table(i: int) -> np.ndarray:
@@ -285,7 +308,7 @@ def z_image_table(i: int) -> np.ndarray:
 
 def permutation_image_table(p) -> np.ndarray:
     """permute(c, p) for every code c at once, as uint16: gather with ``np.take``."""
-    return _permutation_move(ALL_CODES, p)
+    return act(ALL_CODES, p)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +317,13 @@ def permutation_image_table(p) -> np.ndarray:
 
 def rank(h: int) -> int:
     """Largest edge cardinality in the code; 0 for the edgeless hypergraph."""
-    _check_code(h)
+    check_code(h)
     return max((_EDGE_SIZE[e] for e in range(1, N_BASIS) if h >> (e - 1) & 1), default=0)
 
 
 def strip_loops(h: int) -> int:
     """Remove every loop via Z moves (stays in the local-equivalence orbit)."""
-    _check_code(h)
+    check_code(h)
     return h & ~LOOP_BITS
 
 
@@ -314,7 +337,7 @@ def standardize(h: int) -> int:
     change what an X move toggles, so one pass and one final clearing of
     loops with Z moves suffice.
     """
-    _check_code(h)
+    check_code(h)
     if h >> (FULL_EDGE - 1) & 1:
         for v in VERTICES:
             three_edge = FULL_EDGE ^ 1 << (v - 1)

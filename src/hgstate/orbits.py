@@ -1,28 +1,25 @@
 """Exhaustive orbits of all 32768 codes under local moves.
 
-The group is generated by the four X moves, the four Z moves, and the
-vertex permutations, of which the three adjacent transpositions suffice:
-they generate all 24.  Orbits under a group are the components under any
-generating set, so these 11 generators give the same partition as the
-whole group, and closure under them is closure under the group.  A Z
-move toggles one loop bit, and the X moves and transpositions are linear
-and map loops to loops, so every orbit is a union of the 2**11 = 2048
-cosets of the Z moves.  Label propagation on their loop-free members is
-therefore exact: each adopts the smallest label reachable through an X
-move or a transposition, loops dropped, until nothing changes.  A coset's
-smallest code is its loop-free one, so each orbit's smallest code, its
-canonical representative, is loop-free too.
+A group element is a vertex permutation, then X moves on a vertex set, then
+Z moves: 24 * 16 * 16 = 6144 elements.  A Z move toggles one loop bit, and
+X moves and permutations map loops to loops, so every orbit is a union of
+the 2**11 = 2048 Z cosets, and min-label propagation on their loop-free
+members through the X moves and the three adjacent transpositions (which
+generate all 24 permutations), loops dropped, is exact.  So each orbit's
+smallest code, its canonical representative, is loop-free.
 
-Orbit sizes must divide the group order 16 * 16 * 24 = 6144, and the rank
-of the standardized representative is constant along each orbit; both are
-checked.  The partition is computed once per process (``enumerate_orbits``
-is memoized).
+``images`` gives the loop-cleared images under the 384 (permutation, X mask)
+pairs; those that give a loop-free r back, each with one Z mask, are the
+stabilizer of r.  So a class that holds every image of its rep r and has
+6144 / |Stab(r)| codes is one orbit, as ``hgstate verify`` checks.
+``enumerate_orbits`` is memoized per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,6 +29,7 @@ GROUP_ORDER = 16 * 16 * 24
 # the adjacent transpositions of vertices (1 2), (2 3) and (3 4)
 TRANSPOSITIONS = ((2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3))
 
+_DROP_LOOPS = (hc.N_CODES - 1) ^ hc.LOOP_BITS  # every code bit but the loops
 # code-space bit masks of the edges of each cardinality
 _EDGE_BITS_BY_SIZE = {
     k: sum(1 << (e - 1) for e in range(1, hc.N_BASIS) if hc.edge_size(e) == k)
@@ -78,6 +76,18 @@ def generator_tables() -> list[np.ndarray]:
     return tables
 
 
+def images(codes) -> np.ndarray:
+    """Images of codes under the 384 (permutation, X mask) pairs, loops cleared,
+    uint16 (384, len(codes)).  S_(k+1) = S_k, t_k S_k, ..., t_1...t_k S_k for
+    t_k = (k k+1), one coset per place of vertex k+1; each X then doubles it."""
+    stack = np.asarray(codes).reshape(1, -1)
+    for k in range(len(TRANSPOSITIONS)):
+        stack = np.concatenate(list(accumulate(TRANSPOSITIONS[k::-1], hc.act, initial=stack)))
+    for i in hc.VERTICES:
+        stack = np.concatenate([stack, hc.act(stack, x_mask=1 << (i - 1))])
+    return (stack & _DROP_LOOPS).astype(np.uint16, copy=False)
+
+
 def standardized_rank_table() -> np.ndarray:
     """Rank of the standardized form of every code, without standardizing.
 
@@ -99,14 +109,12 @@ def enumerate_orbits() -> OrbitTable:
     the generators are involutions, so sweeps that lower each label to the
     smallest one a generator reaches end at the orbit minima.  All uint16."""
     codes = hc.ALL_CODES
-    drop_loops = (hc.N_CODES - 1) ^ hc.LOOP_BITS
     quotient = codes[(codes & hc.LOOP_BITS) == 0]  # one loop-free code per Z coset
     labels = positions = np.arange(quotient.size, dtype=np.uint16)
     index = np.zeros_like(codes)  # index[quotient[k]] == k; read only at loop-free codes
     index[quotient] = positions
-    moves = [np.take(index, hc._x_move(quotient, i) & drop_loops) for i in hc.VERTICES]
-    moves += [np.take(index, hc._permutation_move(quotient, p) & drop_loops)
-              for p in TRANSPOSITIONS]
+    pairs = [(hc.VERTICES, 1 << (i - 1)) for i in hc.VERTICES] + [(p, 0) for p in TRANSPOSITIONS]
+    moves = [np.take(index, hc.act(quotient, p, x) & _DROP_LOOPS) for p, x in pairs]
     while True:
         before = labels
         for m in moves:
@@ -116,9 +124,9 @@ def enumerate_orbits() -> OrbitTable:
     # the fixed points are the orbit minima; ids count them in ascending order
     is_rep = labels == positions
     ids = np.cumsum(is_rep, dtype=np.uint16) - 1
-    class_id = np.take(np.take(ids, labels), np.take(index, codes & drop_loops))
+    class_id = np.take(np.take(ids, labels), np.take(index, codes & _DROP_LOOPS))
     reps = quotient[is_rep]
-    rep_rank = np.array([hc.rank(hc.standardize(int(r))) for r in reps], dtype=np.int64)
+    rep_rank = np.take(standardized_rank_table(), reps).astype(np.int64)
     arrays = (class_id, reps, np.bincount(class_id).astype(np.int64), rep_rank)
     for a in arrays:  # every caller in the process shares them
         a.flags.writeable = False
@@ -129,7 +137,7 @@ def orbit_of(h: int, table: OrbitTable | None = None) -> OrbitRecord:
     """Orbit membership data of one code.  Its multiplicity m is the orbit
     size over 256 for standardized rank 4, over 128 for rank 3, and over
     16 for graph orbits (rank 2 or 0)."""
-    hc._check_code(h)
+    hc.check_code(h)
     table = table or enumerate_orbits()
     cid = int(table.class_id[h])
     size = int(table.sizes[cid])

@@ -35,7 +35,7 @@ def build_state(h: int) -> np.ndarray:
 
 def controlled_z_diagonal(e: int) -> np.ndarray:
     """Diagonal of the multi-controlled-Z over one edge mask, as +-1."""
-    hc._check_edge(e)
+    hc.check_edge(e)
     mu = np.arange(hc.N_BASIS)
     return np.where((mu & e) == e, -1.0, 1.0)
 
@@ -54,12 +54,15 @@ def stabilizer_defects(codes) -> tuple[np.ndarray, np.ndarray]:
     """
     g = hc.sign_words(codes)
     codes = np.asarray(codes, dtype=np.uint16)
-    d = {i: hc.sign_words(hc._x_move(codes, i) ^ codes) ^ hc.loop_words(codes, i)
+    d = {i: hc.sign_words(hc.act(codes, x_mask=1 << (i - 1)) ^ codes) ^ hc.loop_words(codes, i)
          for i in hc.VERTICES}
-    unfixed = [(d[i] ^ g ^ hc.flip_basis(g, i)) != 0 for i in hc.VERTICES]
-    noncommuting = [(d[j] ^ hc.flip_basis(d[i], j) ^ d[i] ^ hc.flip_basis(d[j], i)) != 0
-                    for i, j in PAIRS]
-    return np.array(unfixed), np.array(noncommuting)
+    unfixed, noncommuting = (np.empty((k,) + g.shape, dtype=bool) for k in (4, len(PAIRS)))
+    for k, i in enumerate(hc.VERTICES):  # [k, ...] is a view even of a 0-d row
+        np.not_equal(d[i] ^ g ^ hc.flip_basis(g, i), 0, out=unfixed[k, ...])
+    for k, (i, j) in enumerate(PAIRS):
+        np.not_equal(d[j] ^ hc.flip_basis(d[i], j) ^ d[i] ^ hc.flip_basis(d[j], i), 0,
+                     out=noncommuting[k, ...])
+    return unfixed, noncommuting
 
 
 def verify_stabilizers(h: int) -> bool:

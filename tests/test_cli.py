@@ -1,8 +1,10 @@
 """Exit-code and output contract of the command-line front end,
 driven in process through cli.main(argv)."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from hgstate import classifier as cf
@@ -177,8 +179,8 @@ def test_parser_is_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_closure_reports_the_number_of_generators_checked():
-    assert cli.suite_closure() == (True, "39 orbits closed under the 11 generators")
+def test_closure_reports_the_orbit_stabilizer_certificate():
+    assert cli.suite_closure() == (True, "39 single-orbit classes hold 32768 codes")
 
 
 def test_transforms_fails_naming_the_vertex_of_a_wrong_x_table(monkeypatch):
@@ -206,17 +208,51 @@ def test_roundtrip_fails_on_a_sign_word_off_by_one_bit(monkeypatch):
     assert cli.suite_roundtrip() == (False, "round trip broke")
 
 
-def test_closure_fails_on_a_table_that_maps_one_code_across_orbits(monkeypatch):
-    right = ob.generator_tables
+def _two_orbits_merged(table):
+    """A consistent 38-class table: orbit 1 folded into orbit 0."""
+    cid = table.class_id.astype(np.int64)
+    cid[cid == 1] = 0
+    cid[cid > 1] -= 1
+    keep = np.arange(table.n_orbits) != 1
+    return ob.OrbitTable(cid.astype(np.uint16), table.reps[keep], np.bincount(cid),
+                         table.rep_rank[keep])
 
-    def wrong():
-        tables = right()
-        tables[5] = tables[5].copy()
-        tables[5][0] = 1 << (hc.FULL_EDGE - 1)  # the edgeless code to the 4-edge
-        return tables
 
-    monkeypatch.setattr(ob, "generator_tables", wrong)
-    assert cli.suite_closure() == (False, "a generator escaped its orbit")
+def _one_code_moved(table):
+    cid = table.class_id.copy()
+    cid[12345] = (cid[12345] + 1) % table.n_orbits
+    return dataclasses.replace(table, class_id=cid)
+
+
+def _one_z_coset_moved(table):
+    """Every code of the Z coset of 12336 (loop-free, not a rep) relabeled alike."""
+    cid = table.class_id.copy()
+    coset = [12336 | loops for loops in range(hc.N_CODES) if loops & ~hc.LOOP_BITS == 0]
+    cid[coset] = (cid[12336] + 1) % table.n_orbits
+    return dataclasses.replace(table, class_id=cid)
+
+
+def _one_orbit_left_out(table):
+    """The last orbit keeps its id 38 but has no rep: 38 classes, all sound."""
+    return dataclasses.replace(table, reps=table.reps[:-1], sizes=table.sizes[:-1],
+                               rep_rank=table.rep_rank[:-1])
+
+
+@pytest.mark.parametrize("damage, detail", [
+    pytest.param(_two_orbits_merged, "class 0 (rep 0): its size is not 6144/|Stab|",
+                 id="two-orbits-merged"),
+    pytest.param(_one_code_moved, "class ids differ within a Z coset", id="one-code-moved"),
+    pytest.param(_one_z_coset_moved, "class 13 (rep 1088): an image of its rep lies outside it",
+                 id="one-z-coset-moved"),
+    pytest.param(_one_orbit_left_out, "38 single-orbit classes hold 32512 codes",
+                 id="one-orbit-left-out"),
+])
+def test_verify_closure_fails_on_a_planted_fault(damage, detail, orbit_table, monkeypatch,
+                                                 capsys):
+    damaged = damage(orbit_table)
+    monkeypatch.setattr(ob, "enumerate_orbits", lambda: damaged)
+    assert cli.main(["verify", "--suite", "closure"]) == 2
+    assert capsys.readouterr().out == f"closure: FAIL ({detail})\n"
 
 
 def test_census_fails_when_one_code_changes_rank(monkeypatch):

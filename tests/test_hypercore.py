@@ -144,6 +144,12 @@ def test_stabilizer_defects_agree_for_any_integer_dtype_of_the_codes():
         assert np.array_equal(got, want)
 
 
+def test_stabilizer_defects_keep_the_shape_of_a_scalar_code():
+    unfixed, noncommuting = sv.stabilizer_defects(np.uint16(77))
+    assert unfixed.shape == (4,) and noncommuting.shape == (6,)
+    assert not (unfixed.any() or noncommuting.any())
+
+
 def test_flip_basis_matches_the_dense_column_gather():
     g = hc.sign_matrix(hc.ALL_CODES)
     words = hc.sign_words(hc.ALL_CODES)
@@ -162,8 +168,26 @@ def test_flip_basis_is_an_involution(words, i):
     assert np.array_equal(hc.flip_basis(flipped, i), w)
 
 
+def test_codes_of_words_inverts_sign_words():
+    codes = hc.codes_of_words(hc.sign_words(hc.ALL_CODES))
+    assert codes.dtype == np.uint16 and np.array_equal(codes, hc.ALL_CODES)
+    assert hc.codes_of_words(hc.sign_words(hc.parse_edges("1234,12"))) == hc.parse_edges("1234,12")
+
+
+@pytest.mark.parametrize("words, match", [
+    pytest.param([1], r"g\(0000\) = 1", id="bit-0-set"),
+    pytest.param(np.array([0, 0xFFFF], dtype=np.uint16), r"g\(0000\) = 1", id="uint16-max"),
+    pytest.param([1 << 16], r"\[0, 65536\)", id="above"),
+    pytest.param([-2], r"\[0, 65536\)", id="negative"),
+    pytest.param([2.0], r"\[0, 65536\)", id="float"),
+])
+def test_codes_of_words_rejects_words_no_code_has(words, match):
+    with pytest.raises(ValueError, match=match):
+        hc.codes_of_words(words)
+
+
 # the word layer checks its inputs itself, not only through sign_matrix
-@pytest.mark.parametrize("check", [hc.sign_words, sv.stabilizer_defects])
+@pytest.mark.parametrize("check", [hc.sign_words, sv.stabilizer_defects, hc.act])
 @pytest.mark.parametrize("codes, ok", [
     pytest.param([3.0], False, id="float"),
     pytest.param([-1], False, id="negative"),
@@ -278,6 +302,27 @@ def test_moves_and_signs_match_edge_level_definitions():
             assert set(hc.edges_of(hc.permute(h, p))) == image
         parity = [sum((mu & e) == e for e in edges) % 2 == 1 for mu in range(hc.N_BASIS)]
         assert hc.signs_from_hypergraph(h).tolist() == parity
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(codes=st.lists(st.integers(0, hc.N_CODES - 1), max_size=12),
+       p=st.sampled_from(hc.ALL_PERMUTATIONS), x_mask=st.integers(0, 15),
+       order=st.permutations(hc.VERTICES), dtype=st.sampled_from([np.uint16, np.int64]))
+def test_act_is_permute_then_the_x_moves_in_any_order(codes, p, x_mask, order, dtype):
+    got = hc.act(np.array(codes, dtype=dtype), p, x_mask)
+    assert got.dtype == dtype
+    for h, image in zip(codes, got, strict=True):
+        want = hc.permute(h, p)
+        for i in order:  # X moves commute at code level
+            if x_mask >> (i - 1) & 1:
+                want = hc.apply_x(want, i)
+        assert int(image) == want
+
+
+@pytest.mark.parametrize("x_mask", [-1, 16, 2.0])
+def test_act_rejects_x_masks_outside_0_to_15(x_mask):
+    with pytest.raises((ValueError, TypeError)):
+        hc.act([5], hc.VERTICES, x_mask)
 
 
 @pytest.mark.parametrize("p", [(1, 1, 2, 3), (1, 2, 3), (1, 2, 3, 5)])

@@ -142,6 +142,38 @@ def test_m_values(orbit_table):
     assert m_total_graphs == 64
 
 
+def test_rep_rank_is_the_rank_of_the_standardized_rep(orbit_table):
+    want = [hc.rank(hc.standardize(int(r))) for r in orbit_table.reps]
+    assert orbit_table.rep_rank.tolist() == want
+
+
+def test_images_are_the_384_loop_cleared_moves_of_each_code():
+    codes = [0, 1, 5, 7000, 16384 | 11, hc.N_CODES - 1]
+    got = ob.images(np.array(codes, dtype=np.int64))
+    assert got.shape == (384, len(codes)) and got.dtype == np.uint16
+    for k, h in enumerate(codes):
+        want = []
+        for p in hc.ALL_PERMUTATIONS:
+            for x_mask in range(16):
+                image = hc.permute(h, p)
+                for i in hc.VERTICES:
+                    if x_mask >> (i - 1) & 1:
+                        image = hc.apply_x(image, i)
+                want.append(hc.strip_loops(image))
+        assert sorted(got[:, k].tolist()) == sorted(want)
+
+
+def test_images_reject_codes_outside_the_range():
+    with pytest.raises(ValueError, match=r"\[0, 32768\)"):
+        ob.images(np.array([5, hc.N_CODES]))
+
+
+def test_stabilizer_orders_of_the_reps(orbit_table):
+    stab = (ob.images(orbit_table.reps) == orbit_table.reps).sum(axis=0)
+    assert set(stab.tolist()) == {2, 4, 6, 8, 12, 24, 32, 48, 64, 96, 128, 384}
+    assert np.array_equal(stab * orbit_table.sizes, np.full(39, ob.GROUP_ORDER))
+
+
 def test_standardized_rank_table(orbit_table):
     table = ob.standardized_rank_table()
     sample = np.random.default_rng(71).integers(0, hc.N_CODES, size=300)
