@@ -29,7 +29,7 @@ print(f"recovered code {recovered} (round trip {'ok' if recovered == h else 'BRO
 
 print("\n=== local X gates move edges around ===")
 print("X on vertex 4 toggles the neighborhood of 4:")
-hx = hc.apply_x(h, 4)
+hx = hc.act(h, x_mask=0b1000)  # bit v-1 of the mask names vertex v
 print(f"  {hc.format_edges(h)!r} -> {hc.format_edges(hx)!r}")
 print("standardizing absorbs the three-edge into the four-edge:")
 print(f"  standardize({hc.format_edges(h)!r}) = {hc.format_edges(hc.standardize(h))!r}")

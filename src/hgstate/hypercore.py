@@ -17,8 +17,9 @@ read-only uint16 array, made by ``sign_words``, the one checked path.
 
 Local moves act directly on codes: X on vertex i replaces the edge set E by
 N(i) xor E, N(i) the neighborhood of i; Z on vertex i toggles the loop {i};
-vertex permutations relabel every edge.  None leaves the 15-bit code space,
-and ``act`` applies them to code arrays, ``ALL_CODES`` in the image tables.
+vertex permutations relabel every edge.  None leaves the 15-bit code space;
+``act`` applies any product of them to one code or to a code array (in the
+image tables ``ALL_CODES``), and ``strip_loops`` is the Z quotient.
 """
 
 from __future__ import annotations
@@ -198,13 +199,13 @@ def flip_basis(words, i: int):
 
 
 # ---------------------------------------------------------------------------
-# local moves: one shift-and-xor formula per move, applied to a validated
-# int by the scalar moves and to code arrays by ``act``, which makes the
-# uint16 image tables; np.take reads them twice as fast as indexing does
+# local moves: one shift-and-xor formula per move, applied by ``act`` to a
+# single code as an int and to a code array as it is; the uint16 image
+# tables are its images of ALL_CODES, and np.take reads them twice as fast
+# as indexing does
 
-# code bit of the loop on vertex v+1, and all four together
+# code bit of the loop on vertex v+1
 _LOOP = tuple(1 << ((1 << v) - 1) for v in range(N_VERTICES))
-LOOP_BITS = sum(_LOOP)
 # code bits of the edges that contain vertex v+1, its loop excepted
 _X_SOURCES = tuple(
     sum(1 << (e - 1) for e in range(1, N_BASIS) if e >> v & 1 and e != 1 << v)
@@ -212,16 +213,17 @@ _X_SOURCES = tuple(
 )
 
 
-def _x_move(codes, i: int):
-    """E -> N(i) xor E: every stored edge e containing i other than the
-    loop toggles e minus i, whose code bit sits 2**(i-1) places lower."""
-    return codes ^ ((codes & _X_SOURCES[i - 1]) >> (1 << (i - 1)))
+def _checked_codes(codes):
+    """Range-checked codes: a single code as an int, an array as it is."""
+    codes = _checked(codes, N_CODES, "hypergraph codes")
+    return int(codes) if codes.ndim == 0 else codes
 
 
 def loop_words(codes, i: int):
     """0xFFFF where the code stores the loop {i}, else 0: the global sign a
     loop on i puts on the sign word of an X move on i, as uint16 words."""
     _check_vertex(i)
+    codes = _checked(codes, N_CODES, "hypergraph codes")
     return ((codes & _LOOP[i - 1]) != 0) * np.uint16(0xFFFF)
 
 
@@ -237,25 +239,37 @@ def _permutation_shifts(p: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(masks.items())
 
 
-def _permutation_move(codes, p):
-    """Relabel every edge through p, one shift per group of code bits."""
-    out = codes & 0
-    for shift, mask in _permutation_shifts(tuple(p)):
-        part = codes & mask
-        out = out | (part << shift if shift >= 0 else part >> -shift)
-    return out
-
-
-def act(codes, p=VERTICES, x_mask: int = 0) -> np.ndarray:
-    """Permutation p, then X on each vertex v with bit v-1 of x_mask set (none: codes as is)."""
-    codes = _checked(codes, N_CODES, "hypergraph codes")
-    if not 0 <= operator.index(x_mask) < N_BASIS:
-        raise ValueError(f"X mask must be in 0..15, got {x_mask!r}")
-    codes = codes if tuple(p) == VERTICES else _permutation_move(codes, p)
-    for i in VERTICES:
-        if x_mask >> (i - 1) & 1:
-            codes = _x_move(codes, i)
+def act(codes, p=VERTICES, x_mask: int = 0, z_mask: int = 0):
+    """The group element (p, x_mask, z_mask): relabel every edge through the
+    permutation p, then X on each vertex v with bit v-1 of x_mask set, then Z
+    on each vertex of z_mask.  A single code gives an int; an array keeps its
+    dtype, and the identity returns it as is.  X moves commute with each
+    other and with Z moves at code level, so (p2, x2, z2)(p1, x1, z1) is
+    (p2 p1, x2 ^ p2(x1), z2 ^ p2(z1)), p(m) the vertex mask m relabeled.
+    """
+    codes = _checked_codes(codes)
+    for name, mask in (("X", x_mask), ("Z", z_mask)):
+        if not 0 <= operator.index(mask) < N_BASIS:
+            raise ValueError(f"{name} mask must be in 0..15, got {mask!r}")
+    if tuple(p) != VERTICES:
+        moved = codes & 0
+        for shift, bits in _permutation_shifts(tuple(p)):
+            part = codes & bits
+            moved = moved | (part << shift if shift >= 0 else part >> -shift)
+        codes = moved
+    for v in range(N_VERTICES):
+        if x_mask >> v & 1:
+            # each edge through v+1 but its loop toggles its rest, 2**v code bits lower
+            codes = codes ^ ((codes & _X_SOURCES[v]) >> (1 << v))
+    if z_mask:
+        codes = codes ^ sum(loop for v, loop in enumerate(_LOOP) if z_mask >> v & 1)
     return codes
+
+
+def strip_loops(codes):
+    """The Z quotient: every loop cleared by Z moves, the loop-free member
+    of the code's Z coset.  A single code gives an int, an array keeps its dtype."""
+    return _checked_codes(codes) & (N_CODES - 1 ^ sum(_LOOP))
 
 
 def neighborhood(h: int, i: int) -> tuple[int, ...]:
@@ -264,50 +278,24 @@ def neighborhood(h: int, i: int) -> tuple[int, ...]:
     A loop on i would contribute the empty set, which is a global phase
     rather than an edge, so it is omitted.  Ordered like ``edges_of``.
     """
-    return edges_of(apply_x(h, i) ^ h)
-
-
-def has_loop(h: int, i: int) -> bool:
-    """Whether the code stores the loop {i}."""
-    check_code(h)
     _check_vertex(i)
-    return bool(h & _LOOP[i - 1])
-
-
-def apply_x(h: int, i: int) -> int:
-    """Pauli X on vertex i at code level: E -> N(i) xor E.  Involutive."""
-    check_code(h)
-    _check_vertex(i)
-    return _x_move(int(h), i)
-
-
-def apply_z(h: int, i: int) -> int:
-    """Pauli Z on vertex i at code level: toggle the loop {i}.  Involutive."""
-    check_code(h)
-    _check_vertex(i)
-    return int(h) ^ _LOOP[i - 1]
-
-
-def permute(h: int, p) -> int:
-    """Relabel every edge of a code through permutation p."""
-    check_code(h)
-    return _permutation_move(int(h), p)
+    return edges_of(act(h, x_mask=1 << (i - 1)) ^ h)
 
 
 def x_image_table(i: int) -> np.ndarray:
-    """apply_x(c, i) for every code c at once, as uint16: gather with ``np.take``."""
+    """X on vertex i of every code at once, as uint16: gather with ``np.take``."""
     _check_vertex(i)
     return act(ALL_CODES, x_mask=1 << (i - 1))
 
 
 def z_image_table(i: int) -> np.ndarray:
-    """apply_z(c, i) for every code c at once, as uint16: gather with ``np.take``."""
+    """Z on vertex i of every code at once, as uint16: gather with ``np.take``."""
     _check_vertex(i)
-    return ALL_CODES ^ _LOOP[i - 1]
+    return act(ALL_CODES, z_mask=1 << (i - 1))
 
 
 def permutation_image_table(p) -> np.ndarray:
-    """permute(c, p) for every code c at once, as uint16: gather with ``np.take``."""
+    """Every code relabeled through p at once, as uint16: gather with ``np.take``."""
     return act(ALL_CODES, p)
 
 
@@ -321,29 +309,21 @@ def rank(h: int) -> int:
     return max((_EDGE_SIZE[e] for e in range(1, N_BASIS) if h >> (e - 1) & 1), default=0)
 
 
-def strip_loops(h: int) -> int:
-    """Remove every loop via Z moves (stays in the local-equivalence orbit)."""
-    check_code(h)
-    return h & ~LOOP_BITS
-
-
 def standardize(h: int) -> int:
     """Loop-free orbit representative; for rank-4 codes also 3-edge-free.
 
     When the 4-vertex edge is present, each 3-edge is removed by an X move
-    on its one absent vertex, in ascending vertex order.  That X toggles
-    the 3-edge against the 4-edge and adds no other 3-edge, because every
-    other edge through that vertex has at most 3 vertices; loops never
-    change what an X move toggles, so one pass and one final clearing of
-    loops with Z moves suffice.
+    on its one absent vertex.  That X toggles the 3-edge against the 4-edge
+    and no other 3-edge, because every other edge through that vertex has
+    at most 3 vertices, so the X mask is read off the code at once; loops
+    never change what an X move toggles, so one final clearing of loops
+    with Z moves suffices.
     """
     check_code(h)
+    x_mask = 0
     if h >> (FULL_EDGE - 1) & 1:
-        for v in VERTICES:
-            three_edge = FULL_EDGE ^ 1 << (v - 1)
-            if h >> (three_edge - 1) & 1:
-                h = apply_x(h, v)
-    return strip_loops(h)
+        x_mask = sum(1 << v for v in range(N_VERTICES) if h >> (FULL_EDGE ^ 1 << v) - 1 & 1)
+    return strip_loops(act(h, x_mask=x_mask))
 
 
 # ---------------------------------------------------------------------------

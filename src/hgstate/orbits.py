@@ -29,7 +29,6 @@ GROUP_ORDER = 16 * 16 * 24
 # the adjacent transpositions of vertices (1 2), (2 3) and (3 4)
 TRANSPOSITIONS = ((2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3))
 
-_DROP_LOOPS = (hc.N_CODES - 1) ^ hc.LOOP_BITS  # every code bit but the loops
 # code-space bit masks of the edges of each cardinality
 _EDGE_BITS_BY_SIZE = {
     k: sum(1 << (e - 1) for e in range(1, hc.N_BASIS) if hc.edge_size(e) == k)
@@ -85,21 +84,22 @@ def images(codes) -> np.ndarray:
         stack = np.concatenate(list(accumulate(TRANSPOSITIONS[k::-1], hc.act, initial=stack)))
     for i in hc.VERTICES:
         stack = np.concatenate([stack, hc.act(stack, x_mask=1 << (i - 1))])
-    return (stack & _DROP_LOOPS).astype(np.uint16, copy=False)
+    return hc.strip_loops(stack).astype(np.uint16, copy=False)
 
 
-def standardized_rank_table() -> np.ndarray:
-    """Rank of the standardized form of every code, without standardizing.
+def standardized_rank(codes) -> np.ndarray:
+    """Rank of the standardized form of each code, without standardizing.
 
     Standardization strips loops always and strips 3-edges exactly when
     the 4-edge is present, so the outcome is readable off the raw bits:
     rank 4 iff the 4-edge bit is set, else 3 iff any 3-edge bit, else 2
     iff any 2-edge bit, else 0.  (Checked against real standardization in
-    the tests.)  Returned as uint8.
+    the tests.)  Returned as uint8, one per code.
     """
-    rank = np.zeros(hc.N_CODES, dtype=np.uint8)
+    codes = np.asarray(hc.strip_loops(codes))
+    rank = np.zeros(codes.shape, dtype=np.uint8)
     for k in (2, 3, 4):
-        rank[(hc.ALL_CODES & _EDGE_BITS_BY_SIZE[k]) != 0] = k
+        rank[(codes & _EDGE_BITS_BY_SIZE[k]) != 0] = k
     return rank
 
 
@@ -109,12 +109,12 @@ def enumerate_orbits() -> OrbitTable:
     the generators are involutions, so sweeps that lower each label to the
     smallest one a generator reaches end at the orbit minima.  All uint16."""
     codes = hc.ALL_CODES
-    quotient = codes[(codes & hc.LOOP_BITS) == 0]  # one loop-free code per Z coset
+    quotient = codes[hc.strip_loops(codes) == codes]  # one loop-free code per Z coset
     labels = positions = np.arange(quotient.size, dtype=np.uint16)
     index = np.zeros_like(codes)  # index[quotient[k]] == k; read only at loop-free codes
     index[quotient] = positions
     pairs = [(hc.VERTICES, 1 << (i - 1)) for i in hc.VERTICES] + [(p, 0) for p in TRANSPOSITIONS]
-    moves = [np.take(index, hc.act(quotient, p, x) & _DROP_LOOPS) for p, x in pairs]
+    moves = [np.take(index, hc.strip_loops(hc.act(quotient, p, x))) for p, x in pairs]
     while True:
         before = labels
         for m in moves:
@@ -124,9 +124,9 @@ def enumerate_orbits() -> OrbitTable:
     # the fixed points are the orbit minima; ids count them in ascending order
     is_rep = labels == positions
     ids = np.cumsum(is_rep, dtype=np.uint16) - 1
-    class_id = np.take(np.take(ids, labels), np.take(index, codes & _DROP_LOOPS))
+    class_id = np.take(np.take(ids, labels), np.take(index, hc.strip_loops(codes)))
     reps = quotient[is_rep]
-    rep_rank = np.take(standardized_rank_table(), reps).astype(np.int64)
+    rep_rank = standardized_rank(reps).astype(np.int64)
     arrays = (class_id, reps, np.bincount(class_id).astype(np.int64), rep_rank)
     for a in arrays:  # every caller in the process shares them
         a.flags.writeable = False
@@ -153,7 +153,7 @@ def rank_census(table: OrbitTable | None = None) -> dict[int, int]:
     counting argument and must never happen.
     """
     table = table or enumerate_orbits()
-    per_code = standardized_rank_table()
+    per_code = standardized_rank(hc.ALL_CODES)
     mixed = np.flatnonzero(per_code != np.take(table.rep_rank.astype(np.uint8), table.class_id))
     if mixed.size:
         cid = int(table.class_id[mixed[0]])

@@ -44,10 +44,10 @@ def stabilizer_defects(codes) -> tuple[np.ndarray, np.ndarray]:
     """Fix and commutation failures of the stabilizers K_i, read off sign words.
 
     K_i = X_i D_i, where D_i, the controlled-Z product over N(i) with the
-    global -1 of a loop on i, has the sign word of code apply_x(h, i) ^ h,
-    xor ``hypercore.loop_words`` for the loop.  With g the sign word of |H> and F_i
-    the basis flip mu -> mu ^ bit_i (``hypercore.flip_basis``), K_i fixes
-    |H> iff D_i ^ g ^ F_i(g) = 0, and K_i, K_j commute iff
+    global -1 of a loop on i, has the sign word of code X_i(h) ^ h (by
+    ``hypercore.act``), xor ``hypercore.loop_words``.  With g the sign word
+    of |H> and F_i the basis flip mu -> mu ^ bit_i (``hypercore.flip_basis``),
+    K_i fixes |H> iff D_i ^ g ^ F_i(g) = 0, and K_i, K_j commute iff
     D_j ^ F_j(D_i) = D_i ^ F_i(D_j).  Returns boolean (4, n) fix failures
     and (6, n) commutation failures, rows by vertex and by ``PAIRS``, one
     column per code.

@@ -135,8 +135,8 @@ def test_degeneracy_pattern_depends_on_the_representative(records, orbit_table):
     the same orbit."""
     by_row = {r.row: r for r in records}
     cases = (
-        (21, hc.apply_z(by_row[21].rep, 3), "1,2,1", "2,2"),
-        (28, hc.apply_x(hc.apply_z(by_row[28].rep, 1), 1), "1,3", "4"),
+        (21, hc.act(by_row[21].rep, z_mask=0b100), "1,2,1", "2,2"),
+        (28, hc.act(by_row[28].rep, x_mask=0b1, z_mask=0b1), "1,3", "4"),
     )
     for row, dressed, canonical_label, printed_label in cases:
         rec = by_row[row]

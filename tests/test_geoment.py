@@ -86,16 +86,17 @@ def test_converged_witness_is_a_fixed_point():
 
 
 # every generator of the local group: X_i, Z_i and the 24 vertex permutations
-_MOVES = ([(hc.apply_x, i) for i in hc.VERTICES] + [(hc.apply_z, i) for i in hc.VERTICES]
-          + [(hc.permute, p) for p in hc.ALL_PERMUTATIONS])
+_MOVES = ([{"x_mask": 1 << v} for v in range(hc.N_VERTICES)]
+          + [{"z_mask": 1 << v} for v in range(hc.N_VERTICES)]
+          + [{"p": p} for p in hc.ALL_PERMUTATIONS])
 
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(h=st.integers(0, hc.N_CODES - 1), word=st.lists(st.sampled_from(_MOVES), min_size=1, max_size=8))
 def test_group_words_preserve_every_invariant(h, word):
     img = h
-    for move, arg in word:
-        img = move(img, arg)
+    for move in word:
+        img = hc.act(img, **move)
     assert ob.orbit_of(img).rep == ob.orbit_of(h).rep
     assert hc.rank(hc.standardize(img)) == hc.rank(hc.standardize(h))
     p, q = sv.entropy_profile(h), sv.entropy_profile(img)

@@ -31,10 +31,10 @@ def test_edge_mask_examples():
 
 def test_scalar_validators_reject_non_integers():
     # truncating 3.7 to 3 would silently name another hypergraph
-    with pytest.raises(TypeError):
-        hc.apply_x(3.7, 1)
-    with pytest.raises(TypeError):
-        hc.permute(5.9, (2, 1, 3, 4))
+    with pytest.raises(ValueError, match=r"\[0, 32768\)"):
+        hc.act(3.7, x_mask=1)
+    with pytest.raises(ValueError, match=r"\[0, 32768\)"):
+        hc.act(5.9, (2, 1, 3, 4))
     with pytest.raises(TypeError):
         sv.build_state(3.7)
     with pytest.raises(TypeError):
@@ -42,11 +42,12 @@ def test_scalar_validators_reject_non_integers():
     with pytest.raises(TypeError):
         ob.orbit_of(3.7)
     with pytest.raises(TypeError):
-        hc.apply_z(3, 2.0)
+        hc.act(3, z_mask=2.0)
     with pytest.raises(TypeError):
         hc.edge_vertices(3.0)
-    # numpy integers keep passing
-    assert hc.apply_x(np.uint16(3), np.int64(1)) == hc.apply_x(3, 1)
+    # numpy integers keep passing, and a single code comes back as an int
+    moved = hc.act(np.uint16(3), x_mask=np.int64(1))
+    assert type(moved) is int and moved == hc.act(3, x_mask=1)
     assert hc.edge_vertices(np.int32(9)) == (1, 4)
 
 
@@ -187,7 +188,8 @@ def test_codes_of_words_rejects_words_no_code_has(words, match):
 
 
 # the word layer checks its inputs itself, not only through sign_matrix
-@pytest.mark.parametrize("check", [hc.sign_words, sv.stabilizer_defects, hc.act])
+@pytest.mark.parametrize("check", [hc.sign_words, sv.stabilizer_defects, hc.act,
+                                   hc.strip_loops])
 @pytest.mark.parametrize("codes, ok", [
     pytest.param([3.0], False, id="float"),
     pytest.param([-1], False, id="negative"),
@@ -214,21 +216,19 @@ def test_word_layer_rejects_codes_outside_the_range(check, codes, ok):
 def test_apply_x_known_case():
     # X on vertex 3 of the single edge {1,2,3} toggles {1,2}
     h = hc.code_of_edges([7])
-    assert hc.edges_of(hc.apply_x(h, 3)) == (7, 3)
+    assert hc.edges_of(hc.act(h, x_mask=0b100)) == (7, 3)
 
 
 def test_apply_x_is_involution():
-    rng = np.random.default_rng(5)
-    for h in rng.integers(0, hc.N_CODES, size=100):
-        for i in hc.VERTICES:
-            assert hc.apply_x(hc.apply_x(int(h), i), i) == int(h)
+    for v in range(hc.N_VERTICES):
+        moved = hc.act(hc.ALL_CODES, x_mask=1 << v)
+        assert np.array_equal(hc.act(moved, x_mask=1 << v), hc.ALL_CODES)
 
 
 def test_apply_z_toggles_loop():
-    h = 0
-    h1 = hc.apply_z(h, 2)
+    h1 = hc.act(0, z_mask=0b10)
     assert hc.edges_of(h1) == (2,)
-    assert hc.apply_z(h1, 2) == 0
+    assert hc.act(h1, z_mask=0b10) == 0
 
 
 def test_permute_identity_and_composition():
@@ -236,18 +236,32 @@ def test_permute_identity_and_composition():
     perms = list(itertools.permutations(hc.VERTICES))
     for h in rng.integers(0, hc.N_CODES, size=40):
         h = int(h)
-        assert hc.permute(h, (1, 2, 3, 4)) == h
+        assert hc.act(h, (1, 2, 3, 4)) == h
         p = perms[rng.integers(len(perms))]
         q = perms[rng.integers(len(perms))]
         pq = tuple(q[p[i - 1] - 1] for i in hc.VERTICES)
-        assert hc.permute(hc.permute(h, p), q) == hc.permute(h, pq)
+        assert hc.act(hc.act(h, p), q) == hc.act(h, pq)
 
 
 def test_neighborhood():
     h = hc.code_of_edges([7, 9])  # {1,2,3} and {1,4}
     assert hc.neighborhood(h, 1) == (hc.edge_mask([2, 3]), hc.edge_mask([4]))
-    assert hc.has_loop(hc.apply_z(h, 1), 1)
-    assert not hc.has_loop(h, 1)
+    # a loop on the vertex is a global phase, not a neighbor
+    assert hc.neighborhood(hc.act(h, z_mask=1), 1) == hc.neighborhood(h, 1)
+
+
+@pytest.mark.parametrize("codes", [[40000], np.array([40000, 70000]), [-1], [3.0], 2.0])
+def test_loop_words_reject_codes_outside_the_range(codes):
+    with pytest.raises(ValueError, match=r"\[0, 32768\)"):
+        hc.loop_words(codes, 1)
+
+
+def test_loop_words_read_the_loop_on_each_vertex():
+    h = hc.parse_edges("1234,12")
+    for i in hc.VERTICES:
+        looped = hc.act(h, z_mask=1 << (i - 1))
+        assert hc.loop_words(np.array([looped, h]), i).tolist() == [0xFFFF, 0]
+        assert hc.loop_words(looped, i) == 0xFFFF and hc.loop_words(h, i) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +277,8 @@ def test_rank():
 def test_strip_loops():
     h = hc.code_of_edges([1, 2, 7])
     assert hc.edges_of(hc.strip_loops(h)) == (7,)
+    stripped = hc.strip_loops(np.array([h, 5, 7], dtype=np.uint16))
+    assert stripped.dtype == np.uint16 and stripped.tolist() == [hc.code_of_edges([7]), 4, 4]
 
 
 def test_standardize_worked_example():
@@ -287,21 +303,55 @@ def test_standardize_properties_sampled():
 # vectorized image tables
 
 
+def _relabel(p, mask):
+    """p(m): the vertex mask m relabeled through the permutation p."""
+    return sum(1 << (p[v] - 1) for v in range(hc.N_VERTICES) if mask >> v & 1)
+
+
 def test_moves_and_signs_match_edge_level_definitions():
-    # the shift-and-xor formulas against a direct reading of the edge set
-    for h in np.random.default_rng(23).integers(0, hc.N_CODES, size=100):
-        h = int(h)
+    # act, on an array and on each code alone, against a direct reading
+    # of the edge set: no shift-and-xor formula is shared
+    codes = np.random.default_rng(23).integers(0, hc.N_CODES, size=100)
+    moves = [{"x_mask": 1 << (i - 1)} for i in hc.VERTICES]
+    moves += [{"z_mask": 1 << (i - 1)} for i in hc.VERTICES]
+    moves += [{"p": p} for p in hc.ALL_PERMUTATIONS]
+    moves.append({"p": (3, 1, 4, 2), "x_mask": 0b0110, "z_mask": 0b1001})
+    images = [hc.act(codes, **move) for move in moves]
+    for k, h in enumerate(codes.tolist()):
         edges = set(hc.edges_of(h))
-        for i in hc.VERTICES:
-            bit = 1 << (i - 1)
-            nbr = {e ^ bit for e in edges if e & bit and e != bit}
-            assert set(hc.edges_of(hc.apply_x(h, i))) == edges ^ nbr
-            assert set(hc.edges_of(hc.apply_z(h, i))) == edges ^ {bit}
-        for p in hc.ALL_PERMUTATIONS:
-            image = {sum(1 << (p[k] - 1) for k in range(4) if e >> k & 1) for e in edges}
-            assert set(hc.edges_of(hc.permute(h, p))) == image
+        for move, image in zip(moves, images, strict=True):
+            p = move.get("p", hc.VERTICES)
+            want = {_relabel(p, e) for e in edges}
+            for i in hc.VERTICES:
+                bit = 1 << (i - 1)
+                if move.get("x_mask", 0) & bit:
+                    want ^= {e ^ bit for e in want if e & bit and e != bit}
+            want ^= {1 << v for v in range(hc.N_VERTICES) if move.get("z_mask", 0) >> v & 1}
+            assert set(hc.edges_of(int(image[k]))) == want
+            assert hc.act(h, **move) == image[k]
         parity = [sum((mu & e) == e for e in edges) % 2 == 1 for mu in range(hc.N_BASIS)]
         assert hc.signs_from_hypergraph(h).tolist() == parity
+
+
+_ELEMENTS = st.tuples(st.sampled_from(hc.ALL_PERMUTATIONS), st.integers(0, 15), st.integers(0, 15))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(codes=st.lists(st.integers(0, hc.N_CODES - 1), max_size=12),
+       first=_ELEMENTS, second=_ELEMENTS, dtype=st.sampled_from([np.uint16, np.int64]))
+def test_act_composes_by_the_group_law(codes, first, second, dtype):
+    # (p2, x2, z2)(p1, x1, z1) = (p2 p1, x2 ^ p2(x1), z2 ^ p2(z1)): the
+    # product of two elements is one element, as the closure certificate's
+    # count of 6144 / |Stab| needs
+    (p1, x1, z1), (p2, x2, z2) = first, second
+    p21 = tuple(p2[p1[v] - 1] for v in range(hc.N_VERTICES))  # p1 first
+    x21, z21 = x2 ^ _relabel(p2, x1), z2 ^ _relabel(p2, z1)
+    array = np.array(codes, dtype=dtype)
+    got = hc.act(hc.act(array, p1, x1, z1), p2, x2, z2)
+    assert got.dtype == dtype
+    assert np.array_equal(got, hc.act(array, p21, x21, z21))
+    for h in codes[:3]:
+        assert hc.act(hc.act(h, p1, x1, z1), p2, x2, z2) == hc.act(h, p21, x21, z21)
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -312,10 +362,10 @@ def test_act_is_permute_then_the_x_moves_in_any_order(codes, p, x_mask, order, d
     got = hc.act(np.array(codes, dtype=dtype), p, x_mask)
     assert got.dtype == dtype
     for h, image in zip(codes, got, strict=True):
-        want = hc.permute(h, p)
+        want = hc.act(h, p)
         for i in order:  # X moves commute at code level
             if x_mask >> (i - 1) & 1:
-                want = hc.apply_x(want, i)
+                want = hc.act(want, x_mask=1 << (i - 1))
         assert int(image) == want
 
 
@@ -323,31 +373,33 @@ def test_act_is_permute_then_the_x_moves_in_any_order(codes, p, x_mask, order, d
 def test_act_rejects_x_masks_outside_0_to_15(x_mask):
     with pytest.raises((ValueError, TypeError)):
         hc.act([5], hc.VERTICES, x_mask)
+    with pytest.raises((ValueError, TypeError)):  # and Z masks alike
+        hc.act([5], hc.VERTICES, 0, x_mask)
 
 
 @pytest.mark.parametrize("p", [(1, 1, 2, 3), (1, 2, 3), (1, 2, 3, 5)])
 def test_permutation_moves_reject_non_permutations(p):
     with pytest.raises(ValueError):
-        hc.permute(5, p)
+        hc.act(5, p)
     with pytest.raises(ValueError):
         hc.permutation_image_table(p)
 
 
 def test_image_tables_match_scalar_moves():
-    codes = np.arange(hc.N_CODES, dtype=np.uint16)
+    # the tables are act on the whole code space; single codes take act's int path
     sample = np.random.default_rng(17).integers(0, hc.N_CODES, size=64)
     for i in hc.VERTICES:
         tx = hc.x_image_table(i)
         tz = hc.z_image_table(i)
-        assert tx.shape == (hc.N_CODES,)
+        assert tx.shape == tz.shape == (hc.N_CODES,) and tx.dtype == tz.dtype == np.uint16
         for h in sample:
-            assert int(tx[h]) == hc.apply_x(int(h), i)
-            assert int(tz[h]) == hc.apply_z(int(h), i)
+            assert int(tx[h]) == hc.act(int(h), x_mask=1 << (i - 1))
+            assert int(tz[h]) == hc.act(int(h), z_mask=1 << (i - 1))
     p = (2, 4, 1, 3)
     tp = hc.permutation_image_table(p)
     for h in sample:
-        assert int(tp[h]) == hc.permute(int(h), p)
-    assert np.array_equal(hc.permutation_image_table((1, 2, 3, 4)), codes)
+        assert int(tp[h]) == hc.act(int(h), p)
+    assert np.array_equal(hc.permutation_image_table((1, 2, 3, 4)), hc.ALL_CODES)
 
 
 # ---------------------------------------------------------------------------

@@ -152,14 +152,8 @@ def test_images_are_the_384_loop_cleared_moves_of_each_code():
     got = ob.images(np.array(codes, dtype=np.int64))
     assert got.shape == (384, len(codes)) and got.dtype == np.uint16
     for k, h in enumerate(codes):
-        want = []
-        for p in hc.ALL_PERMUTATIONS:
-            for x_mask in range(16):
-                image = hc.permute(h, p)
-                for i in hc.VERTICES:
-                    if x_mask >> (i - 1) & 1:
-                        image = hc.apply_x(image, i)
-                want.append(hc.strip_loops(image))
+        want = [hc.strip_loops(hc.act(h, p, x_mask))
+                for p in hc.ALL_PERMUTATIONS for x_mask in range(16)]
         assert sorted(got[:, k].tolist()) == sorted(want)
 
 
@@ -174,11 +168,17 @@ def test_stabilizer_orders_of_the_reps(orbit_table):
     assert np.array_equal(stab * orbit_table.sizes, np.full(39, ob.GROUP_ORDER))
 
 
-def test_standardized_rank_table(orbit_table):
-    table = ob.standardized_rank_table()
+def test_standardized_rank(orbit_table):
+    table = ob.standardized_rank(hc.ALL_CODES)
+    assert table.dtype == np.uint8 and table.shape == (hc.N_CODES,)
     sample = np.random.default_rng(71).integers(0, hc.N_CODES, size=300)
     for h in sample:
         assert int(table[h]) == hc.rank(hc.standardize(int(h)))
+    # any code array, in any integer dtype, reads the same ranks
+    assert np.array_equal(ob.standardized_rank(sample), table[sample])
+    assert np.array_equal(ob.standardized_rank(orbit_table.reps), orbit_table.rep_rank)
+    with pytest.raises(ValueError, match=r"\[0, 32768\)"):
+        ob.standardized_rank(np.array([5, hc.N_CODES]))
 
 
 def test_orbit_table_is_read_only(orbit_table):

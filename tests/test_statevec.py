@@ -42,7 +42,7 @@ def test_controlled_z_diagonal():
 def _dense_stabilizer(h, i):
     """Reference K_i: X_i times the controlled-Z product over N(i), with the
     global -1 of a loop on i, built as a dense 16x16 matrix."""
-    diag = np.full(16, -1.0 if hc.has_loop(h, i) else 1.0)
+    diag = np.full(16, -1.0 if 1 << (i - 1) in hc.edges_of(h) else 1.0)
     for e in hc.neighborhood(h, i):
         diag = diag * sv.controlled_z_diagonal(e)
     k = np.zeros((16, 16))
@@ -188,6 +188,6 @@ def test_entropy_profile_invariant_under_permutation_as_multiset():
     for h in rng.integers(0, hc.N_CODES, size=15):
         h = int(h)
         p = sv.entropy_profile(h)
-        q = sv.entropy_profile(hc.permute(h, (2, 3, 4, 1)))
+        q = sv.entropy_profile(hc.act(h, (2, 3, 4, 1)))
         assert np.allclose(sorted(p.be1), sorted(q.be1), atol=1e-10)
         assert np.allclose(sorted(p.be2), sorted(q.be2), atol=1e-10)
