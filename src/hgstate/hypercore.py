@@ -18,8 +18,13 @@ read-only uint16 array, made by ``sign_words``, the one checked path.
 Local moves act directly on codes: X on vertex i replaces the edge set E by
 N(i) xor E, N(i) the neighborhood of i; Z on vertex i toggles the loop {i};
 vertex permutations relabel every edge.  None leaves the 15-bit code space;
-``act`` applies any product of them to one code or to a code array (in the
-image tables ``ALL_CODES``), and ``strip_loops`` is the Z quotient.
+``act`` applies any product of them to one code or to a code array, and
+``strip_loops`` is the Z quotient.
+
+Every public call checks each argument once, under one rule.  A single code,
+edge, vertex, mask or basis index must be an integer (numpy integers pass): a
+non-integer raises TypeError, and a value out of range raises ValueError
+naming the range.  Code and word arrays must have an integer dtype.
 """
 
 from __future__ import annotations
@@ -45,76 +50,75 @@ VERTICES = tuple(range(1, N_VERTICES + 1))
 # Permutations are tuples p of length 4 where p[k] is the image of vertex k+1.
 ALL_PERMUTATIONS = tuple(itertools.permutations(VERTICES))
 
-_EDGE_SIZE = tuple(bin(e).count("1") for e in range(N_BASIS))
+# (edge mask, code bit, vertex digits) of the 15 edges in display order:
+# largest first, then vertex-lexicographic
+_DISPLAY = tuple(sorted(((e, 1 << (e - 1), "".join(str(v) for v in VERTICES if e >> (v - 1) & 1))
+                         for e in range(1, N_BASIS)), key=lambda d: (-len(d[2]), d[2])))
 
 
-# operator.index rejects floats and other non-integers; numpy integers pass
-def _check_vertex(i: int) -> None:
-    if operator.index(i) not in VERTICES:
-        raise ValueError(f"vertex must be in 1..4, got {i!r}")
+def _check(values, lo: int, stop: int, what: str, arrays: bool = False):
+    """The one range check, lo <= value < stop.  A single value comes back as
+    an int through ``operator.index``: a non-integer raises TypeError.  Where
+    ``arrays`` allows, an integer list, tuple or array comes back as an array,
+    as it is (one max, and one min if signed or lo > 0; no copy).  Out of
+    range raises ValueError naming [lo, stop)."""
+    if arrays and isinstance(values, (np.ndarray, list, tuple)) and np.ndim(values):
+        a = np.asarray(values)
+        kind = a.dtype.kind
+        if kind not in "iu" or a.size and (a.max() >= stop or (lo or kind == "i") and a.min() < lo):
+            raise ValueError(f"{what}s must be integers in [{lo}, {stop})")
+        return a
+    value = operator.index(values)
+    if not lo <= value < stop:
+        raise ValueError(f"{what} must be in [{lo}, {stop}), got {values!r}")
+    return value
 
 
-def check_edge(e: int) -> None:
-    if not 1 <= operator.index(e) <= N_EDGE_KINDS:
-        raise ValueError(f"edge mask must be in 1..15, got {e!r}")
+def check_edge(e: int) -> int:
+    return _check(e, 1, N_BASIS, "edge mask")
 
 
-def check_code(h: int) -> None:
-    if not 0 <= operator.index(h) < N_CODES:
-        raise ValueError(f"hypergraph code must be in [0, 32768), got {h!r}")
-
-
-def _checked(values, stop: int, what: str) -> np.ndarray:
-    a = np.asarray(values)  # one max, and one min if signed: no copy
-    kind = a.dtype.kind
-    if kind not in "iu" or a.size and (a.max() >= stop or kind == "i" and a.min() < 0):
-        raise ValueError(f"{what} must be integers in [0, {stop})")
-    return a
+def check_code(h: int) -> int:
+    return _check(h, 0, N_CODES, "hypergraph code")
 
 
 def edge_mask(vertices) -> int:
     """Pack an iterable of distinct vertices into an edge mask."""
     mask = 0
     for v in vertices:
-        _check_vertex(v)
-        bit = 1 << (v - 1)
+        bit = 1 << (_check(v, 1, N_VERTICES + 1, "vertex") - 1)
         if mask & bit:
             raise ValueError(f"duplicate vertex {v} in edge")
         mask |= bit
-    check_edge(mask)
-    return mask
+    return check_edge(mask)
 
 
 def edge_vertices(e: int) -> tuple[int, ...]:
     """Unpack an edge mask into its sorted vertices."""
-    check_edge(e)
+    e = check_edge(e)
     return tuple(v for v in VERTICES if e & (1 << (v - 1)))
 
 
 def edge_size(e: int) -> int:
     """Number of vertices in an edge mask (1 for a loop, up to 4)."""
-    check_edge(e)
-    return _EDGE_SIZE[e]
+    return check_edge(e).bit_count()
 
 
 def edges_of(h: int) -> tuple[int, ...]:
-    """All edge masks stored in a code, largest edges first.
+    """All edge masks stored in a code, in the display order of ``format_edges``
+    and the reports: largest edges first, then vertex-lexicographic."""
+    return _edges(check_code(h))
 
-    The ordering (size descending, then vertex-lexicographic) is the
-    display order used by ``format_edges`` and the reports.
-    """
-    check_code(h)
-    present = [e for e in range(1, N_BASIS) if h >> (e - 1) & 1]
-    present.sort(key=lambda e: (-_EDGE_SIZE[e], edge_vertices(e)))
-    return tuple(present)
+
+def _edges(h: int) -> tuple[int, ...]:
+    return tuple(e for e, bit, _ in _DISPLAY if h & bit)
 
 
 def code_of_edges(edges) -> int:
     """Assemble a code from an iterable of distinct edge masks."""
     h = 0
     for e in edges:
-        check_edge(e)
-        bit = 1 << (e - 1)
+        bit = 1 << (check_edge(e) - 1)
         if h & bit:
             raise ValueError(f"duplicate edge {format_edges(bit)}")
         h |= bit
@@ -131,12 +135,10 @@ _LOWER = (0x5555, 0x3333, 0x0F0F, 0x00FF)
 
 
 def _subset_xor(words):
-    """Binary Moebius transform of 16-bit words, an int or an integer array.
-
-    Bit mu of a word stands for basis index mu; bit S of the result is the
-    xor of the bits T over all T inside S.  Over GF(2) the transform is
-    its own inverse, so it maps edge indicators to signs and back.
-    """
+    """Binary Moebius transform of 16-bit words, an int or an integer array:
+    bit mu stands for basis index mu, and bit S of the result is the xor of
+    the bits T over all T inside S.  Over GF(2) it is its own inverse, so it
+    maps edge indicators to signs and back."""
     for v, lower in enumerate(_LOWER):
         words = words ^ ((words & lower) << (1 << v))
     return words
@@ -148,17 +150,13 @@ def signs_from_hypergraph(h: int) -> np.ndarray:
     Returned as a boolean array over the 16 basis indices; basis index mu
     has bit (v-1) set when vertex v reads 1.
     """
-    check_code(h)
-    return sign_matrix(int(h))
+    return (_subset_xor(check_code(h) << 1) & _BITS) != 0
 
 
 def hypergraph_from_signs(g) -> int:
-    """Invert ``signs_from_hypergraph`` by a binary Moebius transform.
-
-    Edge S is present exactly when the xor of g over all subsets of S is 1.
-    Rejects sign functions with g(0000) = 1: those differ from a hypergraph
-    state by a global minus sign the caller has to strip first.
-    """
+    """Invert ``signs_from_hypergraph``: edge S is present exactly when the
+    xor of g over all subsets of S is 1.  Rejects g(0000) = 1, a hypergraph
+    state times a global minus sign the caller has to strip first."""
     f = np.asarray(g, dtype=bool)
     if f.shape != (N_BASIS,):
         raise ValueError(f"sign function must have 16 entries, got shape {f.shape}")
@@ -170,16 +168,18 @@ def sign_words(codes) -> np.ndarray:
 
     Bit mu of a word is g(mu).  A code shifted up one bit is the edge
     indicator over basis indices (index 0, the empty edge, never set), so
-    one Moebius transform turns it into the signs.  Every call checks the range.
+    one Moebius transform turns it into the signs.  A single code gives a
+    numpy uint16.
     """
-    codes = _checked(codes, N_CODES, "hypergraph codes")
-    return _subset_xor(codes.astype(np.uint16, copy=False) << 1)
+    codes = _check(codes, 0, N_CODES, "hypergraph code", arrays=True)
+    return _subset_xor(np.asarray(codes, dtype=np.uint16) << 1)
 
 
 def codes_of_words(words) -> np.ndarray:
-    """Invert ``sign_words`` by one more Moebius transform, shifted down a bit."""
-    words = _checked(words, 1 << N_BASIS, "sign words")
-    if (words & 1).any():
+    """Invert ``sign_words`` by one more Moebius transform, shifted down a
+    bit.  A single word gives an int."""
+    words = _check(words, 0, 1 << N_BASIS, "sign word", arrays=True)
+    if np.any(words & 1):
         raise ValueError("sign function has g(0000) = 1; flip the global phase first")
     return _subset_xor(words) >> 1
 
@@ -193,7 +193,7 @@ def sign_matrix(codes) -> np.ndarray:
 def flip_basis(words, i: int):
     """Sign words read at mu ^ bit_i: swap the bits of each basis pair
     that differ in vertex i, one shift each way."""
-    _check_vertex(i)
+    i = _check(i, 1, N_VERTICES + 1, "vertex")
     lower, shift = _LOWER[i - 1], 1 << (i - 1)
     return ((words & lower) << shift) | ((words >> shift) & lower)
 
@@ -201,11 +201,13 @@ def flip_basis(words, i: int):
 # ---------------------------------------------------------------------------
 # local moves: one shift-and-xor formula per move, applied by ``act`` to a
 # single code as an int and to a code array as it is; the uint16 image
-# tables are its images of ALL_CODES, and np.take reads them twice as fast
-# as indexing does
+# tables apply the same formulas to ALL_CODES, and np.take reads them twice
+# as fast as indexing does
 
 # code bit of the loop on vertex v+1
 _LOOP = tuple(1 << ((1 << v) - 1) for v in range(N_VERTICES))
+# code bits of every edge but the loops
+_LOOP_FREE = N_CODES - 1 ^ sum(_LOOP)
 # code bits of the edges that contain vertex v+1, its loop excepted
 _X_SOURCES = tuple(
     sum(1 << (e - 1) for e in range(1, N_BASIS) if e >> v & 1 and e != 1 << v)
@@ -213,18 +215,12 @@ _X_SOURCES = tuple(
 )
 
 
-def _checked_codes(codes):
-    """Range-checked codes: a single code as an int, an array as it is."""
-    codes = _checked(codes, N_CODES, "hypergraph codes")
-    return int(codes) if codes.ndim == 0 else codes
-
-
 def loop_words(codes, i: int):
     """0xFFFF where the code stores the loop {i}, else 0: the global sign a
     loop on i puts on the sign word of an X move on i, as uint16 words."""
-    _check_vertex(i)
-    codes = _checked(codes, N_CODES, "hypergraph codes")
-    return ((codes & _LOOP[i - 1]) != 0) * np.uint16(0xFFFF)
+    i = _check(i, 1, N_VERTICES + 1, "vertex")
+    loops = _check(codes, 0, N_CODES, "hypergraph code", arrays=True) & _LOOP[i - 1]
+    return (loops != 0) * np.uint16(0xFFFF)
 
 
 @lru_cache(maxsize=len(ALL_PERMUTATIONS))
@@ -239,6 +235,24 @@ def _permutation_shifts(p: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(masks.items())
 
 
+def _permuted(codes, p: tuple[int, ...]):
+    if p == VERTICES:
+        return codes
+    moved = codes & 0
+    for shift, bits in _permutation_shifts(p):
+        part = codes & bits
+        moved = moved | (part << shift if shift >= 0 else part >> -shift)
+    return moved
+
+
+def _x_moved(codes, x_mask: int):
+    for v in range(N_VERTICES):
+        if x_mask >> v & 1:
+            # each edge through v+1 but its loop toggles its rest, 2**v code bits lower
+            codes = codes ^ ((codes & _X_SOURCES[v]) >> (1 << v))
+    return codes
+
+
 def act(codes, p=VERTICES, x_mask: int = 0, z_mask: int = 0):
     """The group element (p, x_mask, z_mask): relabel every edge through the
     permutation p, then X on each vertex v with bit v-1 of x_mask set, then Z
@@ -247,20 +261,10 @@ def act(codes, p=VERTICES, x_mask: int = 0, z_mask: int = 0):
     other and with Z moves at code level, so (p2, x2, z2)(p1, x1, z1) is
     (p2 p1, x2 ^ p2(x1), z2 ^ p2(z1)), p(m) the vertex mask m relabeled.
     """
-    codes = _checked_codes(codes)
-    for name, mask in (("X", x_mask), ("Z", z_mask)):
-        if not 0 <= operator.index(mask) < N_BASIS:
-            raise ValueError(f"{name} mask must be in 0..15, got {mask!r}")
-    if tuple(p) != VERTICES:
-        moved = codes & 0
-        for shift, bits in _permutation_shifts(tuple(p)):
-            part = codes & bits
-            moved = moved | (part << shift if shift >= 0 else part >> -shift)
-        codes = moved
-    for v in range(N_VERTICES):
-        if x_mask >> v & 1:
-            # each edge through v+1 but its loop toggles its rest, 2**v code bits lower
-            codes = codes ^ ((codes & _X_SOURCES[v]) >> (1 << v))
+    codes = _check(codes, 0, N_CODES, "hypergraph code", arrays=True)
+    x_mask = _check(x_mask, 0, N_BASIS, "X mask")
+    z_mask = _check(z_mask, 0, N_BASIS, "Z mask")
+    codes = _x_moved(_permuted(codes, tuple(p)), x_mask)
     if z_mask:
         codes = codes ^ sum(loop for v, loop in enumerate(_LOOP) if z_mask >> v & 1)
     return codes
@@ -269,34 +273,30 @@ def act(codes, p=VERTICES, x_mask: int = 0, z_mask: int = 0):
 def strip_loops(codes):
     """The Z quotient: every loop cleared by Z moves, the loop-free member
     of the code's Z coset.  A single code gives an int, an array keeps its dtype."""
-    return _checked_codes(codes) & (N_CODES - 1 ^ sum(_LOOP))
+    return _check(codes, 0, N_CODES, "hypergraph code", arrays=True) & _LOOP_FREE
 
 
 def neighborhood(h: int, i: int) -> tuple[int, ...]:
-    """Edges e \\ {i} for every stored edge containing vertex i.
-
-    A loop on i would contribute the empty set, which is a global phase
-    rather than an edge, so it is omitted.  Ordered like ``edges_of``.
-    """
-    _check_vertex(i)
-    return edges_of(act(h, x_mask=1 << (i - 1)) ^ h)
+    """Edges e \\ {i} for every stored edge containing vertex i, ordered like
+    ``edges_of``.  A loop on i would give the empty set, a global phase
+    rather than an edge, so it is omitted."""
+    h = check_code(h)
+    return _edges(_x_moved(h, 1 << (_check(i, 1, N_VERTICES + 1, "vertex") - 1)) ^ h)
 
 
 def x_image_table(i: int) -> np.ndarray:
     """X on vertex i of every code at once, as uint16: gather with ``np.take``."""
-    _check_vertex(i)
-    return act(ALL_CODES, x_mask=1 << (i - 1))
+    return _x_moved(ALL_CODES, 1 << (_check(i, 1, N_VERTICES + 1, "vertex") - 1))
 
 
 def z_image_table(i: int) -> np.ndarray:
     """Z on vertex i of every code at once, as uint16: gather with ``np.take``."""
-    _check_vertex(i)
-    return act(ALL_CODES, z_mask=1 << (i - 1))
+    return ALL_CODES ^ _LOOP[_check(i, 1, N_VERTICES + 1, "vertex") - 1]
 
 
 def permutation_image_table(p) -> np.ndarray:
     """Every code relabeled through p at once, as uint16: gather with ``np.take``."""
-    return act(ALL_CODES, p)
+    return _permuted(ALL_CODES, tuple(p))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +305,8 @@ def permutation_image_table(p) -> np.ndarray:
 
 def rank(h: int) -> int:
     """Largest edge cardinality in the code; 0 for the edgeless hypergraph."""
-    check_code(h)
-    return max((_EDGE_SIZE[e] for e in range(1, N_BASIS) if h >> (e - 1) & 1), default=0)
+    h = check_code(h)
+    return next((len(digits) for _, bit, digits in _DISPLAY if h & bit), 0)
 
 
 def standardize(h: int) -> int:
@@ -319,11 +319,10 @@ def standardize(h: int) -> int:
     never change what an X move toggles, so one final clearing of loops
     with Z moves suffices.
     """
-    check_code(h)
-    x_mask = 0
-    if h >> (FULL_EDGE - 1) & 1:
-        x_mask = sum(1 << v for v in range(N_VERTICES) if h >> (FULL_EDGE ^ 1 << v) - 1 & 1)
-    return strip_loops(act(h, x_mask=x_mask))
+    h = check_code(h)
+    x_mask = sum(1 << v for v in range(N_VERTICES)
+                 if h >> (FULL_EDGE - 1) & h >> (FULL_EDGE ^ 1 << v) - 1 & 1)
+    return _x_moved(h, x_mask) & _LOOP_FREE
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +354,13 @@ def parse_edges(text: str) -> int:
 
 def format_edges(h: int) -> str:
     """Render a code in the text form accepted by ``parse_edges``."""
-    return ",".join("".join(map(str, edge_vertices(e))) for e in edges_of(h))
+    h = check_code(h)
+    return ",".join(digits for _, bit, digits in _DISPLAY if h & bit)
 
 
 def basis_string(mu: int) -> str:
     """Display form of a basis index: vertex 1 is the leftmost character."""
-    if not 0 <= mu < N_BASIS:
-        raise ValueError(f"basis index must be in 0..15, got {mu!r}")
+    mu = _check(mu, 0, N_BASIS, "basis index")
     return "".join(str(mu >> v & 1) for v in range(N_VERTICES))
 
 

@@ -31,9 +31,9 @@ def test_edge_mask_examples():
 
 def test_scalar_validators_reject_non_integers():
     # truncating 3.7 to 3 would silently name another hypergraph
-    with pytest.raises(ValueError, match=r"\[0, 32768\)"):
+    with pytest.raises(TypeError):
         hc.act(3.7, x_mask=1)
-    with pytest.raises(ValueError, match=r"\[0, 32768\)"):
+    with pytest.raises(TypeError):
         hc.act(5.9, (2, 1, 3, 4))
     with pytest.raises(TypeError):
         sv.build_state(3.7)
@@ -45,6 +45,8 @@ def test_scalar_validators_reject_non_integers():
         hc.act(3, z_mask=2.0)
     with pytest.raises(TypeError):
         hc.edge_vertices(3.0)
+    with pytest.raises(TypeError):  # not "unsupported operand" from inside the shift
+        hc.basis_string(3.0)
     # numpy integers keep passing, and a single code comes back as an int
     moved = hc.act(np.uint16(3), x_mask=np.int64(1))
     assert type(moved) is int and moved == hc.act(3, x_mask=1)
@@ -61,6 +63,11 @@ def test_edges_of_ordering():
     h = hc.code_of_edges([15, 3, 7, 1])
     # larger edges first, lexicographic inside a size
     assert hc.edges_of(h) == (15, 7, 3, 1)
+    every = hc.edges_of(hc.N_CODES - 1)
+    assert every == tuple(sorted(range(1, hc.N_BASIS),
+                                 key=lambda e: (-hc.edge_size(e), hc.edge_vertices(e))))
+    assert hc.format_edges(hc.N_CODES - 1) == ",".join(
+        "".join(map(str, hc.edge_vertices(e))) for e in every)
 
 
 def test_code_of_edges_roundtrip_random():
@@ -187,26 +194,75 @@ def test_codes_of_words_rejects_words_no_code_has(words, match):
         hc.codes_of_words(words)
 
 
-# the word layer checks its inputs itself, not only through sign_matrix
-@pytest.mark.parametrize("check", [hc.sign_words, sv.stabilizer_defects, hc.act,
-                                   hc.strip_loops])
-@pytest.mark.parametrize("codes, ok", [
-    pytest.param([3.0], False, id="float"),
-    pytest.param([-1], False, id="negative"),
-    pytest.param([32773], False, id="above"),
-    pytest.param(np.array([70000], dtype=np.int64), False, id="int64-70000"),
-    pytest.param(np.int8(-1), False, id="int8-scalar-minus-1"),
-    pytest.param(np.array([2**64 - 1], dtype=np.uint64), False, id="uint64-max"),
-    pytest.param(np.array([hc.N_CODES], dtype=np.int64), False, id="int64-32768"),
-    pytest.param(np.array([], dtype=np.int64), True, id="int64-empty"),
-    pytest.param(np.array([hc.N_CODES - 1], dtype=np.uint16), True, id="uint16-32767"),
+def _loop_words(codes):
+    return hc.loop_words(codes, 1)
+
+
+def _neighborhood(h):
+    return hc.neighborhood(h, 1)
+
+
+# every entry point checks its codes itself, under one rule.  The word layer
+# takes a single code or an array; the rest take one code, so an array is a
+# TypeError there, as is a float.  basis_string names its own range, [0, 16)
+_ONE_CODE = (hc.standardize, hc.rank, hc.edges_of, hc.format_edges,
+             hc.signs_from_hypergraph, _neighborhood, hc.basis_string)
+
+
+@pytest.mark.parametrize("check", (hc.sign_words, sv.stabilizer_defects, hc.act, hc.strip_loops,
+                                   _loop_words) + _ONE_CODE,
+                         ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("codes, error", [
+    pytest.param([3.0], ValueError, id="float"),
+    pytest.param([-1], ValueError, id="negative"),
+    pytest.param([32773], ValueError, id="above"),
+    pytest.param(np.array([70000], dtype=np.int64), ValueError, id="int64-70000"),
+    pytest.param(np.int8(-1), ValueError, id="int8-scalar-minus-1"),
+    pytest.param(np.array([2**64 - 1], dtype=np.uint64), ValueError, id="uint64-max"),
+    pytest.param(np.array([hc.N_CODES], dtype=np.int64), ValueError, id="int64-32768"),
+    pytest.param(np.array([], dtype=np.int64), None, id="int64-empty"),
+    pytest.param(np.array([hc.N_CODES - 1], dtype=np.uint16), None, id="uint16-32767"),
+    pytest.param(3.0, TypeError, id="float-scalar"),
+    pytest.param(np.float64(3.0), TypeError, id="float64-scalar"),
+    pytest.param(-1, ValueError, id="int-minus-1"),
+    pytest.param(hc.N_CODES, ValueError, id="int-32768"),
+    pytest.param(np.int64(2**40), ValueError, id="int64-scalar-2-to-40"),
+    pytest.param(np.array(15, dtype=np.uint8), None, id="uint8-0d-15"),
+    pytest.param(np.uint16(15), None, id="uint16-scalar-15"),
 ])
-def test_word_layer_rejects_codes_outside_the_range(check, codes, ok):
-    if ok:
+def test_word_layer_rejects_codes_outside_the_range(check, codes, error):
+    if check in _ONE_CODE and np.ndim(codes):
+        error = TypeError
+    if error is None:
         check(codes)
     else:
-        with pytest.raises(ValueError, match=r"\[0, 32768\)"):
+        stop = hc.N_BASIS if check is hc.basis_string else hc.N_CODES
+        with pytest.raises(error, match=rf"\[0, {stop}\)" if error is ValueError else None):
             check(codes)
+
+
+def test_one_code_is_checked_once_per_argument(monkeypatch):
+    checked = []
+
+    def counting(values, lo, stop, what, arrays=False):
+        checked.append(what)
+        return check(values, lo, stop, what, arrays)
+
+    check = hc._check
+    monkeypatch.setattr(hc, "_check", counting)
+    h = hc.parse_edges("1234,123,12,1")
+    for call, whats in [
+        (lambda: hc.standardize(h), ["hypergraph code"]),
+        (lambda: hc.act(h, x_mask=3), ["hypergraph code", "X mask", "Z mask"]),
+        (lambda: hc.act(h, (2, 1, 3, 4), 1, 2), ["hypergraph code", "X mask", "Z mask"]),
+        (lambda: hc.strip_loops(h), ["hypergraph code"]),
+        (lambda: hc.signs_from_hypergraph(h), ["hypergraph code"]),
+        (lambda: hc.format_edges(h), ["hypergraph code"]),
+        (lambda: hc.neighborhood(h, 2), ["hypergraph code", "vertex"]),
+    ]:
+        checked.clear()
+        call()
+        assert checked == whats
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +308,9 @@ def test_neighborhood():
 
 @pytest.mark.parametrize("codes", [[40000], np.array([40000, 70000]), [-1], [3.0], 2.0])
 def test_loop_words_reject_codes_outside_the_range(codes):
-    with pytest.raises(ValueError, match=r"\[0, 32768\)"):
+    # an array of floats is out of the range; a single float is not an integer
+    with pytest.raises(TypeError if isinstance(codes, float) else ValueError,
+                       match=None if isinstance(codes, float) else r"\[0, 32768\)"):
         hc.loop_words(codes, 1)
 
 
