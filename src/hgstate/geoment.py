@@ -11,7 +11,13 @@ deterministic for a fixed seed.  All restarts advance together: a sweep
 views the real state as a 4x4 matrix T[ab, cd] and shares two partial
 contractions between the qubits, one against qubits 3 and 4 (for the
 updates of qubits 1 and 2) and one against the updated qubits 1 and 2
-(for qubits 3 and 4).
+(for qubits 3 and 4).  A sweep sets each qubit to its conjugated
+environment unnormalized and rescales all four once, at its end: the
+environments are multilinear, so a scale factor on one qubit leaves the
+directions of the later ones, and with them the iterates, unchanged.  A
+zero environment, which keeps its qubit, needs an overlap of exactly 0,
+so one test per sweep finds the restarts that must be swept qubit by
+qubit instead.
 
 Alternating sweeps converge linearly only at nondegenerate maxima, and
 crawl near degenerate maxima and saddles.  A solve still running after
@@ -48,6 +54,8 @@ DEFAULT_MAX_ITER = 5000
 TOL = 1e-12
 # overlaps this close to the best are treated as hitting the best
 HIT_WINDOW = 1e-9
+# an environment of at most this norm is zero: its qubit is kept
+_ZERO_NORM = 1e-300
 # single-qubit states this close in fidelity count as the same state
 MERGE_TOL = 1e-6
 # sweeps after which each further sweep is preceded by a Newton step
@@ -166,42 +174,68 @@ def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (p[:, :, None] * q[:, None, :]).reshape(len(p), 4)
 
 
-def _update(q: np.ndarray, env: np.ndarray) -> np.ndarray:
-    """Set one qubit of every restart to its conjugated, normalized environment.
-
-    A restart whose environment is zero keeps its old state.  Returns the
-    environment norms.
-    """
-    re, im = env.real, env.imag
-    norm = np.sqrt((re * re + im * im).sum(axis=1))
-    np.divide(env.conj(), norm[:, None], out=q, where=norm[:, None] > 1e-300)
-    return norm
-
-
 def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """One full alternating sweep over the four qubits, in place.
+
+    Each qubit in turn is set to its conjugated environment, left
+    unnormalized, and all four are rescaled to unit norm once, at the end.
+    The environments are multilinear, so a qubit off by a positive factor
+    scales the environments of the later qubits without turning them: the
+    rescaled qubits are the iterates of the normalize-every-qubit order, up
+    to rounding.  With n_k the norm of qubit k as it was used, the overlap
+    after the sweep is |env_4| / (n_1 n_2 n_3) = n_4 / (n_1 n_2 n_3).
 
     The sweep shares two partial contractions of T viewed as a 4x4 matrix
     T[ab, cd].  Tcd[r, a, b] = sum_cd T[abcd] phi3[r, c] phi4[r, d] gives the
     environments of qubits 1 and 2 (Tcd.phi2, then phi1.Tcd with the new
     phi1); Tab[r, c, d] = sum_ab phi1[r, a] phi2[r, b] T[abcd], built from the
-    updated pair, gives those of qubits 3 and 4 (Tab.phi4, then phi3.Tab).
-    Each qubit thus sees exactly the values the qubit-by-qubit order gives
-    it, so this is the plain Gauss-Seidel iteration, with two (R, 4) @ (4, 4)
-    products and four batched 2x2 products per sweep; numpy upcasts the real
-    ``tensor`` to match a complex ``phi``.
+    new pair, gives those of qubits 3 and 4 (Tab.phi4, then phi3.Tab): two
+    (R, 4) @ (4, 4) products and four batched 2x2 products per sweep.  The
+    kernel is dtype-generic; numpy upcasts a real ``tensor`` to match a
+    complex ``phi``.
 
-    Returns the overlap estimates |f| after the sweep (exact for each
-    restart because the last-updated qubit is the normalized environment).
+    A restart whose environment is zero (norm at most ``_ZERO_NORM``) keeps
+    that qubit.  Left unnormalized, the zero would pass on to every later
+    qubit, so such restarts are swept again qubit by qubit.  Finding them
+    takes one reduction per sweep: for a state of norm at most 1 no n_k
+    exceeds the norm of its normalized-order environment, and a zero
+    environment needs an overlap of exactly 0 at that moment (|env_k| >=
+    |<Phi|psi>|, and no update within a sweep lowers the overlap), which
+    random starts never meet.
+
+    Returns the overlaps |f| after the sweep, one per restart.
     """
     t = tensor.reshape(4, 4)
+    new = np.empty_like(phi)
     p1, p2, p3, p4 = phi.transpose(1, 0, 2)
+    q1, q2, q3, q4 = new.transpose(1, 0, 2)
     tcd = (_pair(p3, p4) @ t.T).reshape(-1, 2, 2)
-    _update(p1, (tcd @ p2[:, :, None])[:, :, 0])
-    _update(p2, (p1[:, None, :] @ tcd)[:, 0])
-    tab = (_pair(p1, p2) @ t).reshape(-1, 2, 2)
-    _update(p3, (tab @ p4[:, :, None])[:, :, 0])
-    return _update(p4, (p3[:, None, :] @ tab)[:, 0])
+    np.conjugate((tcd @ p2[:, :, None])[:, :, 0], out=q1)
+    np.conjugate((q1[:, None, :] @ tcd)[:, 0], out=q2)
+    tab = (_pair(q1, q2) @ t).reshape(-1, 2, 2)
+    np.conjugate((tab @ p4[:, :, None])[:, :, 0], out=q3)
+    np.conjugate((q3[:, None, :] @ tab)[:, 0], out=q4)
+    parts = new.view(new.real.dtype)  # real and imaginary parts side by side
+    norms = np.sqrt(np.einsum("rki,rki->rk", parts, parts))
+    if norms.min() > _ZERO_NORM:
+        np.divide(new, norms[:, :, None], out=phi)
+        return norms[:, 3] / (norms[:, 0] * norms[:, 1] * norms[:, 2])
+    live = (norms > _ZERO_NORM).all(axis=1)
+    n = norms[live]
+    phi[live] = new[live] / n[:, :, None]
+    overlap = np.empty(len(phi))
+    overlap[live] = n[:, 3] / (n[:, 0] * n[:, 1] * n[:, 2])
+    # the environment of qubit k is the overlap with qubit k set to |0> and to |1>
+    stuck = phi[~live]
+    for k in range(hc.N_VERTICES):
+        basis = np.repeat(stuck[:, None], 2, axis=1)
+        basis[:, :, k] = np.eye(2)
+        env = _contract(tensor, basis.reshape(-1, hc.N_VERTICES, 2)).reshape(-1, 2)
+        norm = np.linalg.norm(env, axis=1)
+        moves = norm > _ZERO_NORM
+        stuck[moves, k] = env[moves].conj() / norm[moves, None]
+    phi[~live], overlap[~live] = stuck, norm
+    return overlap
 
 
 def _contract(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -268,22 +302,26 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
     test adds nothing: from a point of gradient norm g a sweep gains about
     g^2 / 2|f|); the loop ends when every restart is done at the same
     iteration (never at the first), with stop "tol", or after ``max_iter``
-    iterations, with stop "max_iter".  Returns (iterations, stop, monotone
-    slack, overlaps), the slack being the largest drop of any restart's
-    overlap and the overlaps those of the last sweep.
+    iterations, with stop "max_iter".  One gain array per iteration serves
+    both tests: the slack is -min(gain) and the stop is max(gain) < TOL.
+    The tensor is cast to the dtype of ``phi`` once, not in every product.
+    Returns (iterations, stop, monotone slack, overlaps), the slack being
+    the largest drop of any restart's overlap and the overlaps those of the
+    last sweep.
     """
+    tensor = tensor.astype(phi.dtype, copy=False)
     overlap = np.zeros(len(phi))
     slack = 0.0
     for sweeps in range(1, max_iter + 1):
         if sweeps > NEWTON_AFTER:
             _newton_step(tensor, phi)
         new = _sweep(tensor, phi)
-        if sweeps > 1:
-            slack = max(slack, float(np.max(overlap - new)))
-        done = new - overlap < TOL
+        gain = new - overlap
         overlap = new
-        if sweeps > 1 and bool(done.all()):
-            return sweeps, "tol", slack, overlap
+        if sweeps > 1:
+            slack = max(slack, -float(gain.min()))
+            if gain.max() < TOL:
+                return sweeps, "tol", slack, overlap
     return max_iter, "max_iter", slack, overlap
 
 

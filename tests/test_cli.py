@@ -213,6 +213,18 @@ def test_roundtrip_fails_on_a_sign_word_off_by_one_bit(monkeypatch):
     assert cli.suite_roundtrip() == (False, "round trip broke")
 
 
+def test_roundtrip_fails_on_a_sign_word_with_g0000_set(monkeypatch):
+    right = hc.sign_words
+
+    def wrong(codes):
+        words = right(codes).copy()
+        words[12345] ^= 1
+        return words
+
+    monkeypatch.setattr(hc, "sign_words", wrong)
+    assert cli.suite_roundtrip() == (False, "round trip broke")
+
+
 def _two_orbits_merged(table):
     """A consistent 38-class table: orbit 1 folded into orbit 0."""
     cid = table.class_id.astype(np.int64)

@@ -405,6 +405,40 @@ def test_sweep_keeps_a_restart_with_zero_environment():
     assert np.all(np.delete(overlap, 2) > 0.0)
 
 
+def test_sweep_keeps_a_restart_whose_first_environment_alone_is_zero():
+    # for (|0000> + |1111>)/sqrt2 with qubit 2 at |1> and qubit 3 at |0>,
+    # only qubit 1 sees a zero environment; the zero must not reach qubits
+    # 2 to 4, which move as the qubit-by-qubit order moves them
+    tensor = np.zeros((2,) * 4, dtype=complex)
+    tensor[0, 0, 0, 0] = tensor[1, 1, 1, 1] = math.sqrt(0.5)
+    phi = gm._random_product_batch(np.random.default_rng(81), 4)
+    phi[1, 1:3] = ((0.0, 1.0), (1.0, 0.0))
+    before = phi[1].copy()
+    ours, overlap = _assert_sweep_matches_reference(tensor, phi)
+    assert np.array_equal(ours[1, 0], before[0])
+    assert not any(np.array_equal(ours[1, k], before[k]) for k in (1, 2, 3))
+    assert np.all(overlap > 0.0)
+
+
+def test_sweep_pins_over_the_session_classification(records, graph_records, monkeypatch):
+    # the solve calls _sweep through the module attribute once per
+    # iteration, so a wrapper there (as the benchmark's tracer installs it)
+    # counts exactly the iterations each record reports
+    every = records + graph_records
+    assert len(every) == 39 and sum(r.sweeps for r in every) == 1707
+    assert next(r.sweeps for r in records if r.rep == 13652) == 124
+    calls = 0
+    sweep = gm._sweep
+
+    def counted(tensor, phi):
+        nonlocal calls
+        calls += 1
+        return sweep(tensor, phi)
+
+    monkeypatch.setattr(gm, "_sweep", counted)
+    assert gm.solve_code(13652).sweeps == calls == 124
+
+
 def test_contract_matches_einsum_reference():
     rng = np.random.default_rng(83)
     tensor = _random_tensor(rng)
