@@ -42,7 +42,7 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     # SolvePolicy alone checks the value; main() reports its error through p
     p.set_defaults(policy_parser=p)
     p.add_argument("--max-iter", type=int, default=gm.DEFAULT_MAX_ITER,
-                   help="iteration cap per solve, Newton iterations included (default %(default)s)")
+                   help="iteration cap per solve; a SQUAREM step is one (default %(default)s)")
 
 
 @cache  # built once per process: embedders call main() many times

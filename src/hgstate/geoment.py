@@ -20,9 +20,9 @@ so one test per sweep finds the restarts that must be swept qubit by
 qubit instead.
 
 Alternating sweeps converge linearly only at nondegenerate maxima, and
-crawl near degenerate maxima and saddles.  A solve still running after
-``NEWTON_AFTER`` sweeps therefore precedes each further sweep with one
-Newton step on the product of spheres.
+crawl near degenerate maxima and saddles.  After ``EXTRAPOLATE_AFTER``
+iterations each further one is a SQUAREM step (Varadhan and Roland,
+Scand. J. Statist. 35, 335 (2008)) built from sweeps alone.
 The one solve entry point is :func:`solve_code`, set only through a
 :class:`SolvePolicy`; E_g of a code is ``solve_code(h, policy).eg``.
 
@@ -58,22 +58,14 @@ HIT_WINDOW = 1e-9
 _ZERO_NORM = 1e-300
 # single-qubit states this close in fidelity count as the same state
 MERGE_TOL = 1e-6
-# sweeps after which each further sweep is preceded by a Newton step
-NEWTON_AFTER = 100
-# curvature magnitude, relative to |f|^2, below which a Newton direction is flat
-FLAT_CURVATURE = 1e-6
+# iterations after which each further iteration is one extrapolation step
+EXTRAPOLATE_AFTER = 100
 # a class is "C" when its best real overlap is proved this far below its overlap
 REAL_GAP = 1e-6
 # the reality search's start grid points per angle, zoom levels and evaluation cap
 START_GRID = 16
 ZOOM_LEVELS = 10
 MAX_EVALUATIONS = 1 << 16
-
-# indices, in the flattened local-frame tensor of _newton_step, of the
-# entries with qubit i (or qubits i and j) along the tangent direction
-_SLOT = np.array([8, 4, 2, 1])
-_PAIR = _SLOT[:, None] | _SLOT[None, :]
-_OFF_DIAGONAL = ~np.eye(hc.N_VERTICES, dtype=bool)
 
 class IterationDiverged(RuntimeError):
     """The one-parameter iteration ran into its pole; restart upstream."""
@@ -126,10 +118,10 @@ class GeSolution:
     within 1e-9 of the best (restart order preserved); ``tensor`` is the
     solved state reshaped to one axis per qubit, kept so the witness can be
     re-analyzed without the original state.  ``sweeps`` counts the
-    iterations run, each one alternating sweep (after ``NEWTON_AFTER`` of
-    them, a Newton step plus a sweep), and ``stop`` names why they ended:
-    "tol" when at one iteration every restart improved its overlap by less
-    than ``TOL``, "max_iter" when the cap was hit first.
+    iterations run, each one alternating sweep (after ``EXTRAPOLATE_AFTER``
+    of them, one SQUAREM step of three sweeps), and ``stop`` names why they
+    ended: "tol" when at one iteration every restart improved its overlap
+    by less than ``TOL``, "max_iter" when the cap was hit first.
     """
 
     overlap: float
@@ -244,78 +236,59 @@ def _contract(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return (tab * _pair(phi[:, 2], phi[:, 3])).sum(axis=1)
 
 
-def _newton_step(tensor: np.ndarray, phi: np.ndarray) -> None:
-    """One Newton step on |f|^2 for every restart, in place.
+def _extrapolate(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """One SQUAREM step of the sweep map for every restart, in place.
 
-    Qubit i moves as (p_i + t_i u_i) / |p_i + t_i u_i| along its tangent
-    u_i = (-conj(y_i), conj(x_i)), orthogonal to p_i = (x_i, y_i); the
-    complex t_i give 8 real parameters and no gauge freedom.  Expressed in
-    the per-qubit frame (p_i, u_i) the state has 16 entries C[s1 s2 s3 s4]:
-    f = C[0000], the single-slot contractions G_i put u in slot i, the pair
-    contractions G_ij in slots i and j.  To second order |f|^2 gains
-    2 Re(f* sum t_i G_i) + |sum t_i G_i|^2 + 2 Re(f* sum_{i<j} t_i t_j G_ij)
-    - |f|^2 sum |t_i|^2.
-    Along each eigen-direction of that model's Hessian with curvature
-    lambda the step is (gradient component) / |lambda|: the Newton step
-    where lambda < 0, and uphill, away from the saddle, where lambda > 0
-    (the saddle-free Newton step).  Directions with |lambda| below
-    ``FLAT_CURVATURE`` |f|^2 are left to the sweeps.  A restart keeps its
-    step only when the overlap does not drop.
+    A sweep leaves the overlap real and positive, so a maximum is a fixed
+    point of the sweep in amplitude space and iterates can be differenced.
+    Two sweeps take x0 = phi to x1 and x2; with r = x1 - x0,
+    v = x2 - 2 x1 + x0 and alpha = min(-|r| / |v|, -1) over all 8
+    amplitudes (-1 when v = 0, giving back x2), y = x0 - 2 alpha r +
+    alpha^2 v is normalized per qubit and swept once.  A restart keeps x2
+    unless that sweep reaches at least its overlap from a y with no qubit
+    of norm at most ``_ZERO_NORM``.  Returns the overlaps of the kept points.
     """
-    r = len(phi)
-    u = np.stack((-phi[:, :, 1].conj(), phi[:, :, 0].conj()), axis=2)
-    w = np.stack((phi, u), axis=2)  # per qubit the rows (p_i, u_i)
-    c = w[:, 0] @ tensor.reshape(2, 8)
-    c = w[:, 1, None] @ c.reshape(r, 2, 2, 4)
-    c = w[:, 2, None] @ c.reshape(r, 4, 2, 2)
-    c = (c @ w[:, 3, None].transpose(0, 1, 3, 2)).reshape(r, 16)
-    f, g = c[:, 0], c[:, _SLOT]
-    f_conj = f.conj()
-    fg = f_conj[:, None] * g
-    gg = g.conj()[:, :, None] * g[:, None, :]
-    pair = f_conj[:, None, None] * c[:, _PAIR] * _OFF_DIAGONAL
-    plus, minus = gg + pair, gg - pair
-    half_grad = np.concatenate((fg.real, -fg.imag), axis=1)
-    hess = np.block([[plus.real, -plus.imag], [minus.imag, minus.real]])
-    f_abs = np.abs(f)
-    f2 = (f.real * f.real + f.imag * f.imag)[:, None]
-    hess -= f2[:, :, None] * np.eye(hess.shape[1])
-    curv, vecs = np.linalg.eigh(hess)
-    curv = np.abs(curv)
-    steep = curv > FLAT_CURVATURE * f2
-    coef = (half_grad[:, None, :] @ vecs)[:, 0]
-    coef = np.where(steep, coef / np.where(steep, curv, 1.0), 0.0)
-    x = (vecs @ coef[:, :, None])[:, :, 0]
-    t = x[:, :4] + 1j * x[:, 4:]
-    step = phi + t[:, :, None] * u
-    step /= np.linalg.norm(step, axis=2, keepdims=True)
-    keep = np.abs(_contract(tensor, step)) >= f_abs
-    phi[keep] = step[keep]
+    x0 = phi.copy()
+    _sweep(tensor, phi)
+    x1 = phi.copy()
+    overlap = _sweep(tensor, phi)
+    r = x1 - x0
+    v = (phi - x1) - r
+    r_norm, v_norm = (np.linalg.norm(d, axis=(1, 2)) for d in (r, v))
+    ratio = np.divide(r_norm, v_norm, out=np.zeros_like(r_norm), where=v_norm > 0.0)
+    alpha = np.minimum(-ratio, -1.0)[:, None, None]
+    y = x0 - 2.0 * alpha * r + alpha * alpha * v
+    norms = np.linalg.norm(y, axis=2, keepdims=True)
+    live = norms > _ZERO_NORM
+    np.divide(y, norms, out=y, where=live)
+    new = _sweep(tensor, y)
+    take = live.all(axis=(1, 2)) & (new >= overlap)
+    phi[take] = y[take]
+    return np.where(take, new, overlap)
 
 
 def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
     """Raise the overlap of every restart in ``phi``, in place.
 
-    Each iteration is one sweep, preceded by a Newton step once
-    ``NEWTON_AFTER`` iterations have passed.  A restart is done when its
-    overlap rose by less than ``TOL`` over the iteration (a stationarity
-    test adds nothing: from a point of gradient norm g a sweep gains about
-    g^2 / 2|f|); the loop ends when every restart is done at the same
-    iteration (never at the first), with stop "tol", or after ``max_iter``
-    iterations, with stop "max_iter".  One gain array per iteration serves
+    Each iteration is one sweep, or one :func:`_extrapolate` step of three
+    sweeps once ``EXTRAPOLATE_AFTER`` iterations have passed.  A restart is
+    done when its overlap rose by less than ``TOL`` over the iteration (a
+    stationarity test adds nothing: from a point of gradient norm g a sweep
+    gains about g^2 / 2|f|); the loop ends when every restart is done at
+    the same iteration (never at the first), with stop "tol", or after
+    ``max_iter`` iterations, with stop "max_iter".  One gain array per iteration serves
     both tests: the slack is -min(gain) and the stop is max(gain) < TOL.
     The tensor is cast to the dtype of ``phi`` once, not in every product.
     Returns (iterations, stop, monotone slack, overlaps), the slack being
     the largest drop of any restart's overlap and the overlaps those of the
-    last sweep.
+    last iteration.
     """
     tensor = tensor.astype(phi.dtype, copy=False)
     overlap = np.zeros(len(phi))
     slack = 0.0
     for sweeps in range(1, max_iter + 1):
-        if sweeps > NEWTON_AFTER:
-            _newton_step(tensor, phi)
-        new = _sweep(tensor, phi)
+        step = _extrapolate if sweeps > EXTRAPOLATE_AFTER else _sweep
+        new = step(tensor, phi)
         gain = new - overlap
         overlap = new
         if sweeps > 1:
@@ -329,12 +302,12 @@ def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
     """Best product-state overlap of the state named by a code, with restarts.
 
     All restarts run in one batched iteration (see :func:`_ascend`): plain
-    alternating sweeps, with a Newton step before each sweep after the
-    first ``NEWTON_AFTER``.  The solve stops with ``stop == "tol"`` at the
-    first iteration in which every restart improved its overlap by less
+    alternating sweeps, and SQUAREM steps of three sweeps each after the
+    first ``EXTRAPOLATE_AFTER``.  The solve stops with ``stop == "tol"`` at
+    the first iteration in which every restart improved its overlap by less
     than ``TOL``, and with ``stop == "max_iter"`` after ``max_iter``
-    iterations, Newton iterations included (the solution is then flagged
-    unconverged rather than raising).  ``sweeps`` is the number of
+    iterations, SQUAREM steps counted as one each (the solution is then
+    flagged unconverged rather than raising).  ``sweeps`` is the number of
     iterations.  The restart stream is seeded from the policy seed and the
     code, and the reported witness is the lowest-indexed restart achieving
     the best overlap, so per-class results do not depend on evaluation order.

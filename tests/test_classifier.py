@@ -213,7 +213,7 @@ def test_degeneracy_diagnostics_at_seed_0(records, graph_records):
     # start grid, rows 17, 7 and 11 after branch-and-bound levels
     proved = {r.rep: evaluations[r.rep] for r in every if r.pattern.reality == "C"}
     assert proved == {52: zoomed, 2868: zoomed, 3136: 2192, 16436: 5164, 19252: 2760}
-    assert sum(r.sweeps for r in every) == 1707
+    assert sum(r.sweeps for r in every) == 1766
 
 
 def test_bijection_failure_names_rows_and_reps(orbit_table, monkeypatch):

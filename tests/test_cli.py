@@ -318,7 +318,7 @@ def test_equivalence_fails_naming_the_vertex_of_a_planted_defect(monkeypatch):
 
 
 def test_classify_unconverged_exits_2(capsys):
-    # at 50 sweeps, before the Newton finish starts, the row-28
+    # at 50 sweeps, before the SQUAREM finish starts, the row-28
     # representative 13652 and twelve other classes stop at the cap, yet
     # every class still matches its row
     assert cli.main(["classify", "--format", "csv", "--max-iter", "50"]) == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,14 +191,14 @@ def test_batched_partitions_match_per_witness_merge(stack):
 
 
 def test_ascend_stops_at_the_first_iteration_below_tol():
-    # under NEWTON_AFTER iterations _ascend runs plain sweeps, so repeated
+    # up to EXTRAPOLATE_AFTER iterations _ascend runs plain sweeps, so repeated
     # _sweep calls give its per-iteration overlaps: it stops at the first
     # iteration (after the first) where no restart rose by TOL, or at the cap
     tensor = sv.state_tensor(sv.build_state(16436))
     starts = gm._random_product_batch(np.random.default_rng(101), 4)
     phi = starts.copy()
-    trail = [gm._sweep(tensor, phi) for _ in range(gm.NEWTON_AFTER)]
-    k = next(n for n in range(1, gm.NEWTON_AFTER) if np.all(trail[n] - trail[n - 1] < gm.TOL))
+    trail = [gm._sweep(tensor, phi) for _ in range(gm.EXTRAPOLATE_AFTER)]
+    k = next(n for n in range(1, gm.EXTRAPOLATE_AFTER) if np.all(trail[n] - trail[n - 1] < gm.TOL))
     ascended = starts.copy()
     iterations, stop, _, overlap = gm._ascend(tensor, ascended, gm.DEFAULT_MAX_ITER)
     assert (iterations, stop) == (k + 1, "tol")
@@ -421,12 +422,13 @@ def test_sweep_keeps_a_restart_whose_first_environment_alone_is_zero():
 
 
 def test_sweep_pins_over_the_session_classification(records, graph_records, monkeypatch):
-    # the solve calls _sweep through the module attribute once per
-    # iteration, so a wrapper there (as the benchmark's tracer installs it)
-    # counts exactly the iterations each record reports
+    # the solve calls _sweep through the module attribute, once per
+    # iteration up to EXTRAPOLATE_AFTER and three times per extrapolation
+    # step after it, so a wrapper there (as the benchmark's tracer installs
+    # it) counts exactly that many calls for the iterations a record reports
     every = records + graph_records
-    assert len(every) == 39 and sum(r.sweeps for r in every) == 1707
-    assert next(r.sweeps for r in records if r.rep == 13652) == 124
+    assert len(every) == 39 and sum(r.sweeps for r in every) == 1766
+    assert next(r.sweeps for r in records if r.rep == 13652) == 190
     calls = 0
     sweep = gm._sweep
 
@@ -436,7 +438,9 @@ def test_sweep_pins_over_the_session_classification(records, graph_records, monk
         return sweep(tensor, phi)
 
     monkeypatch.setattr(gm, "_sweep", counted)
-    assert gm.solve_code(13652).sweeps == calls == 124
+    iterations = gm.solve_code(13652).sweeps
+    assert iterations == 190 and calls == 370
+    assert calls == gm.EXTRAPOLATE_AFTER + 3 * (iterations - gm.EXTRAPOLATE_AFTER)
 
 
 def test_contract_matches_einsum_reference():
@@ -450,16 +454,16 @@ def test_contract_matches_einsum_reference():
 def test_solver_counters_at_default_policy():
     """Iteration counts and stop reasons of two known solves.
 
-    Row 28 (rep 13652) crawled through 4361 plain sweeps before the Newton
-    finish, and 13654 (same orbit) stopped at the 5000-sweep cap; both now
-    converge a few dozen Newton iterations after the switch point.  A
-    deliberate change to the solver's convergence is expected to change
+    Row 28 (rep 13652) crawled through 4361 plain sweeps before the solve
+    gained its finish, and 13654 (same orbit) stopped at the 5000-sweep
+    cap; both now converge 90 SQUAREM iterations after the switch point.
+    A deliberate change to the solver's convergence is expected to change
     these counts.
     """
     row28 = gm.solve_code(13652)
-    assert (row28.sweeps, row28.stop, row28.converged) == (124, "tol", True)
+    assert (row28.sweeps, row28.stop, row28.converged) == (190, "tol", True)
     formerly_capped = gm.solve_code(13654)
-    assert (formerly_capped.sweeps, formerly_capped.stop) == (127, "tol")
+    assert (formerly_capped.sweeps, formerly_capped.stop) == (190, "tol")
     assert formerly_capped.converged is True
 
 
@@ -477,11 +481,24 @@ def test_slow_orbits_converge_at_every_seed():
                 assert abs(sol.overlap - exact) < 1e-12, (rep, sol.overlap)
 
 
+@pytest.mark.slow
+def test_every_code_converges_to_its_orbit_reps_overlap(orbit_table):
+    # a query may name any code, so every one of the 2^15 solves at the
+    # default policy stops on "tol" within the bound above, at the overlap
+    # of its orbit's rep
+    reps = orbit_table.reps[orbit_table.class_id].astype(int)
+    rep_overlap = {rep: gm.solve_code(rep).overlap for rep in set(reps)}
+    for h, rep in enumerate(reps):
+        sol = gm.solve_code(h)
+        assert sol.stop == "tol" and sol.sweeps <= 500, (h, sol.stop, sol.sweeps)
+        assert abs(sol.overlap - rep_overlap[rep]) < 1e-11, (h, rep, sol.overlap)
+
+
 @pytest.mark.parametrize("real_tensor", [False, True])
-def test_newton_step_converges_quadratically_near_a_maximum(real_tensor):
-    # a generic tensor has a nondegenerate maximum; one Newton step from
-    # 1e-4 away lands within rounding of it.  The solve's own case is a real
-    # tensor with complex witnesses
+def test_extrapolate_keeps_a_maximum_fixed(real_tensor):
+    # a generic tensor has a nondegenerate maximum, and at it the sweep map
+    # has stopped moving, so the step leaves it where it is.  The solve's own
+    # case is a real tensor with complex witnesses
     rng = np.random.default_rng(89)
     tensor = rng.normal(size=(2,) * 4) if real_tensor else _random_tensor(rng)
     tensor /= np.linalg.norm(tensor)
@@ -491,24 +508,51 @@ def test_newton_step_converges_quadratically_near_a_maximum(real_tensor):
     overlap = np.abs(gm._contract(tensor, phi))
     best = phi[np.argmax(overlap)]
     at_best = best[None].copy()
-    gm._newton_step(tensor, at_best)
-    assert np.max(np.abs(at_best - best)) < 1e-12  # a maximum is a fixed point
-    noise = rng.normal(size=phi.shape) + 1j * rng.normal(size=phi.shape)
-    near = best + 1e-4 * noise
-    near /= np.linalg.norm(near, axis=2, keepdims=True)
-    gap = overlap.max() - np.abs(gm._contract(tensor, near))
-    assert np.all(gap > 1e-10)
-    gm._newton_step(tensor, near)
-    assert np.max(np.abs(overlap.max() - np.abs(gm._contract(tensor, near)))) < 1e-13
+    stepped = gm._extrapolate(tensor, at_best)
+    assert np.max(np.abs(at_best - best)) < 1e-12
+    assert abs(stepped[0] - overlap.max()) < 1e-12
 
 
-def test_newton_step_never_lowers_the_overlap():
-    # far from any maximum a step may overshoot; it is then not taken
+def test_extrapolate_never_loses_ground():
+    # from 256 random restarts and from each of the next 19 sweeps, the step
+    # never ends below its start nor below two plain sweeps from it, though
+    # unchecked it would from about the tenth sweep on; on some restart the
+    # extrapolation gains on those two sweeps
     rng = np.random.default_rng(97)
     tensor = sv.state_tensor(sv.build_state(13652)).astype(complex)
     phi = gm._random_product_batch(rng, 256)
-    before = np.abs(gm._contract(tensor, phi))
-    gm._newton_step(tensor, phi)
-    after = np.abs(gm._contract(tensor, phi))
-    assert np.all(after >= before - 1e-15)
-    assert np.any(after > before + 1e-3)
+    gained = 0.0
+    for _ in range(20):
+        before = np.abs(gm._contract(tensor, phi))
+        swept, stepped = phi.copy(), phi.copy()
+        gm._sweep(tensor, swept)
+        two_sweeps = gm._sweep(tensor, swept)
+        overlap = gm._extrapolate(tensor, stepped)
+        after = np.abs(gm._contract(tensor, stepped))
+        assert np.max(np.abs(after - overlap)) < 1e-14
+        assert np.all(after >= before - 1e-15)
+        assert np.all(overlap >= two_sweeps)
+        gained = max(gained, float(np.max(overlap - two_sweeps)))
+        gm._sweep(tensor, phi)
+    assert gained > 1e-6
+
+
+def test_extrapolate_keeps_x2_when_the_extrapolated_qubit_is_zero(monkeypatch):
+    # a sweep that halves every amplitude gives alpha = -2, and then
+    # y = x0 - 2 alpha r + alpha^2 v is exactly 0.  It reports one overlap
+    # throughout, so the overlap test alone would take the swept y: the
+    # zero-norm guard keeps x2, with no division by zero
+    def halve(tensor, phi):
+        phi /= 2.0
+        return np.ones(len(phi))
+
+    monkeypatch.setattr(gm, "_sweep", halve)
+    tensor = sv.state_tensor(sv.build_state(13652)).astype(complex)
+    start = gm._random_product_batch(np.random.default_rng(109), 8)
+    phi = start.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        overlap = gm._extrapolate(tensor, phi)
+    assert np.array_equal(phi, start / 4.0)
+    assert np.array_equal(overlap, np.ones(len(phi)))
+    assert np.isfinite(phi).all() and np.isfinite(overlap).all()
