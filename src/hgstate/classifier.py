@@ -40,7 +40,7 @@ class ClassificationError(RuntimeError):
 # reference tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReferenceRow:
     """One row of the source classification, stored verbatim.
 
@@ -126,11 +126,11 @@ REFERENCE_ROWS: dict[int, ReferenceRow] = _build_reference()
 # class records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassRecord:
     """Everything reported about one orbit.  Its signature is ``ge`` plus
     the multisets of ``profile.be2`` and ``profile.be1``; ``converged`` and
-    ``sweeps`` are solver diagnostics that stay out of the report."""
+    ``iterations`` are solver diagnostics that stay out of the report."""
 
     rep: int
     std_rep: int
@@ -142,7 +142,7 @@ class ClassRecord:
     pattern: gm.DegeneracyPattern
     restarts_hit: int
     converged: bool
-    sweeps: int
+    iterations: int
     closed_form: float | None
     table: str | None
     row: int | None
@@ -220,7 +220,7 @@ def _record_for(orbit: ob.OrbitRecord, policy: gm.SolvePolicy) -> ClassRecord:
         pattern=pattern,
         restarts_hit=sol.restarts_hit,
         converged=sol.converged,
-        sweeps=sol.sweeps,
+        iterations=sol.iterations,
         closed_form=closed,
         table=table,
         row=row,

@@ -20,9 +20,9 @@ so one test per sweep finds the restarts that must be swept qubit by
 qubit instead.
 
 Alternating sweeps converge linearly only at nondegenerate maxima, and
-crawl near degenerate maxima and saddles.  After ``EXTRAPOLATE_AFTER``
-iterations each further one is a SQUAREM step (Varadhan and Roland,
-Scand. J. Statist. 35, 335 (2008)) built from sweeps alone.
+crawl near degenerate maxima and saddles, so every iteration is one
+SQUAREM step (Varadhan and Roland, Scand. J. Statist. 35, 335 (2008))
+built from three sweeps alone.
 The one solve entry point is :func:`solve_code`, set only through a
 :class:`SolvePolicy`; E_g of a code is ``solve_code(h, policy).eg``.
 
@@ -58,8 +58,6 @@ HIT_WINDOW = 1e-9
 _ZERO_NORM = 1e-300
 # single-qubit states this close in fidelity count as the same state
 MERGE_TOL = 1e-6
-# iterations after which each further iteration is one extrapolation step
-EXTRAPOLATE_AFTER = 100
 # a class is "C" when its best real overlap is proved this far below its overlap
 REAL_GAP = 1e-6
 # the reality search's start grid points per angle, zoom levels and evaluation cap
@@ -75,7 +73,7 @@ class RealityUndecided(RuntimeError):
     """The reality search neither found a real witness nor proved there is none."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolvePolicy:
     """Knobs of the randomized closest-product solve."""
 
@@ -92,7 +90,7 @@ class SolvePolicy:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductState:
     """Four unit-norm single-qubit amplitude pairs (x_i, y_i)."""
 
@@ -110,18 +108,18 @@ class ProductState:
         object.__setattr__(self, "qubits", q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeSolution:
     """Outcome of one randomized closest-product solve.
 
     ``candidates`` holds the witnesses of every restart whose overlap came
     within 1e-9 of the best (restart order preserved); ``tensor`` is the
     solved state reshaped to one axis per qubit, kept so the witness can be
-    re-analyzed without the original state.  ``sweeps`` counts the
-    iterations run, each one alternating sweep (after ``EXTRAPOLATE_AFTER``
-    of them, one SQUAREM step of three sweeps), and ``stop`` names why they
-    ended: "tol" when at one iteration every restart improved its overlap
-    by less than ``TOL``, "max_iter" when the cap was hit first.
+    re-analyzed without the original state.  ``iterations`` counts the
+    iterations run, each one SQUAREM step of three sweeps, and ``stop``
+    names why they ended: "tol" when at one iteration every restart
+    improved its overlap by less than ``TOL``, "max_iter" when the cap was
+    hit first.
     """
 
     overlap: float
@@ -129,14 +127,14 @@ class GeSolution:
     witness: ProductState
     restarts_hit: int
     converged: bool
-    sweeps: int
+    iterations: int
     stop: str
     candidates: np.ndarray = field(repr=False)  # complex, shape (k, 4, 2)
     tensor: np.ndarray = field(repr=False)      # real, shape (2, 2, 2, 2)
     monotone_slack: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegeneracyPattern:
     """Grouping of a witness's single-qubit states, plus its reality flag.
 
@@ -164,6 +162,12 @@ def _random_product_batch(rng, restarts: int) -> np.ndarray:
 def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Two-qubit product amplitudes p[r, a] q[r, b], flattened to shape (R, 4)."""
     return (p[:, :, None] * q[:, None, :]).reshape(len(p), 4)
+
+
+def _norms(x: np.ndarray, out: str) -> np.ndarray:
+    """Norms of x[r, k, :] over the axes not in ``out``, on the float view."""
+    parts = x.view(x.real.dtype)
+    return np.sqrt(np.einsum(f"rki,rki->{out}", parts, parts))
 
 
 def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -207,8 +211,7 @@ def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     tab = (_pair(q1, q2) @ t).reshape(-1, 2, 2)
     np.conjugate((tab @ p4[:, :, None])[:, :, 0], out=q3)
     np.conjugate((q3[:, None, :] @ tab)[:, 0], out=q4)
-    parts = new.view(new.real.dtype)  # real and imaginary parts side by side
-    norms = np.sqrt(np.einsum("rki,rki->rk", parts, parts))
+    norms = _norms(new, "rk")
     if norms.min() > _ZERO_NORM:
         np.divide(new, norms[:, :, None], out=phi)
         return norms[:, 3] / (norms[:, 0] * norms[:, 1] * norms[:, 2])
@@ -241,28 +244,28 @@ def _extrapolate(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
     A sweep leaves the overlap real and positive, so a maximum is a fixed
     point of the sweep in amplitude space and iterates can be differenced.
-    Two sweeps take x0 = phi to x1 and x2; with r = x1 - x0,
-    v = x2 - 2 x1 + x0 and alpha = min(-|r| / |v|, -1) over all 8
-    amplitudes (-1 when v = 0, giving back x2), y = x0 - 2 alpha r +
-    alpha^2 v is normalized per qubit and swept once.  A restart keeps x2
-    unless that sweep reaches at least its overlap from a y with no qubit
-    of norm at most ``_ZERO_NORM``.  Returns the overlaps of the kept points.
+    Two sweeps take x0 = phi to x1 and x2; with r = x1 - x0, v = x2 -
+    2 x1 + x0 (as x2 - (x0 + 2r), exact when a sweep halves every
+    amplitude) and alpha = min(-|r| / |v|, -1) over all 8 amplitudes (-1
+    when v = 0, giving back x2), y = x0 - 2 alpha r + alpha^2 v is
+    normalized per qubit and swept once.  A restart keeps x2 unless that
+    sweep reaches at least its overlap from a y with no qubit of norm at
+    most ``_ZERO_NORM``.  Returns the overlaps of the kept points.
     """
     x0 = phi.copy()
     _sweep(tensor, phi)
-    x1 = phi.copy()
+    r = phi - x0
     overlap = _sweep(tensor, phi)
-    r = x1 - x0
-    v = (phi - x1) - r
-    r_norm, v_norm = (np.linalg.norm(d, axis=(1, 2)) for d in (r, v))
+    v = phi - (x0 + 2.0 * r)
+    r_norm, v_norm = _norms(r, "r"), _norms(v, "r")
     ratio = np.divide(r_norm, v_norm, out=np.zeros_like(r_norm), where=v_norm > 0.0)
     alpha = np.minimum(-ratio, -1.0)[:, None, None]
     y = x0 - 2.0 * alpha * r + alpha * alpha * v
-    norms = np.linalg.norm(y, axis=2, keepdims=True)
+    norms = _norms(y, "rk")
     live = norms > _ZERO_NORM
-    np.divide(y, norms, out=y, where=live)
+    np.divide(y, norms[:, :, None], out=y, where=live[:, :, None])
     new = _sweep(tensor, y)
-    take = live.all(axis=(1, 2)) & (new >= overlap)
+    take = live.all(axis=1) & (new >= overlap)
     phi[take] = y[take]
     return np.where(take, new, overlap)
 
@@ -270,53 +273,50 @@ def _extrapolate(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
     """Raise the overlap of every restart in ``phi``, in place.
 
-    Each iteration is one sweep, or one :func:`_extrapolate` step of three
-    sweeps once ``EXTRAPOLATE_AFTER`` iterations have passed.  A restart is
-    done when its overlap rose by less than ``TOL`` over the iteration (a
-    stationarity test adds nothing: from a point of gradient norm g a sweep
-    gains about g^2 / 2|f|); the loop ends when every restart is done at
-    the same iteration (never at the first), with stop "tol", or after
-    ``max_iter`` iterations, with stop "max_iter".  One gain array per iteration serves
-    both tests: the slack is -min(gain) and the stop is max(gain) < TOL.
-    The tensor is cast to the dtype of ``phi`` once, not in every product.
-    Returns (iterations, stop, monotone slack, overlaps), the slack being
-    the largest drop of any restart's overlap and the overlaps those of the
-    last iteration.
+    Each iteration is one :func:`_extrapolate` step of three sweeps.  A
+    restart is done when its overlap rose by less than ``TOL`` over the
+    iteration (a stationarity test adds nothing: from a point of gradient
+    norm g a sweep gains about g^2 / 2|f|); the loop ends when every
+    restart is done at the same iteration (never at the first), with stop
+    "tol", or after ``max_iter`` iterations, with stop "max_iter".  One
+    gain array per iteration serves both tests: the slack is -min(gain)
+    and the stop is max(gain) < TOL.  The tensor is cast to the dtype of
+    ``phi`` once, not in every product.  Returns (iterations, stop,
+    monotone slack, overlaps), the slack being the largest drop of any
+    restart's overlap and the overlaps those of the last iteration.
     """
     tensor = tensor.astype(phi.dtype, copy=False)
     overlap = np.zeros(len(phi))
     slack = 0.0
-    for sweeps in range(1, max_iter + 1):
-        step = _extrapolate if sweeps > EXTRAPOLATE_AFTER else _sweep
-        new = step(tensor, phi)
+    for iteration in range(1, max_iter + 1):
+        new = _extrapolate(tensor, phi)
         gain = new - overlap
         overlap = new
-        if sweeps > 1:
+        if iteration > 1:
             slack = max(slack, -float(gain.min()))
             if gain.max() < TOL:
-                return sweeps, "tol", slack, overlap
+                return iteration, "tol", slack, overlap
     return max_iter, "max_iter", slack, overlap
 
 
 def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
     """Best product-state overlap of the state named by a code, with restarts.
 
-    All restarts run in one batched iteration (see :func:`_ascend`): plain
-    alternating sweeps, and SQUAREM steps of three sweeps each after the
-    first ``EXTRAPOLATE_AFTER``.  The solve stops with ``stop == "tol"`` at
-    the first iteration in which every restart improved its overlap by less
-    than ``TOL``, and with ``stop == "max_iter"`` after ``max_iter``
-    iterations, SQUAREM steps counted as one each (the solution is then
-    flagged unconverged rather than raising).  ``sweeps`` is the number of
-    iterations.  The restart stream is seeded from the policy seed and the
-    code, and the reported witness is the lowest-indexed restart achieving
-    the best overlap, so per-class results do not depend on evaluation order.
+    All restarts run in one batched iteration (see :func:`_ascend`), each
+    iteration one SQUAREM step of three sweeps.  The solve stops with
+    ``stop == "tol"`` at the first iteration in which every restart
+    improved its overlap by less than ``TOL``, and with
+    ``stop == "max_iter"`` after ``max_iter`` iterations (the solution is
+    then flagged unconverged rather than raising).  The restart stream is
+    seeded from the policy seed and the code, and the reported witness is
+    the lowest-indexed restart achieving the best overlap, so per-class
+    results do not depend on evaluation order.
     """
     policy = policy or SolvePolicy()
     tensor = sv.state_tensor(sv.build_state(h))
     rng = np.random.default_rng([policy.seed, h])
     phi = _random_product_batch(rng, RESTARTS)
-    sweeps, stop, slack, _ = _ascend(tensor, phi, policy.max_iter)
+    iterations, stop, slack, _ = _ascend(tensor, phi, policy.max_iter)
     overlap = np.abs(_contract(tensor, phi))
     best = int(np.argmax(overlap))
     # Rounding can push the overlap of a unit product pair a hair above 1;
@@ -329,7 +329,7 @@ def solve_code(h: int, policy: SolvePolicy | None = None) -> GeSolution:
         witness=ProductState(phi[best]),
         restarts_hit=int(hit.sum()),
         converged=stop == "tol",
-        sweeps=sweeps,
+        iterations=iterations,
         stop=stop,
         candidates=phi[hit].copy(),
         tensor=tensor,

@@ -36,7 +36,7 @@ _EDGE_BITS_BY_SIZE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitTable:
     """Total partition of the code space into orbits.
 
@@ -56,7 +56,7 @@ class OrbitTable:
         return int(self.reps.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitRecord:
     """One orbit as seen from a single code."""
 

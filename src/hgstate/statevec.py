@@ -112,7 +112,7 @@ def entropy(rho: np.ndarray) -> float:
     return float(-(lam * np.log2(lam)).sum()) + 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntropyProfile:
     """Entropies of the four 1|3 cuts and the three 2|2 cuts, in bits.
 

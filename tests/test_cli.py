@@ -318,9 +318,8 @@ def test_equivalence_fails_naming_the_vertex_of_a_planted_defect(monkeypatch):
 
 
 def test_classify_unconverged_exits_2(capsys):
-    # at 50 sweeps, before the SQUAREM finish starts, the row-28
-    # representative 13652 and twelve other classes stop at the cap, yet
-    # every class still matches its row
+    # at 50 iterations the row-28 representative 13652 alone stops at the
+    # cap, yet every class still matches its row
     assert cli.main(["classify", "--format", "csv", "--max-iter", "50"]) == 2
     captured = capsys.readouterr()
     assert captured.out.count("\n") == 40  # the report is still written
@@ -329,7 +328,7 @@ def test_classify_unconverged_exits_2(capsys):
 
 
 def test_query_unconverged_exits_2(capsys):
-    # five sweeps leave code 13654 unconverged but close enough to row 28
+    # five iterations leave code 13654 unconverged but close enough to row 28
     assert cli.main(["query", "123,124,134,234,12,13,14,2", "--max-iter", "5"]) == 2
     captured = capsys.readouterr()
     assert "class:        table III, row 28" in captured.out  # report still printed
@@ -339,7 +338,12 @@ def test_query_unconverged_exits_2(capsys):
     assert "code 13654 did not converge" in err[0] and "max_iter=5" in err[0]
 
 
-def test_query_unmatched_exits_2(capsys):
+def test_query_unmatched_exits_2(capsys, monkeypatch):
+    # a GE that fits no row exits 2 before the report, not with a traceback
+    def unmatched(rank, ge, be2):
+        raise cf.ClassificationError(f"no table I row matches ge={ge:.6f}")
+
+    monkeypatch.setattr(cf, "match_row", unmatched)
     assert cli.main(["query", "1234", "--max-iter", "1"]) == 2
     err = capsys.readouterr().err
     assert "code 16384 not classified" in err and "max_iter=1" in err
