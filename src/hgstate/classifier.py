@@ -195,8 +195,13 @@ def _check_distinct(records) -> None:
                 )
 
 
-def _record_for(orbit: ob.OrbitRecord, policy: gm.SolvePolicy) -> ClassRecord:
-    sol = gm.solve_code(orbit.rep, policy)
+def capped_solve(sol: gm.GeSolution, policy: gm.SolvePolicy) -> str:
+    """The stage to blame when an unconverged solve fails its row match."""
+    return (f"solve: unconverged at iteration {sol.iterations} (max_iter={policy.max_iter}), "
+            f"ge={sol.eg:.6f}")
+
+
+def _record_for(orbit: ob.OrbitRecord, sol: gm.GeSolution, policy: gm.SolvePolicy) -> ClassRecord:
     profile = sv.entropy_profile(orbit.rep)
     try:
         pattern = gm.degeneracy_pattern(sol)
@@ -207,7 +212,8 @@ def _record_for(orbit: ob.OrbitRecord, policy: gm.SolvePolicy) -> ClassRecord:
         try:
             table, row = match_row(orbit.rank, sol.eg, profile.be2)
         except ClassificationError as exc:
-            raise ClassificationError(f"rep {orbit.rep} (rank {orbit.rank}), row match: {exc}") from exc
+            stage = f"row match: {exc}" if sol.converged else capped_solve(sol, policy)
+            raise ClassificationError(f"rep {orbit.rep} (rank {orbit.rank}), {stage}") from exc
         closed = REFERENCE_ROWS[row].exact_ge
     return ClassRecord(
         rep=orbit.rep,
@@ -243,8 +249,9 @@ def classify_all(
     table = table or ob.enumerate_orbits()
     matched: list[ClassRecord] = []
     graphs: list[ClassRecord] = []
-    for rep in table.reps:
-        record = _record_for(ob.orbit_of(int(rep), table), policy)
+    reps = [int(rep) for rep in table.reps]
+    for rep, sol in zip(reps, gm.solve_codes(reps, policy)):
+        record = _record_for(ob.orbit_of(rep, table), sol, policy)
         (matched if record.rank in (3, 4) else graphs).append(record)
     _check_distinct(matched)
     reps_by_row = {row: [r.rep for r in matched if r.row == row] for row in REFERENCE_ROWS}

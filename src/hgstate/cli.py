@@ -5,7 +5,8 @@ problem.  ``classify`` returns 0 when all 28 hypergraph classes match
 their reference rows and every solve converged, and 2 on any unmatched,
 ambiguous or colliding signature or undecided reality; when a class's
 solve stops at the iteration cap it still writes the report, names the
-class and the policy on stderr, and returns 2.  ``query`` returns 1 on a parse error naming the
+class and the policy on stderr, and returns 2; a row match that fails after
+a capped solve is blamed on the solve stage, with the cap.  ``query`` returns 1 on a parse error naming the
 offending token and 2 when the code's class cannot be matched; when its
 solve stops at the iteration cap it still prints the report, names the code
 and the policy on stderr, and returns 2.
@@ -105,7 +106,8 @@ def cmd_query(args) -> int:
     try:
         match = cf.match_row(record.rank, sol.eg, profile.be2) if record.rank in (3, 4) else None
     except cf.ClassificationError as exc:
-        print(f"hgstate: code {code} not classified under {policy}: {exc}", file=sys.stderr)
+        why = exc if sol.converged else cf.capped_solve(sol, policy)
+        print(f"hgstate: code {code} not classified under {policy}: {why}", file=sys.stderr)
         return 2
 
     print(f"edges:        {hc.format_edges(code) or '(none)'}")

@@ -86,6 +86,19 @@ def test_classify_row_match_failure_names_rep_stage_and_policy(orbit_table, monk
     assert str(gm.SolvePolicy()) in err
 
 
+@pytest.mark.parametrize("argv, subject", [
+    (["classify"], "rep 1104 (rank 3), "),
+    (["query", hc.format_edges(1104)], "code 1104 not classified under SolvePolicy(max_iter=1, seed=0): "),
+], ids=["classify", "query"])
+def test_capped_solve_is_named_where_the_row_match_fails(argv, subject, capsys):
+    # one iteration leaves rep 1104 (row 18) unconverged and off its row:
+    # the message blames the iteration cap, not the row match
+    assert cli.main(argv + ["--max-iter", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{subject}solve: unconverged at iteration 1 (max_iter=1), ge=1.00" in err
+    assert "row match" not in err
+
+
 def test_classify_undecided_reality_names_rep_and_stage(orbit_table, monkeypatch, capsys):
     # with no evaluations to spare, "C" can be proved only on the start grid:
     # graph reps 52 and 2868 still are, and rep 3136 (row 17), the next "C"

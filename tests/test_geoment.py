@@ -1,5 +1,6 @@
 """Unit tests for the closest-product solver and its oracles."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -193,22 +194,56 @@ def test_batched_partitions_match_per_witness_merge(stack):
 def test_ascend_stops_at_the_first_iteration_below_tol():
     # every _ascend iteration is one _extrapolate step (on the tensor cast to
     # complex, as _ascend casts it), so a trail of steps from the same start
-    # gives its per-iteration overlaps: it stops at the first iteration k > 1
-    # where no restart rose by TOL, and at max_iter = k - 1 on the cap
+    # gives its per-iteration overlaps: a one-code stack stops at the first
+    # iteration k > 1 where no restart rose by TOL, and at max_iter = k - 1
+    # on the cap
     tensor = sv.state_tensor(sv.build_state(16436))
     starts = gm._random_product_batch(np.random.default_rng(101), 4)
     phi = starts.copy()
     trail = [gm._extrapolate(tensor.astype(complex), phi) for _ in range(60)]
     k = next(n for n in range(2, 61) if np.all(trail[n - 1] - trail[n - 2] < gm.TOL))
     assert k > 2
-    ascended = starts.copy()
-    iterations, stop, _, overlap = gm._ascend(tensor, ascended, gm.DEFAULT_MAX_ITER)
-    assert (iterations, stop) == (k, "tol")
-    assert np.array_equal(overlap, trail[k - 1])
-    capped = starts.copy()
-    iterations, stop, _, overlap = gm._ascend(tensor, capped, k - 1)
-    assert (iterations, stop) == (k - 1, "max_iter")
-    assert np.array_equal(overlap, trail[k - 2])
+    ascended = starts[None].copy()
+    iterations, stops, _, overlap = gm._ascend(tensor[None], ascended, gm.DEFAULT_MAX_ITER)
+    assert (iterations[0], stops[0]) == (k, "tol")
+    assert np.array_equal(overlap[0], trail[k - 1])
+    capped = starts[None].copy()
+    iterations, stops, _, overlap = gm._ascend(tensor[None], capped, k - 1)
+    assert (iterations[0], stops[0]) == (k - 1, "max_iter")
+    assert np.array_equal(overlap[0], trail[k - 2])
+
+
+def _bits(sol):
+    """Every field of a solution as (name, shape, dtype, bytes)."""
+    out = []
+    for f in dataclasses.fields(sol):
+        value = getattr(sol, f.name)
+        a = np.asarray(value.qubits if isinstance(value, gm.ProductState) else value)
+        out.append((f.name, a.shape, a.dtype.str, a.tobytes()))
+    return out
+
+
+# eleven codes, more than one batch: row 28's rep and a code of its orbit,
+# the four graph reps whose plain sweeps crawled, and quick ones such as
+# the product state 0
+BATCH_MIX = (820, 0, 13652, 16384, 292, 1104, 13654, 308, 64, 816, 16436)
+
+
+@pytest.mark.parametrize("max_iter", [gm.DEFAULT_MAX_ITER, 5])
+def test_batched_solves_match_one_code_solves(max_iter):
+    # each code leaves its batch at its own iteration and keeps the bits of
+    # its one-code solve, in either input order; at max_iter = 5 some codes
+    # stop on tol and others on the cap within one batch
+    policy = gm.SolvePolicy(max_iter=max_iter)
+    assert len(BATCH_MIX) > gm.BATCH
+    one_by_one = {h: gm.solve_code(h, policy) for h in BATCH_MIX}
+    for codes in (BATCH_MIX, BATCH_MIX[::-1]):
+        batched = list(gm.solve_codes(codes, policy))
+        assert [_bits(sol) for sol in batched] == [_bits(one_by_one[h]) for h in codes]
+    first = [one_by_one[h] for h in BATCH_MIX[:gm.BATCH]]
+    assert len({sol.iterations for sol in first}) > 1
+    if max_iter == 5:
+        assert {sol.stop for sol in first} == {"tol", "max_iter"}
 
 
 def _real_product_overlaps(tensor, rng, n):
@@ -362,9 +397,16 @@ def _random_tensor(rng):
 
 
 def _assert_sweep_matches_reference(tensor, phi):
+    # a stack of codes must match the reference, and the kernel, code by code
     ours, ref = phi.copy(), phi.copy()
     overlap = gm._sweep(tensor, ours)
-    ref_overlap = _reference_sweep(tensor, ref)
+    if phi.ndim == 4:
+        ref_overlap = np.array([_reference_sweep(t, p) for t, p in zip(tensor, ref)])
+        one_code = phi.copy()
+        assert np.array_equal(overlap, [gm._sweep(t, p) for t, p in zip(tensor, one_code)])
+        assert np.array_equal(ours, one_code)
+    else:
+        ref_overlap = _reference_sweep(tensor, ref)
     assert ours.dtype == phi.dtype
     assert np.max(np.abs(ours - ref)) < 1e-13
     assert np.max(np.abs(overlap - ref_overlap)) < 1e-13
@@ -394,6 +436,18 @@ def test_sweep_matches_einsum_reference_in_real_arithmetic():
         assert phi.dtype == overlap.dtype == np.float64
 
 
+def _sweep_stuck(tensor, phi, stacked):
+    """Sweep restarts of ``tensor`` against the reference, alone or as the
+    second code of a two-code stack whose first code has no stuck restart;
+    returns the restarts and overlaps of ``tensor``."""
+    if stacked:
+        rng = np.random.default_rng(113)
+        tensor = np.stack((_random_tensor(rng), tensor))
+        phi = np.stack((gm._random_product_batch(rng, len(phi)), phi))
+    ours, overlap = _assert_sweep_matches_reference(tensor, phi)
+    return (ours[1], overlap[1]) if stacked else (ours, overlap)
+
+
 def test_sweep_keeps_a_restart_with_zero_environment():
     # |0000> has a zero environment for every qubit of a restart whose
     # first two qubits are exactly |1>
@@ -402,10 +456,11 @@ def test_sweep_keeps_a_restart_with_zero_environment():
     phi = gm._random_product_batch(np.random.default_rng(79), 4)
     phi[2, :2] = (0.0, 1.0)
     before = phi[2].copy()
-    ours, overlap = _assert_sweep_matches_reference(tensor, phi)
-    assert np.array_equal(ours[2], before)
-    assert overlap[2] == 0.0
-    assert np.all(np.delete(overlap, 2) > 0.0)
+    for stacked in (False, True):
+        ours, overlap = _sweep_stuck(tensor, phi, stacked)
+        assert np.array_equal(ours[2], before)
+        assert overlap[2] == 0.0
+        assert np.all(np.delete(overlap, 2) > 0.0)
 
 
 def test_sweep_keeps_a_restart_whose_first_environment_alone_is_zero():
@@ -417,10 +472,11 @@ def test_sweep_keeps_a_restart_whose_first_environment_alone_is_zero():
     phi = gm._random_product_batch(np.random.default_rng(81), 4)
     phi[1, 1:3] = ((0.0, 1.0), (1.0, 0.0))
     before = phi[1].copy()
-    ours, overlap = _assert_sweep_matches_reference(tensor, phi)
-    assert np.array_equal(ours[1, 0], before[0])
-    assert not any(np.array_equal(ours[1, k], before[k]) for k in (1, 2, 3))
-    assert np.all(overlap > 0.0)
+    for stacked in (False, True):
+        ours, overlap = _sweep_stuck(tensor, phi, stacked)
+        assert np.array_equal(ours[1, 0], before[0])
+        assert not any(np.array_equal(ours[1, k], before[k]) for k in (1, 2, 3))
+        assert np.all(overlap > 0.0)
 
 
 def test_sweep_pins_over_the_session_classification(records, graph_records, monkeypatch):
@@ -475,9 +531,9 @@ SLOW_REPS = {13652: 0.75, 820: 0.5, 292: 0.5, 308: 0.5, 816: 0.5}
 
 
 def test_slow_orbits_converge_at_every_seed():
-    for rep, exact in SLOW_REPS.items():
-        for seed in range(32):
-            sol = gm.solve_code(rep, gm.SolvePolicy(seed=seed))
+    for seed in range(32):
+        solutions = gm.solve_codes(SLOW_REPS, gm.SolvePolicy(seed=seed))
+        for (rep, exact), sol in zip(SLOW_REPS.items(), solutions, strict=True):
             assert sol.converged and sol.iterations <= 500, (rep, seed, sol.iterations)
             if seed == 0:
                 assert abs(sol.overlap - exact) < 1e-12, (rep, sol.overlap)
@@ -489,9 +545,8 @@ def test_every_code_converges_to_its_orbit_reps_overlap(orbit_table):
     # default policy stops on "tol" within the bound above, at the overlap
     # of its orbit's rep
     reps = orbit_table.reps[orbit_table.class_id].astype(int)
-    rep_overlap = {rep: gm.solve_code(rep).overlap for rep in set(reps)}
-    for h, rep in enumerate(reps):
-        sol = gm.solve_code(h)
+    rep_overlap = {rep: sol.overlap for rep, sol in zip(orbit_table.reps, gm.solve_codes(orbit_table.reps))}
+    for h, (rep, sol) in enumerate(zip(reps, gm.solve_codes(range(len(reps))), strict=True)):
         assert sol.stop == "tol" and sol.iterations <= 500, (h, sol.stop, sol.iterations)
         assert abs(sol.overlap - rep_overlap[rep]) < 1e-11, (h, rep, sol.overlap)
 
