@@ -22,13 +22,13 @@ print(f"{'row':>3} {'edges':>16} {'m':>3} {'GE':>7} {'exact':>10} "
 for r in records:
     exact = f"{r.closed_form:.6f}" if r.closed_form is not None else ""
     be2 = " ".join(f"{v:.4f}" for v in sorted(r.profile.be2, reverse=True))
-    print(f"{r.row:>3} {cf.hc.format_edges(r.std_rep):>16} {r.m:>3} "
+    print(f"{r.row:>3} {cf.hc.format_edges(r.std):>16} {r.m:>3} "
           f"{r.ge:>7.4f} {exact:>10} {be2:>22} "
           f"{r.pattern.label:>7} {r.pattern.reality:>3}")
 
 print("\ngraph-state classes (rank <= 2 after standardizing):")
 for g in graphs:
-    print(f"  rep {cf.hc.format_edges(g.std_rep) or '(none)':>12} "
+    print(f"  rep {cf.hc.format_edges(g.std) or '(none)':>12} "
           f"size {g.orbit_size:>4}  m {g.m:>2}  GE {g.ge:.4f}")
 
 print("\n=== comparison with the printed degeneracy/reality columns ===")

@@ -128,12 +128,17 @@ REFERENCE_ROWS: dict[int, ReferenceRow] = _build_reference()
 
 @dataclass(frozen=True, slots=True)
 class ClassRecord:
-    """Everything reported about one orbit.  Its signature is ``ge`` plus
-    the multisets of ``profile.be2`` and ``profile.be1``; ``converged`` and
-    ``iterations`` are solver diagnostics that stay out of the report."""
+    """Everything reported about one code and its orbit.  ``std``,
+    ``profile`` and ``pattern`` are the code's own: its standardized form,
+    positional entropies and witness label (in ``classify_all`` the code is
+    the orbit's rep).  The other fields describe its orbit and reference
+    row.  The signature is ``ge`` plus the multisets of ``profile.be2`` and
+    ``profile.be1``; ``converged`` and ``iterations`` are solver diagnostics
+    that stay out of the report.  No solution or array is kept; see
+    :func:`record` for the one error text when a record cannot be built."""
 
     rep: int
-    std_rep: int
+    std: int
     rank: int
     orbit_size: int
     m: int
@@ -195,41 +200,35 @@ def _check_distinct(records) -> None:
                 )
 
 
-def capped_solve(sol: gm.GeSolution, policy: gm.SolvePolicy) -> str:
-    """The stage to blame when an unconverged solve fails its row match."""
-    return (f"solve: unconverged at iteration {sol.iterations} (max_iter={policy.max_iter}), "
-            f"ge={sol.eg:.6f}")
+def record(code: int, sol: gm.GeSolution, policy: gm.SolvePolicy,
+           table: ob.OrbitTable | None = None) -> ClassRecord:
+    """The class record of one code from its solve under ``policy``.
 
-
-def _record_for(orbit: ob.OrbitRecord, sol: gm.GeSolution, policy: gm.SolvePolicy) -> ClassRecord:
-    profile = sv.entropy_profile(orbit.rep)
+    Raises :class:`ClassificationError` naming the code, its rank and the
+    stage that failed: "reality" when the reality search is undecided, "row
+    match" when no single row fits, or "solve" when that solve stopped at
+    the iteration cap (the row match is then blamed on the cap).
+    """
+    orbit = ob.orbit_of(code, table)
+    profile = sv.entropy_profile(code)
     try:
         pattern = gm.degeneracy_pattern(sol)
+        table_name = row = closed = None
+        if orbit.rank in (3, 4):
+            table_name, row = match_row(orbit.rank, sol.eg, profile.be2)
+            closed = REFERENCE_ROWS[row].exact_ge
     except gm.RealityUndecided as exc:
-        raise ClassificationError(f"rep {orbit.rep} (rank {orbit.rank}), reality: {exc}") from exc
-    table = row = closed = None
-    if orbit.rank in (3, 4):
-        try:
-            table, row = match_row(orbit.rank, sol.eg, profile.be2)
-        except ClassificationError as exc:
-            stage = f"row match: {exc}" if sol.converged else capped_solve(sol, policy)
-            raise ClassificationError(f"rep {orbit.rep} (rank {orbit.rank}), {stage}") from exc
-        closed = REFERENCE_ROWS[row].exact_ge
+        raise ClassificationError(f"code {code} (rank {orbit.rank}), reality: {exc}") from exc
+    except ClassificationError as exc:
+        stage = (f"row match: {exc}" if sol.converged else
+                 f"solve: unconverged at iteration {sol.iterations} "
+                 f"(max_iter={policy.max_iter}), ge={sol.eg:.6f}")
+        raise ClassificationError(f"code {code} (rank {orbit.rank}), {stage}") from exc
     return ClassRecord(
-        rep=orbit.rep,
-        std_rep=hc.standardize(orbit.rep),
-        rank=orbit.rank,
-        orbit_size=orbit.size,
-        m=orbit.m,
-        ge=sol.eg,
-        profile=profile,
-        pattern=pattern,
-        restarts_hit=sol.restarts_hit,
-        converged=sol.converged,
-        iterations=sol.iterations,
-        closed_form=closed,
-        table=table,
-        row=row,
+        rep=orbit.rep, std=hc.standardize(code), rank=orbit.rank, orbit_size=orbit.size,
+        m=orbit.m, ge=sol.eg, profile=profile, pattern=pattern, restarts_hit=sol.restarts_hit,
+        converged=sol.converged, iterations=sol.iterations, closed_form=closed,
+        table=table_name, row=row,
     )
 
 
@@ -251,8 +250,8 @@ def classify_all(
     graphs: list[ClassRecord] = []
     reps = [int(rep) for rep in table.reps]
     for rep, sol in zip(reps, gm.solve_codes(reps, policy)):
-        record = _record_for(ob.orbit_of(rep, table), sol, policy)
-        (matched if record.rank in (3, 4) else graphs).append(record)
+        rec = record(rep, sol, policy, table)
+        (matched if rec.rank in (3, 4) else graphs).append(rec)
     _check_distinct(matched)
     reps_by_row = {row: [r.rep for r in matched if r.row == row] for row in REFERENCE_ROWS}
     wrong = "; ".join(f"row {row} matched by reps {reps}"
@@ -298,7 +297,7 @@ def _class_dict(r: ClassRecord) -> dict:
     return {
         "paper_table": r.table,
         "paper_row": r.row,
-        "rep_edges": hc.format_edges(r.std_rep),
+        "rep_edges": hc.format_edges(r.std),
         "rank": r.rank,
         "m": r.m,
         "orbit_size": r.orbit_size,

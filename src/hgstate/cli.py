@@ -1,17 +1,18 @@
 """Command line front end: classify, query one hypergraph, verify sweeps.
 
 Exit codes follow a fixed contract; 1 always means an I/O or argument
-problem.  ``classify`` returns 0 when all 28 hypergraph classes match
-their reference rows and every solve converged, and 2 on any unmatched,
-ambiguous or colliding signature or undecided reality; when a class's
-solve stops at the iteration cap it still writes the report, names the
-class and the policy on stderr, and returns 2; a row match that fails after
-a capped solve is blamed on the solve stage, with the cap.  ``query`` returns 1 on a parse error naming the
-offending token and 2 when the code's class cannot be matched; when its
-solve stops at the iteration cap it still prints the report, names the code
-and the policy on stderr, and returns 2.
-``verify`` returns 2 when any invariant suite fails.  The one solver flag,
-``--max-iter``, is checked only by ``geoment.SolvePolicy``, which names the
+problem, such as a ``query`` edge list that fails to parse (the message
+names the token).  ``classify`` and ``query`` build each class record
+through ``classifier.record``; ``query`` prints the code's own record: its
+standardized form and entropies, and its witness's pattern and reality.
+Both return 2 when a record fails, printing its one error text after a
+prefix naming the policy: the text names the code, its rank and the stage,
+``solve`` when a solve capped by ``--max-iter`` misses its row, ``row
+match`` or ``reality``.  ``classify`` also returns 2 on colliding
+signatures.  A capped solve that still matches its row gets its report
+out, is named with the policy on stderr, and returns 2.  Otherwise both
+return 0.  ``verify`` returns 2 when any invariant suite fails.  The flag
+``--max-iter`` is checked only by ``geoment.SolvePolicy``, which names the
 field on error; every solve runs ``geoment.RESTARTS`` restarts at seed 0,
 each done once an iteration gains less than the fixed ``geoment.TOL``.
 """
@@ -98,34 +99,32 @@ def cmd_query(args) -> int:
         print(f"hgstate: bad edge list: {exc}", file=sys.stderr)
         return 1
     policy = args.policy
-    record = ob.orbit_of(code)
-    std = hc.standardize(code)
-    state = sv.build_state(code)
     sol = gm.solve_code(code, policy)
-    profile = sv.entropy_profile(code)
     try:
-        match = cf.match_row(record.rank, sol.eg, profile.be2) if record.rank in (3, 4) else None
+        rec = cf.record(code, sol, policy)
     except cf.ClassificationError as exc:
-        why = exc if sol.converged else cf.capped_solve(sol, policy)
-        print(f"hgstate: code {code} not classified under {policy}: {why}", file=sys.stderr)
+        print(f"hgstate: code {code} not classified under {policy}: {exc}", file=sys.stderr)
         return 2
 
+    state = sv.build_state(code)
     print(f"edges:        {hc.format_edges(code) or '(none)'}")
     print(f"code:         {code}")
     print(f"rank:         {hc.rank(code)}")
-    print(f"standardized: {hc.format_edges(std) or '(none)'}  (code {std})")
+    print(f"standardized: {hc.format_edges(rec.std) or '(none)'}  (code {rec.std})")
     print("amplitudes (basis: qubit 1 leftmost):")
     for mu in range(hc.N_BASIS):
         print(f"  |{hc.basis_string(mu)}>  {state[mu]:+.4f}")
-    print(f"orbit:        rep {record.rep}, size {record.size}, rank {record.rank}, m {record.m}")
-    if match:
-        print(f"class:        table {match[0]}, row {match[1]}")
+    print(f"orbit:        rep {rec.rep}, size {rec.orbit_size}, rank {rec.rank}, m {rec.m}")
+    if rec.row:
+        print(f"class:        table {rec.table}, row {rec.row}")
     print(f"stabilizers:  {'ok' if sv.verify_stabilizers(code) else 'FAILED'}")
-    print(f"ge:           {sol.eg:.6f}  (overlap {sol.overlap:.6f}, "
-          f"restarts_hit {sol.restarts_hit}, converged {sol.converged})")
-    print(f"be1:          {' '.join(f'{v:.4f}' for v in profile.be1)}")
-    print(f"be2:          {' '.join(f'{v:.4f}' for v in profile.be2)}")
-    if not sol.converged:
+    print(f"ge:           {rec.ge:.6f}  (overlap {sol.overlap:.6f}, "
+          f"restarts_hit {rec.restarts_hit}, converged {rec.converged})")
+    print(f"be1:          {' '.join(f'{v:.4f}' for v in rec.profile.be1)}")
+    print(f"be2:          {' '.join(f'{v:.4f}' for v in rec.profile.be2)}")
+    print(f"pattern:      {rec.pattern.label}  (this code's witness)")
+    print(f"reality:      {rec.pattern.reality}  (this code's witness)")
+    if not rec.converged:
         print(f"hgstate: code {code} did not converge under {policy}", file=sys.stderr)
         return 2
     return 0

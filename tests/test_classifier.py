@@ -102,6 +102,37 @@ def test_graph_records(graph_records):
         assert g.orbit_size == 16 * g.m
 
 
+def _leaves(value):
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _leaves(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+def test_records_keep_scalars_only(records, graph_records):
+    # every record of a classification is kept, so none holds its solution
+    # or an array
+    for r in records + graph_records:
+        kinds = {type(v) for v in _leaves(r)}
+        assert all(issubclass(k, (int, float, str, type(None))) for k in kinds), (r.rep, kinds)
+
+
+def test_record_of_a_non_rep_is_measured_on_the_code(records):
+    # code 576 lies in the orbit of rep 320 (row 14): only the code-level
+    # fields differ from the rep's record
+    rec = cf.record(576, gm.solve_code(576), gm.SolvePolicy())
+    rep = next(r for r in records if r.rep == 320)
+    assert (rec.std, rec.profile) == (hc.standardize(576), sv.entropy_profile(576))
+    assert rec.profile.be1 != rep.profile.be1 and rec.std != rep.std
+    same = ("rep", "rank", "orbit_size", "m", "table", "row", "closed_form")
+    assert [getattr(rec, f) for f in same] == [getattr(rep, f) for f in same]
+    assert abs(rec.ge - rep.ge) < 1e-9
+
+
 def test_reference_m_column_swap_rows_23_25(records):
     """Computed multiplicities for rows 23 and 25 are transposed relative
     to the printed table; the multiset over all rows still agrees."""

@@ -82,13 +82,13 @@ def test_classify_row_match_failure_names_rep_stage_and_policy(orbit_table, monk
                      if rank in (3, 4))
     assert cli.main(["classify"]) == 2
     err = capsys.readouterr().err
-    assert f"rep {rep} (rank {rank}), row match: no table " in err
+    assert f"code {rep} (rank {rank}), row match: no table " in err
     assert str(gm.SolvePolicy()) in err
 
 
 @pytest.mark.parametrize("argv, subject", [
-    (["classify"], "rep 1104 (rank 3), "),
-    (["query", hc.format_edges(1104)], "code 1104 not classified under SolvePolicy(max_iter=1, seed=0): "),
+    (["classify"], "code 1104 (rank 3), "),
+    (["query", hc.format_edges(1104)], "code 1104 (rank 3), "),
 ], ids=["classify", "query"])
 def test_capped_solve_is_named_where_the_row_match_fails(argv, subject, capsys):
     # one iteration leaves rep 1104 (row 18) unconverged and off its row:
@@ -107,7 +107,7 @@ def test_classify_undecided_reality_names_rep_and_stage(orbit_table, monkeypatch
     rank = int(orbit_table.rep_rank[list(orbit_table.reps).index(3136)])
     assert cli.main(["classify"]) == 2
     err = capsys.readouterr().err
-    assert f"rep 3136 (rank {rank}), reality: best real overlap " in err
+    assert f"code 3136 (rank {rank}), reality: best real overlap " in err
     assert str(gm.SolvePolicy()) in err
 
 
@@ -127,6 +127,49 @@ def test_query_worked_example(capsys):
     assert "size 256" in out
     assert "table I, row 1" in out
     assert "stabilizers:  ok" in out
+
+
+def _query_lines(capsys, code):
+    assert cli.main(["query", hc.format_edges(code)]) == 0
+    return dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines()
+                if not line.startswith(" "))
+
+
+def test_query_prints_the_record_classify_builds_for_each_rep(classification, capsys):
+    # one record path: a rep's query shows its class record's row, GE,
+    # witness pattern and reality
+    for rec in classification[0] + classification[1]:
+        lines = _query_lines(capsys, rec.rep)
+        row = lines.get("class")
+        assert row == (f"        table {rec.table}, row {rec.row}" if rec.row else None), rec.rep
+        assert lines["ge"].split()[0] == f"{rec.ge:.6f}", rec.rep
+        assert lines["pattern"].split() == [rec.pattern.label, "(this", "code's", "witness)"]
+        assert lines["reality"].split() == [rec.pattern.reality, "(this", "code's", "witness)"]
+
+
+def test_query_of_a_non_rep_prints_the_codes_own_fields(capsys):
+    # code 576 lies in the orbit of rep 320: its standardized form and
+    # positional entropies are its own, its orbit line is the rep's
+    assert ob.orbit_of(576).rep == 320 and hc.standardize(320) != hc.standardize(576)
+    lines = _query_lines(capsys, 576)
+    assert lines["code"].strip() == "576"
+    assert lines["standardized"].strip() == f"{hc.format_edges(hc.standardize(576))}  (code 576)"
+    assert lines["be1"].strip() == "0.8113 1.0000 0.8113 1.0000"
+    assert lines["orbit"].strip() == "rep 320, size 1536, rank 3, m 12"
+    assert " ".join(f"{v:.4f}" for v in sv.entropy_profile(320).be1) == "1.0000 0.8113 0.8113 1.0000"
+
+
+def test_query_undecided_reality_names_code_and_stage(orbit_table, monkeypatch, capsys):
+    # the query side of the classify test above: code 3136 (row 17, "C")
+    # cannot prove "C" without evaluations to spare
+    monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
+    rank = int(orbit_table.rep_rank[list(orbit_table.reps).index(3136)])
+    assert cli.main(["query", "123,124,34"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"code 3136 (rank {rank}), reality: best real overlap " in captured.err
+    assert str(gm.SolvePolicy()) in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_query_empty_edge_list(capsys):
