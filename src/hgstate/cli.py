@@ -103,7 +103,7 @@ def cmd_query(args) -> int:
     try:
         rec = cf.record(code, sol, policy)
     except cf.ClassificationError as exc:
-        print(f"hgstate: code {code} not classified under {policy}: {exc}", file=sys.stderr)
+        print(f"hgstate: query failed under {policy}: {exc}", file=sys.stderr)
         return 2
 
     state = sv.build_state(code)

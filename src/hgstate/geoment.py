@@ -20,6 +20,21 @@ zero environment, which keeps its qubit, needs an overlap of exactly 0,
 so one test per sweep finds the restarts that must be swept qubit by
 qubit instead.
 
+The kernel (:func:`_sweep`, :func:`_contract`, :func:`_extrapolate`,
+:func:`_ascend`) is restart-major: the restarts of one code are
+phi[qubit, amplitude, r], of shape (4, 2, R), and a batch of n codes
+stacks them to (n, 4, 2, R).  With the R = 64 restarts ahead of axes of
+length 2 and 4, every step would run inner loops of two or four values
+and each 2x2 contraction would be one tiny matrix product per restart;
+with the restarts last, every step is one ufunc call over contiguous rows
+of R values.  The two products with T per sweep are then (4, 4) @ (4, R)
+matmuls, run on the float view of the complex pair products so that the
+real tensor is never cast to complex, and the four 2x2 contractions are
+two-term elementwise products.  Only :func:`solve_codes` meets the
+layout: it transposes its seeded starts in once and its witnesses and
+candidates out once, so every :class:`GeSolution` holds (4, 2) and
+(k, 4, 2) arrays.
+
 Alternating sweeps converge linearly only at nondegenerate maxima, and
 crawl near degenerate maxima and saddles, so every iteration is one
 SQUAREM step (Varadhan and Roland, Scand. J. Statist. 35, 335 (2008))
@@ -162,39 +177,58 @@ def _random_product_batch(rng, restarts: int) -> np.ndarray:
 
 
 def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Two-qubit product amplitudes p[..., a] q[..., b], flattened to shape (..., 4)."""
-    return (p[..., :, None] * q[..., None, :]).reshape(*p.shape[:-1], 4)
+    """Two-qubit product amplitudes p[..., a, r] q[..., b, r], flattened to shape (..., 4, R)."""
+    return (p[..., :, None, :] * q[..., None, :, :]).reshape(*p.shape[:-2], 4, p.shape[-1])
 
 
-def _norms(x: np.ndarray, out: str) -> np.ndarray:
-    """Norms of x[..., k, :] over the axes not in ``out`` ("k" or ""), on the float view."""
-    parts = x.view(x.real.dtype)
-    return np.sqrt(np.einsum(f"...ki,...ki->...{out}", parts, parts))
+def _times(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """t @ x; a real t multiplies the float view of a complex x, as one real matmul."""
+    if np.isrealobj(t) and np.iscomplexobj(x):
+        return (t @ x.view(x.real.dtype)).view(x.dtype)
+    return t @ x
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise, as the sum of the squares of its parts."""
+    squares = x.real * x.real
+    squares += x.imag * x.imag
+    return squares
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Norms of x[..., :, r] over its amplitude axis."""
+    squares = _squares(x)
+    return np.sqrt(squares[..., 0, :] + squares[..., 1, :])
 
 
 def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """One full alternating sweep over the four qubits, in place.
 
-    Shapes: one tensor, (2, 2, 2, 2) or (4, 4), with restarts (R, 4, 2),
-    or a stack of n tensors with (n, R, 4, 2).  Only the products with T
-    see the stack, so a code's iterates do not depend on the rest of it.
+    Shapes are restart-major: one tensor, (2, 2, 2, 2) or (4, 4), with
+    restarts phi[qubit, amplitude, r] of shape (4, 2, R), or a stack of n
+    tensors with (n, 4, 2, R).  Each step is then one ufunc call whose inner
+    loop runs over R contiguous values, and none makes one small product per
+    restart.  Only the products with T see the stack, so a code's iterates
+    do not depend on the rest of it.
 
     Each qubit in turn is set to its conjugated environment, left
-    unnormalized, and all four are rescaled to unit norm once, at the end.
-    The environments are multilinear, so a qubit off by a positive factor
-    scales the environments of the later qubits without turning them: the
-    rescaled qubits are the iterates of the normalize-every-qubit order, up
-    to rounding.  With n_k the norm of qubit k as it was used, the overlap
-    after the sweep is |env_4| / (n_1 n_2 n_3) = n_4 / (n_1 n_2 n_3).
+    unnormalized, and all four are rescaled to unit norm once, at the end,
+    by a multiplication with 1 / n_k.  The environments are multilinear, so
+    a qubit off by a positive factor scales the environments of the later
+    qubits without turning them: the rescaled qubits are the iterates of the
+    normalize-every-qubit order, up to rounding.  With n_k the norm of qubit
+    k as it was used, the overlap after the sweep is |env_4| / (n_1 n_2 n_3)
+    = n_4 / (n_1 n_2 n_3).
 
     The sweep shares two partial contractions of T viewed as a 4x4 matrix
-    T[ab, cd].  Tcd[r, a, b] = sum_cd T[abcd] phi3[r, c] phi4[r, d] gives the
+    T[ab, cd].  Tcd[a, b, r] = sum_cd T[abcd] phi3[c, r] phi4[d, r] gives the
     environments of qubits 1 and 2 (Tcd.phi2, then phi1.Tcd with the new
-    phi1); Tab[r, c, d] = sum_ab phi1[r, a] phi2[r, b] T[abcd], built from the
-    new pair, gives those of qubits 3 and 4 (Tab.phi4, then phi3.Tab): two
-    (R, 4) @ (4, 4) products and four batched 2x2 products per sweep.  The
-    kernel is dtype-generic; numpy upcasts a real ``tensor`` to match a
-    complex ``phi``.
+    phi1); Tab[c, d, r] = sum_ab phi1[a, r] phi2[b, r] T[abcd], built from the
+    new pair, gives those of qubits 3 and 4 (Tab.phi4, then phi3.Tab).  That
+    is two (4, 4) @ (4, R) products, each one real matmul on the float view
+    when T is real (:func:`_times`), and four 2x2 contractions written as
+    two-term elementwise products.  The kernel is dtype-generic: a complex
+    tensor and real restarts work too.
 
     A restart whose environment is zero (norm at most ``_ZERO_NORM``) keeps
     that qubit.  Left unnormalized, the zero would pass on to every later
@@ -206,48 +240,53 @@ def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     |<Phi|psi>|, and no update within a sweep lowers the overlap), which
     random starts never meet.
 
-    Returns the overlaps |f| after the sweep, one per restart.
+    Returns the overlaps |f| after the sweep, one per restart, shaped (R,)
+    or (n, R).
     """
     t = tensor.reshape(*phi.shape[:-3], 4, 4)
-    stack = (*phi.shape[:-3], -1, 4)  # the restarts of each tensor, for its products
     new = np.empty_like(phi)
-    p1, p2, p3, p4 = phi.reshape(-1, 4, 2).transpose(1, 0, 2)
-    q1, q2, q3, q4 = new.reshape(-1, 4, 2).transpose(1, 0, 2)
-    tcd = (_pair(p3, p4).reshape(stack) @ t.swapaxes(-1, -2)).reshape(-1, 2, 2)
-    np.conjugate((tcd @ p2[:, :, None])[:, :, 0], out=q1)
-    np.conjugate((q1[:, None, :] @ tcd)[:, 0], out=q2)
-    tab = (_pair(q1, q2).reshape(stack) @ t).reshape(-1, 2, 2)
-    np.conjugate((tab @ p4[:, :, None])[:, :, 0], out=q3)
-    np.conjugate((q3[:, None, :] @ tab)[:, 0], out=q4)
-    norms = _norms(new, "k")
+    p1, p2, p3, p4 = (phi[..., k, :, :] for k in range(hc.N_VERTICES))
+    q1, q2, q3, q4 = (new[..., k, :, :] for k in range(hc.N_VERTICES))
+    tcd = _times(t, _pair(p3, p4)).reshape(*p1.shape[:-2], 2, 2, -1)
+    # each 2x2 contraction is one product over [a, b, r] and a sum of its two terms
+    m = tcd * p2[..., None, :, :]
+    np.conjugate(np.add(m[..., 0, :], m[..., 1, :], out=q1), out=q1)
+    m = q1[..., :, None, :] * tcd
+    np.conjugate(np.add(m[..., 0, :, :], m[..., 1, :, :], out=q2), out=q2)
+    tab = _times(t.swapaxes(-1, -2), _pair(q1, q2)).reshape(tcd.shape)
+    m = tab * p4[..., None, :, :]
+    np.conjugate(np.add(m[..., 0, :], m[..., 1, :], out=q3), out=q3)
+    m = q3[..., :, None, :] * tab
+    np.conjugate(np.add(m[..., 0, :, :], m[..., 1, :, :], out=q4), out=q4)
+    norms = _norms(new)
     if norms.min() > _ZERO_NORM:
-        np.divide(new, norms[..., None], out=phi)
-        n = norms.reshape(-1, 4)
-        return (n[:, 3] / (n[:, 0] * n[:, 1] * n[:, 2])).reshape(phi.shape[:-2])
+        np.multiply(new, (1.0 / norms)[..., None, :], out=phi)
+        return norms[..., 3, :] / (norms[..., 0, :] * norms[..., 1, :] * norms[..., 2, :])
     if phi.ndim > 3:
         return np.array([_sweep(one, restarts) for one, restarts in zip(t, phi)])
-    live = (norms > _ZERO_NORM).all(axis=1)
-    n = norms[live]
-    phi[live] = new[live] / n[:, :, None]
-    overlap = np.empty(len(phi))
-    overlap[live] = n[:, 3] / (n[:, 0] * n[:, 1] * n[:, 2])
+    live = (norms > _ZERO_NORM).all(axis=0)
+    n = norms[:, live]
+    phi[..., live] = new[..., live] * (1.0 / n)[:, None, :]
+    overlap = np.empty(phi.shape[-1])
+    overlap[live] = n[3] / (n[0] * n[1] * n[2])
     # the environment of qubit k is the overlap with qubit k set to |0> and to |1>
-    stuck = phi[~live]
+    stuck = phi[..., ~live]
     for k in range(hc.N_VERTICES):
-        basis = np.repeat(stuck[:, None], 2, axis=1)
-        basis[:, :, k] = np.eye(2)
-        env = _contract(tensor, basis.reshape(-1, hc.N_VERTICES, 2)).reshape(-1, 2)
-        norm = np.linalg.norm(env, axis=1)
+        basis = np.repeat(stuck[..., None, :], 2, axis=-2)
+        basis[k] = np.eye(2)[..., None]
+        env = _contract(tensor, basis.reshape(hc.N_VERTICES, 2, -1)).reshape(2, -1)
+        norm = np.linalg.norm(env, axis=0)
         moves = norm > _ZERO_NORM
-        stuck[moves, k] = env[moves].conj() / norm[moves, None]
-    phi[~live], overlap[~live] = stuck, norm
+        stuck[k][:, moves] = env[:, moves].conj() / norm[moves]
+    phi[..., ~live], overlap[~live] = stuck, norm
     return overlap
 
 
 def _contract(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Overlap <Phi|psi> for a batch of product states, shaped as for :func:`_sweep`."""
-    tab = _pair(phi[..., 0, :], phi[..., 1, :]) @ tensor.reshape(*phi.shape[:-3], 4, 4)
-    return (tab * _pair(phi[..., 2, :], phi[..., 3, :])).sum(axis=-1)
+    """Overlap <Phi|psi> for restart-major product states, shaped as for :func:`_sweep`."""
+    t = tensor.reshape(*phi.shape[:-3], 4, 4).swapaxes(-1, -2)
+    tab = _times(t, _pair(phi[..., 0, :, :], phi[..., 1, :, :]))
+    return (tab * _pair(phi[..., 2, :, :], phi[..., 3, :, :])).sum(axis=-2)
 
 
 def _extrapolate(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -261,8 +300,10 @@ def _extrapolate(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     when v = 0, giving back x2), y = x0 - 2 alpha r + alpha^2 v is
     normalized per qubit and swept once.  A restart keeps x2 unless that
     sweep reaches at least its overlap from a y with no qubit of norm at
-    most ``_ZERO_NORM``.  Shapes are those of :func:`_sweep`; y reuses the
-    buffer of x0.  Returns the overlaps of the kept points.
+    most ``_ZERO_NORM``.  Shapes are the restart-major ones of
+    :func:`_sweep`, so alpha and every test are per restart, along the
+    last axis; y reuses the buffer of x0.  Returns the overlaps of the kept
+    points.
     """
     y = phi.copy()
     _sweep(tensor, phi)
@@ -271,24 +312,25 @@ def _extrapolate(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     overlap = _sweep(tensor, phi)
     np.add(np.multiply(r, 2.0, out=v), y, out=v)
     np.subtract(phi, v, out=v)
-    r_norm, v_norm = _norms(rv, "")
+    r_norm, v_norm = np.sqrt(_squares(rv).reshape(2, *phi.shape[:-3], 8, -1).sum(axis=-2))
     ratio = np.divide(r_norm, v_norm, out=np.zeros(r_norm.shape), where=v_norm > 0.0)
-    alpha = np.minimum(-ratio, -1.0)[..., None, None]
+    alpha = np.minimum(-ratio, -1.0)[..., None, None, :]
     y -= np.multiply(r, 2.0 * alpha, out=r)
     y += np.multiply(v, alpha * alpha, out=v)
-    norms = _norms(y, "k")
+    norms = _norms(y)
     live = norms > _ZERO_NORM
-    np.divide(y, norms[..., None], out=y, where=live[..., None])
+    y *= np.divide(1.0, norms, out=np.ones(norms.shape), where=live)[..., None, :]
     new = _sweep(tensor, y)
-    take = live.all(axis=-1) & (new >= overlap)
-    np.copyto(phi, y, where=take[..., None, None])
+    take = live.all(axis=-2) & (new >= overlap)
+    np.copyto(phi, y, where=take[..., None, None, :])
     return np.where(take, new, overlap)
 
 
 def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
     """Raise the overlap of every restart of a stack of n codes, in place.
 
-    ``tensor`` is (n, 2, 2, 2, 2) or (n, 4, 4) and ``phi`` (n, R, 4, 2).
+    ``tensor`` is (n, 2, 2, 2, 2) or (n, 4, 4) and ``phi`` restart-major,
+    (n, 4, 2, R), so that a code's restarts are the last axis of its row.
     Each iteration is one :func:`_extrapolate` step of three sweeps over
     the codes still in the batch.  A restart is done when its overlap rose
     by less than ``TOL`` over the iteration (a stationarity test adds
@@ -301,9 +343,8 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
     stop, slack, overlaps): the largest drop of any restart's overlap,
     and the overlaps of the code's last iteration.
     """
-    tensor = tensor.astype(phi.dtype, copy=False)
     iterations, converged = np.full(len(phi), max_iter), np.zeros(len(phi), dtype=bool)
-    slacks, overlaps = np.empty(len(phi)), np.empty(phi.shape[:2])
+    slacks, overlaps = np.empty(len(phi)), np.empty((len(phi), phi.shape[-1]))
     # the codes still in the batch: their rows of phi, restarts, slacks, overlaps
     rows, batch, slack, overlap = np.arange(len(phi)), phi, np.zeros(len(phi)), 0.0
     for iteration in range(1, max_iter + 1):
@@ -348,10 +389,12 @@ def solve_codes(codes, policy: SolvePolicy | None = None):
     codes = iter(codes)
     while batch := list(itertools.islice(codes, BATCH)):
         tensors = np.array([sv.state_tensor(sv.build_state(h)) for h in batch])
-        phi = np.array([_random_product_batch(np.random.default_rng([policy.seed, h]), RESTARTS)
-                        for h in batch])
+        starts = np.array([_random_product_batch(np.random.default_rng([policy.seed, h]), RESTARTS)
+                           for h in batch])
+        phi = np.ascontiguousarray(starts.transpose(0, 2, 3, 1))
         iterations, stops, slacks, _ = _ascend(tensors, phi, policy.max_iter)
         overlaps = np.abs(_contract(tensors, phi))
+        restarts = np.ascontiguousarray(phi.transpose(0, 3, 1, 2))  # (n, R, 4, 2)
         for k, overlap in enumerate(overlaps):
             best = int(np.argmax(overlap))
             # Rounding can push the overlap of a unit product pair a hair above 1;
@@ -361,12 +404,12 @@ def solve_codes(codes, policy: SolvePolicy | None = None):
             yield GeSolution(
                 overlap=best_overlap,
                 eg=-2.0 * math.log2(best_overlap) + 0.0,
-                witness=ProductState(phi[k, best]),
+                witness=ProductState(restarts[k, best]),
                 restarts_hit=int(hit.sum()),
                 converged=stops[k] == "tol",
                 iterations=int(iterations[k]),
                 stop=stops[k],
-                candidates=phi[k, hit],
+                candidates=restarts[k, hit],
                 tensor=tensors[k],
                 monotone_slack=float(slacks[k]),
             )
@@ -429,9 +472,10 @@ _CHILDREN = 2.0 * np.indices((2, 2)).reshape(2, -1).T - 1.0
 def _top_singular(tensor: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """sigma_max of M = sum_ab a_a b_b T[a, b, :, :], with a and b the real
     qubits (cos t, sin t) of each angle pair angles[..., :]; the closed form
-    sigma^2 = (|M|^2 + sqrt(|M|^4 - 4 det^2)) / 2, without its cancellation."""
-    q = np.stack((np.cos(angles), np.sin(angles)), axis=-1).reshape(-1, 2, 2)
-    m00, m01, m10, m11 = tensor.reshape(4, 4).T @ _pair(q[:, 0], q[:, 1]).T
+    sigma^2 = (|M|^2 + sqrt(|M|^4 - 4 det^2)) / 2, without its cancellation.
+    The angle pairs take the restart axis of :func:`_pair`."""
+    a, b = np.stack((np.cos(angles), np.sin(angles))).reshape(2, -1, 2).transpose(2, 0, 1)
+    m00, m01, m10, m11 = tensor.reshape(4, 4).T @ _pair(a, b)
     sigma = np.hypot(m00 + m11, m01 - m10) + np.hypot(m00 - m11, m01 + m10)
     return 0.5 * sigma.reshape(angles.shape[:-1])
 

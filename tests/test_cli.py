@@ -402,5 +402,7 @@ def test_query_unmatched_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cf, "match_row", unmatched)
     assert cli.main(["query", "1234", "--max-iter", "1"]) == 2
     err = capsys.readouterr().err
-    assert "code 16384 not classified" in err and "max_iter=1" in err
+    assert f"hgstate: query failed under {gm.SolvePolicy(max_iter=1)}: " in err and "max_iter=1" in err
+    # the record's text names the code; the prefix does not name it again
+    assert err.count("code 16384") == 1
     assert "Traceback" not in err
