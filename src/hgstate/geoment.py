@@ -15,10 +15,11 @@ updates of qubits 1 and 2) and one against the updated qubits 1 and 2
 (for qubits 3 and 4).  A sweep sets each qubit to its conjugated
 environment unnormalized and rescales all four once, at its end: the
 environments are multilinear, so a scale factor on one qubit leaves the
-directions of the later ones, and with them the iterates, unchanged.  A
-zero environment, which keeps its qubit, needs an overlap of exactly 0,
-so one test per sweep finds the restarts that must be swept qubit by
-qubit instead.
+directions of the later ones, and with them the iterates, unchanged.  The
+kernel handles one case, a real tensor with restarts of positive overlap:
+a zero environment needs an overlap of exactly 0, which no random start
+meets, so a norm of at most ``_ZERO_NORM`` at a rescale raises
+:class:`FloatingPointError` instead of being handled.
 
 The kernel (:func:`_sweep`, :func:`_contract`, :func:`_extrapolate`,
 :func:`_ascend`) is restart-major: the restarts of one code are
@@ -182,10 +183,8 @@ def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _times(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """t @ x; a real t multiplies the float view of a complex x, as one real matmul."""
-    if np.isrealobj(t) and np.iscomplexobj(x):
-        return (t @ x.view(x.real.dtype)).view(x.dtype)
-    return t @ x
+    """t @ x for a real t, as one real matmul on the float view of x (x itself when real)."""
+    return (t @ x.view(x.real.dtype)).view(x.dtype)
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
@@ -195,10 +194,21 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return squares
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Norms of x[..., :, r] over its amplitude axis."""
+def _normalize(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rescale every qubit x[..., :, r] of every restart to unit norm, into
+    out, by a multiplication with 1 / norm; returns the norms.
+
+    A norm of at most ``_ZERO_NORM`` (or not a number) raises
+    :class:`FloatingPointError` before out is written: restarts of positive
+    overlap never reach one, so the solve fails loudly where it would
+    otherwise divide by zero.
+    """
     squares = _squares(x)
-    return np.sqrt(squares[..., 0, :] + squares[..., 1, :])
+    norms = np.sqrt(squares[..., 0, :] + squares[..., 1, :])
+    if not norms.min() > _ZERO_NORM:
+        raise FloatingPointError(f"a qubit of norm {norms.min():.3g} <= {_ZERO_NORM:g} cannot be rescaled")
+    np.multiply(x, (1.0 / norms)[..., None, :], out=out)
+    return norms
 
 
 def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -226,19 +236,16 @@ def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     phi1); Tab[c, d, r] = sum_ab phi1[a, r] phi2[b, r] T[abcd], built from the
     new pair, gives those of qubits 3 and 4 (Tab.phi4, then phi3.Tab).  That
     is two (4, 4) @ (4, R) products, each one real matmul on the float view
-    when T is real (:func:`_times`), and four 2x2 contractions written as
-    two-term elementwise products.  The kernel is dtype-generic: a complex
-    tensor and real restarts work too.
+    of the restarts (:func:`_times`), and four 2x2 contractions written as
+    two-term elementwise products.
 
-    A restart whose environment is zero (norm at most ``_ZERO_NORM``) keeps
-    that qubit.  Left unnormalized, the zero would pass on to every later
-    qubit, so such restarts are swept again qubit by qubit, and a stack
-    holding one is swept again code by code.  Finding them
-    takes one reduction per sweep: for a state of norm at most 1 no n_k
-    exceeds the norm of its normalized-order environment, and a zero
-    environment needs an overlap of exactly 0 at that moment (|env_k| >=
-    |<Phi|psi>|, and no update within a sweep lowers the overlap), which
-    random starts never meet.
+    The tensor is real and every restart has a positive overlap.  For a
+    state of norm at most 1 no n_k exceeds the norm of its normalized-order
+    environment, and that environment is zero only at an overlap of exactly
+    0 (|env_k| >= |<Phi|psi>|, and no update within a sweep lowers the
+    overlap), which random starts never meet.  A norm of at most
+    ``_ZERO_NORM`` therefore raises :class:`FloatingPointError`
+    (:func:`_normalize`) and leaves phi as it was.
 
     Returns the overlaps |f| after the sweep, one per restart, shaped (R,)
     or (n, R).
@@ -258,28 +265,8 @@ def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     np.conjugate(np.add(m[..., 0, :], m[..., 1, :], out=q3), out=q3)
     m = q3[..., :, None, :] * tab
     np.conjugate(np.add(m[..., 0, :, :], m[..., 1, :, :], out=q4), out=q4)
-    norms = _norms(new)
-    if norms.min() > _ZERO_NORM:
-        np.multiply(new, (1.0 / norms)[..., None, :], out=phi)
-        return norms[..., 3, :] / (norms[..., 0, :] * norms[..., 1, :] * norms[..., 2, :])
-    if phi.ndim > 3:
-        return np.array([_sweep(one, restarts) for one, restarts in zip(t, phi)])
-    live = (norms > _ZERO_NORM).all(axis=0)
-    n = norms[:, live]
-    phi[..., live] = new[..., live] * (1.0 / n)[:, None, :]
-    overlap = np.empty(phi.shape[-1])
-    overlap[live] = n[3] / (n[0] * n[1] * n[2])
-    # the environment of qubit k is the overlap with qubit k set to |0> and to |1>
-    stuck = phi[..., ~live]
-    for k in range(hc.N_VERTICES):
-        basis = np.repeat(stuck[..., None, :], 2, axis=-2)
-        basis[k] = np.eye(2)[..., None]
-        env = _contract(tensor, basis.reshape(hc.N_VERTICES, 2, -1)).reshape(2, -1)
-        norm = np.linalg.norm(env, axis=0)
-        moves = norm > _ZERO_NORM
-        stuck[k][:, moves] = env[:, moves].conj() / norm[moves]
-    phi[..., ~live], overlap[~live] = stuck, norm
-    return overlap
+    norms = _normalize(new, out=phi)
+    return norms[..., 3, :] / (norms[..., 0, :] * norms[..., 1, :] * norms[..., 2, :])
 
 
 def _contract(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -299,8 +286,9 @@ def _extrapolate(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     amplitude) and alpha = min(-|r| / |v|, -1) over all 8 amplitudes (-1
     when v = 0, giving back x2), y = x0 - 2 alpha r + alpha^2 v is
     normalized per qubit and swept once.  A restart keeps x2 unless that
-    sweep reaches at least its overlap from a y with no qubit of norm at
-    most ``_ZERO_NORM``.  Shapes are the restart-major ones of
+    sweep reaches at least its overlap.  A qubit of y of norm at most
+    ``_ZERO_NORM`` raises :class:`FloatingPointError` (:func:`_normalize`),
+    as in the sweep.  Shapes are the restart-major ones of
     :func:`_sweep`, so alpha and every test are per restart, along the
     last axis; y reuses the buffer of x0.  Returns the overlaps of the kept
     points.
@@ -317,13 +305,10 @@ def _extrapolate(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     alpha = np.minimum(-ratio, -1.0)[..., None, None, :]
     y -= np.multiply(r, 2.0 * alpha, out=r)
     y += np.multiply(v, alpha * alpha, out=v)
-    norms = _norms(y)
-    live = norms > _ZERO_NORM
-    y *= np.divide(1.0, norms, out=np.ones(norms.shape), where=live)[..., None, :]
+    _normalize(y, out=y)
     new = _sweep(tensor, y)
-    take = live.all(axis=-2) & (new >= overlap)
-    np.copyto(phi, y, where=take[..., None, None, :])
-    return np.where(take, new, overlap)
+    np.copyto(phi, y, where=(new >= overlap)[..., None, None, :])
+    return np.maximum(new, overlap)
 
 
 def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
@@ -340,11 +325,10 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
     the first), with stop "tol", or after ``max_iter`` iterations, with
     stop "max_iter".  Its slack is -min(gain) over its restarts, and its
     arithmetic is that of a batch of one.  Returns per code (iterations,
-    stop, slack, overlaps): the largest drop of any restart's overlap,
-    and the overlaps of the code's last iteration.
+    stop, slack), the slack being the largest drop of any restart's overlap.
     """
     iterations, converged = np.full(len(phi), max_iter), np.zeros(len(phi), dtype=bool)
-    slacks, overlaps = np.empty(len(phi)), np.empty((len(phi), phi.shape[-1]))
+    slacks = np.empty(len(phi))
     # the codes still in the batch: their rows of phi, restarts, slacks, overlaps
     rows, batch, slack, overlap = np.arange(len(phi)), phi, np.zeros(len(phi)), 0.0
     for iteration in range(1, max_iter + 1):
@@ -359,13 +343,13 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
             done = top < TOL
             gone = rows[done]
             iterations[gone], converged[gone] = iteration, True
-            phi[gone], slacks[gone], overlaps[gone] = batch[done], slack[done], overlap[done]
+            phi[gone], slacks[gone] = batch[done], slack[done]
             if done.all():
                 break
             rows, batch, slack, overlap, tensor = (a[~done] for a in (rows, batch, slack, overlap, tensor))
     else:
-        phi[rows], slacks[rows], overlaps[rows] = batch, slack, overlap
-    return iterations, ["tol" if c else "max_iter" for c in converged], slacks, overlaps
+        phi[rows], slacks[rows] = batch, slack
+    return iterations, ["tol" if c else "max_iter" for c in converged], slacks
 
 
 # codes per batch: a classify takes about 0.75 of its one-code-at-a-time
@@ -392,7 +376,7 @@ def solve_codes(codes, policy: SolvePolicy | None = None):
         starts = np.array([_random_product_batch(np.random.default_rng([policy.seed, h]), RESTARTS)
                            for h in batch])
         phi = np.ascontiguousarray(starts.transpose(0, 2, 3, 1))
-        iterations, stops, slacks, _ = _ascend(tensors, phi, policy.max_iter)
+        iterations, stops, slacks = _ascend(tensors, phi, policy.max_iter)
         overlaps = np.abs(_contract(tensors, phi))
         restarts = np.ascontiguousarray(phi.transpose(0, 3, 1, 2))  # (n, R, 4, 2)
         for k, overlap in enumerate(overlaps):

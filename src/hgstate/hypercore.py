@@ -156,11 +156,15 @@ def signs_from_hypergraph(h: int) -> np.ndarray:
 def hypergraph_from_signs(g) -> int:
     """Invert ``signs_from_hypergraph``: edge S is present exactly when the
     xor of g over all subsets of S is 1.  Rejects g(0000) = 1, a hypergraph
-    state times a global minus sign the caller has to strip first."""
-    f = np.asarray(g, dtype=bool)
+    state times a global minus sign the caller has to strip first, and any
+    entry but 0 or 1."""
+    f = np.asarray(g)
     if f.shape != (N_BASIS,):
         raise ValueError(f"sign function must have 16 entries, got shape {f.shape}")
-    return int(codes_of_words(f @ _BITS))
+    bad = np.flatnonzero((f != 0) & (f != 1))
+    if bad.size:
+        raise ValueError(f"sign function entry {bad[0]} is {f[bad[0]].item()!r}, not 0 or 1")
+    return int(codes_of_words(f.astype(bool) @ _BITS))
 
 
 def sign_words(codes) -> np.ndarray:

@@ -33,13 +33,6 @@ def build_state(h: int) -> np.ndarray:
     return np.where(g, -0.25, 0.25)
 
 
-def controlled_z_diagonal(e: int) -> np.ndarray:
-    """Diagonal of the multi-controlled-Z over one edge mask, as +-1."""
-    hc.check_edge(e)
-    mu = np.arange(hc.N_BASIS)
-    return np.where((mu & e) == e, -1.0, 1.0)
-
-
 def stabilizer_defects(codes) -> tuple[np.ndarray, np.ndarray]:
     """Fix and commutation failures of the stabilizers K_i, read off sign words.
 

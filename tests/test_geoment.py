@@ -201,23 +201,28 @@ def test_batched_partitions_match_per_witness_merge(stack):
 def test_ascend_stops_at_the_first_iteration_below_tol():
     # every _ascend iteration is one _extrapolate step (on the real tensor,
     # which _ascend passes on uncast), so a trail of steps from the same
-    # start gives its per-iteration overlaps: a one-code stack stops at the
-    # first iteration k > 1 where no restart rose by TOL, and at
-    # max_iter = k - 1 on the cap
+    # start gives its per-iteration overlaps and restarts: a one-code stack
+    # stops at the first iteration k > 1 where no restart rose by TOL, with
+    # the restarts of step k, and at max_iter = k - 1 on the cap, with those
+    # of step k - 1
     tensor = sv.state_tensor(sv.build_state(16436))
     starts = _restart_major(gm._random_product_batch(np.random.default_rng(101), 4))
     phi = starts.copy()
-    trail = [gm._extrapolate(tensor, phi) for _ in range(60)]
+    trail, points = [], []
+    for _ in range(60):
+        trail.append(gm._extrapolate(tensor, phi))
+        points.append(phi.copy())
     k = next(n for n in range(2, 61) if np.all(trail[n - 1] - trail[n - 2] < gm.TOL))
     assert k > 2
     ascended = starts[None].copy()
-    iterations, stops, _, overlap = gm._ascend(tensor[None], ascended, gm.DEFAULT_MAX_ITER)
+    iterations, stops, _ = gm._ascend(tensor[None], ascended, gm.DEFAULT_MAX_ITER)
     assert (iterations[0], stops[0]) == (k, "tol")
-    assert np.array_equal(overlap[0], trail[k - 1])
+    assert np.array_equal(ascended[0], points[k - 1])
     capped = starts[None].copy()
-    iterations, stops, _, overlap = gm._ascend(tensor[None], capped, k - 1)
+    iterations, stops, _ = gm._ascend(tensor[None], capped, k - 1)
     assert (iterations[0], stops[0]) == (k - 1, "max_iter")
-    assert np.array_equal(overlap[0], trail[k - 2])
+    assert np.array_equal(capped[0], points[k - 2])
+    assert not np.array_equal(points[k - 1], points[k - 2])
 
 
 def _bits(sol):
@@ -404,15 +409,12 @@ def _reference_sweep(tensor, phi):
         others = [phi[:, j] for j in range(4) if j != i]
         env = np.einsum(_REF_ENV_SPECS[i], tensor, *others)
         norm = np.linalg.norm(env, axis=1)
-        safe = norm > 1e-300
-        phi[:, i] = np.where(
-            safe[:, None], env.conj() / np.where(safe, norm, 1.0)[:, None], phi[:, i]
-        )
+        phi[:, i] = env.conj() / norm[:, None]
     return norm
 
 
 def _random_tensor(rng):
-    t = rng.normal(size=(2,) * 4) + 1j * rng.normal(size=(2,) * 4)
+    t = rng.normal(size=(2,) * 4)
     return t / np.linalg.norm(t)
 
 
@@ -435,11 +437,11 @@ def _assert_sweep_matches_reference(tensor, phi):
     return ours, overlap
 
 
-@pytest.mark.parametrize("which", ["row 28", "random complex"])
+@pytest.mark.parametrize("which", ["row 28", "random real"])
 def test_sweep_matches_einsum_reference(which):
     rng = np.random.default_rng(71)
     if which == "row 28":
-        tensor = sv.state_tensor(sv.build_state(13652)).astype(complex)
+        tensor = sv.state_tensor(sv.build_state(13652))
     else:
         tensor = _random_tensor(rng)
     phi = gm._random_product_batch(rng, 16)
@@ -448,7 +450,7 @@ def test_sweep_matches_einsum_reference(which):
 
 
 def test_sweep_matches_einsum_reference_in_real_arithmetic():
-    # the kernel is dtype-generic: real witnesses stay real, with no upcast
+    # real witnesses stay real, with no upcast
     rng = np.random.default_rng(73)
     tensor = sv.state_tensor(sv.build_state(13652))
     phi = rng.normal(size=(16, 4, 2))
@@ -458,47 +460,42 @@ def test_sweep_matches_einsum_reference_in_real_arithmetic():
         assert phi.dtype == overlap.dtype == np.float64
 
 
-def _sweep_stuck(tensor, phi, stacked):
-    """Sweep restarts of ``tensor`` against the reference, alone or as the
-    second code of a two-code stack whose first code has no stuck restart;
-    returns the restarts and overlaps of ``tensor``."""
-    if stacked:
-        rng = np.random.default_rng(113)
-        tensor = np.stack((_random_tensor(rng), tensor))
-        phi = np.stack((gm._random_product_batch(rng, len(phi)), phi))
-    ours, overlap = _assert_sweep_matches_reference(tensor, phi)
-    return (ours[1], overlap[1]) if stacked else (ours, overlap)
+def _assert_sweep_raises(tensor, phi):
+    """The sweep raises FloatingPointError on restarts that meet a zero norm,
+    alone and as the second code of a two-code stack whose first code meets
+    none, with no RuntimeWarning first and the restarts left as they were."""
+    rng = np.random.default_rng(113)
+    stacked = (np.stack((_random_tensor(rng), tensor)),
+               np.stack((gm._random_product_batch(rng, len(phi)), phi)))
+    for tensor, phi in ((tensor, phi), stacked):
+        ours = _restart_major(phi)
+        before = ours.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                gm._sweep(tensor, ours)
+        assert np.array_equal(ours, before)
 
 
-def test_sweep_keeps_a_restart_with_zero_environment():
+def test_sweep_raises_on_a_zero_environment():
     # |0000> has a zero environment for every qubit of a restart whose
     # first two qubits are exactly |1>
-    tensor = np.zeros((2,) * 4, dtype=complex)
+    tensor = np.zeros((2,) * 4)
     tensor[0, 0, 0, 0] = 1.0
     phi = gm._random_product_batch(np.random.default_rng(79), 4)
     phi[2, :2] = (0.0, 1.0)
-    before = phi[2].copy()
-    for stacked in (False, True):
-        ours, overlap = _sweep_stuck(tensor, phi, stacked)
-        assert np.array_equal(ours[2], before)
-        assert overlap[2] == 0.0
-        assert np.all(np.delete(overlap, 2) > 0.0)
+    _assert_sweep_raises(tensor, phi)
 
 
-def test_sweep_keeps_a_restart_whose_first_environment_alone_is_zero():
+def test_sweep_raises_when_the_first_environment_alone_is_zero():
     # for (|0000> + |1111>)/sqrt2 with qubit 2 at |1> and qubit 3 at |0>,
-    # only qubit 1 sees a zero environment; the zero must not reach qubits
-    # 2 to 4, which move as the qubit-by-qubit order moves them
-    tensor = np.zeros((2,) * 4, dtype=complex)
+    # only qubit 1 sees a zero environment in the normalize-every-qubit
+    # order, but it does not pass unnoticed: the sweep raises
+    tensor = np.zeros((2,) * 4)
     tensor[0, 0, 0, 0] = tensor[1, 1, 1, 1] = math.sqrt(0.5)
     phi = gm._random_product_batch(np.random.default_rng(81), 4)
     phi[1, 1:3] = ((0.0, 1.0), (1.0, 0.0))
-    before = phi[1].copy()
-    for stacked in (False, True):
-        ours, overlap = _sweep_stuck(tensor, phi, stacked)
-        assert np.array_equal(ours[1, 0], before[0])
-        assert not any(np.array_equal(ours[1, k], before[k]) for k in (1, 2, 3))
-        assert np.all(overlap > 0.0)
+    _assert_sweep_raises(tensor, phi)
 
 
 def test_sweep_pins_over_the_session_classification(records, graph_records, monkeypatch):
@@ -565,7 +562,8 @@ def test_slow_orbits_converge_at_every_seed():
 def test_every_code_converges_to_its_orbit_reps_overlap(orbit_table):
     # a query may name any code, so every one of the 2^15 solves at the
     # default policy stops on "tol" within the bound above, at the overlap
-    # of its orbit's rep
+    # of its orbit's rep; since a zero norm raises, it also shows that no
+    # code meets a zero environment
     reps = orbit_table.reps[orbit_table.class_id].astype(int)
     rep_overlap = {rep: sol.overlap for rep, sol in zip(orbit_table.reps, gm.solve_codes(orbit_table.reps))}
     for h, (rep, sol) in enumerate(zip(reps, gm.solve_codes(range(len(reps))), strict=True)):
@@ -573,15 +571,18 @@ def test_every_code_converges_to_its_orbit_reps_overlap(orbit_table):
         assert abs(sol.overlap - rep_overlap[rep]) < 1e-11, (h, rep, sol.overlap)
 
 
-@pytest.mark.parametrize("real_tensor", [False, True])
-def test_extrapolate_keeps_a_maximum_fixed(real_tensor):
-    # a generic tensor has a nondegenerate maximum, and at it the sweep map
-    # has stopped moving, so the step leaves it where it is.  The solve's own
-    # case is a real tensor with complex witnesses
+@pytest.mark.parametrize("real_restarts", [False, True])
+def test_extrapolate_keeps_a_maximum_fixed(real_restarts):
+    # a generic real tensor has a nondegenerate maximum, and at it the sweep
+    # map has stopped moving, so the step leaves it where it is.  The solve's
+    # own case is complex witnesses; real ones run the same kernel in real
+    # arithmetic, to a maximum over real product states
     rng = np.random.default_rng(89)
-    tensor = rng.normal(size=(2,) * 4) if real_tensor else _random_tensor(rng)
-    tensor /= np.linalg.norm(tensor)
-    phi = _restart_major(gm._random_product_batch(rng, 16))
+    tensor = _random_tensor(rng)
+    phi = gm._random_product_batch(rng, 16)
+    if real_restarts:
+        phi = phi.real / np.linalg.norm(phi.real, axis=2, keepdims=True)
+    phi = _restart_major(phi)
     for _ in range(300):
         gm._sweep(tensor, phi)
     overlap = np.abs(gm._contract(tensor, phi))
@@ -598,7 +599,7 @@ def test_extrapolate_never_loses_ground():
     # unchecked it would from about the tenth sweep on; on some restart the
     # extrapolation gains on those two sweeps
     rng = np.random.default_rng(97)
-    tensor = sv.state_tensor(sv.build_state(13652)).astype(complex)
+    tensor = sv.state_tensor(sv.build_state(13652))
     phi = _restart_major(gm._random_product_batch(rng, 256))
     gained = 0.0
     for _ in range(20):
@@ -616,22 +617,19 @@ def test_extrapolate_never_loses_ground():
     assert gained > 1e-6
 
 
-def test_extrapolate_keeps_x2_when_the_extrapolated_qubit_is_zero(monkeypatch):
+def test_extrapolate_raises_when_the_extrapolated_qubit_is_zero(monkeypatch):
     # a sweep that halves every amplitude gives alpha = -2, and then
     # y = x0 - 2 alpha r + alpha^2 v is exactly 0.  It reports one overlap
     # throughout, so the overlap test alone would take the swept y: the
-    # zero-norm guard keeps x2, with no division by zero
+    # zero-norm check raises before y is rescaled, with no division by zero
     def halve(tensor, phi):
         phi /= 2.0
         return np.ones(phi.shape[-1])
 
     monkeypatch.setattr(gm, "_sweep", halve)
-    tensor = sv.state_tensor(sv.build_state(13652)).astype(complex)
-    start = _restart_major(gm._random_product_batch(np.random.default_rng(109), 8))
-    phi = start.copy()
+    tensor = sv.state_tensor(sv.build_state(13652))
+    phi = _restart_major(gm._random_product_batch(np.random.default_rng(109), 8))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        overlap = gm._extrapolate(tensor, phi)
-    assert np.array_equal(phi, start / 4.0)
-    assert np.array_equal(overlap, np.ones(phi.shape[-1]))
-    assert np.isfinite(phi).all() and np.isfinite(overlap).all()
+        with pytest.raises(FloatingPointError):
+            gm._extrapolate(tensor, phi)

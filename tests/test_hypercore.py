@@ -1,6 +1,7 @@
 """Unit tests for the bitmask hypergraph layer."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ def test_hypergraph_from_signs_rejects_global_sign():
     g = np.zeros(hc.N_BASIS, dtype=np.uint8)
     g[0] = 1
     with pytest.raises(ValueError):
+        hc.hypergraph_from_signs(g)
+
+
+@pytest.mark.parametrize("entry", [0.5, 2, -1, math.nan])
+def test_hypergraph_from_signs_rejects_entries_other_than_0_and_1(entry):
+    # a truthiness cast would read each of these as 1, the sign function of code 21845
+    g = [0] * hc.N_BASIS
+    g[1] = entry
+    with pytest.raises(ValueError, match=f"entry 1 is {entry!r}, not 0 or 1"):
         hc.hypergraph_from_signs(g)
 
 

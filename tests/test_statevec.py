@@ -22,6 +22,13 @@ def test_build_state_four_edge():
     assert np.array_equal(s, expected)
 
 
+def _cz_diagonal(e):
+    """Reference diagonal of the multi-controlled-Z over one edge mask: -1
+    on the basis states where every vertex of the edge reads 1."""
+    mu = np.arange(16)
+    return np.where((mu & e) == e, -1.0, 1.0)
+
+
 def test_build_state_matches_cz_circuit():
     rng = np.random.default_rng(23)
     plus = np.full(16, 0.25)
@@ -29,14 +36,8 @@ def test_build_state_matches_cz_circuit():
         h = int(h)
         diag = np.ones(16)
         for e in hc.edges_of(h):
-            diag = diag * sv.controlled_z_diagonal(e)
+            diag = diag * _cz_diagonal(e)
         assert np.array_equal(sv.build_state(h), diag * plus)
-
-
-def test_controlled_z_diagonal():
-    d = sv.controlled_z_diagonal(hc.edge_mask([1, 2]))
-    mu = np.arange(16)
-    assert np.array_equal(d, np.where((mu & 3) == 3, -1.0, 1.0))
 
 
 def _dense_stabilizer(h, i):
@@ -44,7 +45,7 @@ def _dense_stabilizer(h, i):
     global -1 of a loop on i, built as a dense 16x16 matrix."""
     diag = np.full(16, -1.0 if 1 << (i - 1) in hc.edges_of(h) else 1.0)
     for e in hc.neighborhood(h, i):
-        diag = diag * sv.controlled_z_diagonal(e)
+        diag = diag * _cz_diagonal(e)
     k = np.zeros((16, 16))
     k[np.arange(16) ^ (1 << (i - 1)), np.arange(16)] = diag
     return k
