@@ -72,7 +72,7 @@ DEFAULT_MAX_ITER = 5000
 TOL = 1e-12
 # overlaps this close to the best are treated as hitting the best
 HIT_WINDOW = 1e-9
-# an environment of at most this norm is zero: its qubit is kept
+# a qubit of at most this norm at a rescale is zero: the solve raises
 _ZERO_NORM = 1e-300
 # single-qubit states this close in fidelity count as the same state
 MERGE_TOL = 1e-6
@@ -352,10 +352,11 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
     return iterations, ["tol" if c else "max_iter" for c in converged], slacks
 
 
-# codes per batch: a classify takes about 0.75 of its one-code-at-a-time
-# time at 4, 0.67 at 8 and 0.64 at 39, but its peak traced memory grows
-# from 0.36 MB at 4 to 0.65 MB at 8 and 2.6 MB at 39
-BATCH = 4
+# codes per batch: at 8, 13 and 39 codes the solve of the 39 orbit reps
+# takes about 0.84, 0.77 and 0.74 of its time at 4 (medians of paired
+# runs), while its peak traced memory grows from 0.88 MB at 4 to 1.13, 1.52
+# and 3.15 MB
+BATCH = 8
 
 
 def solve_codes(codes, policy: SolvePolicy | None = None):
@@ -453,15 +454,24 @@ _ZOOM = np.indices((9, 9)).reshape(2, -1).T - 4.0
 _CHILDREN = 2.0 * np.indices((2, 2)).reshape(2, -1).T - 1.0
 
 
-def _top_singular(tensor: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """sigma_max of M = sum_ab a_a b_b T[a, b, :, :], with a and b the real
-    qubits (cos t, sin t) of each angle pair angles[..., :]; the closed form
-    sigma^2 = (|M|^2 + sqrt(|M|^4 - 4 det^2)) / 2, without its cancellation.
-    The angle pairs take the restart axis of :func:`_pair`."""
+def _real_pairs(angles: np.ndarray) -> np.ndarray:
+    """Pair products a_a b_b of the real qubits a, b = (cos t, sin t) of each
+    angle pair angles[..., :], flattened to shape (4, N): the angle pairs
+    take the restart axis of :func:`_pair`."""
     a, b = np.stack((np.cos(angles), np.sin(angles))).reshape(2, -1, 2).transpose(2, 0, 1)
-    m00, m01, m10, m11 = tensor.reshape(4, 4).T @ _pair(a, b)
-    sigma = np.hypot(m00 + m11, m01 - m10) + np.hypot(m00 - m11, m01 + m10)
-    return 0.5 * sigma.reshape(angles.shape[:-1])
+    return _pair(a, b)
+
+
+def _top_singular(tensor: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """sigma_max of M = sum_ab a_a b_b T[a, b, :, :] for each column of the
+    pair products of :func:`_real_pairs`, shape (N,); the closed form
+    sigma^2 = (|M|^2 + sqrt(|M|^4 - 4 det^2)) / 2, without its cancellation."""
+    m00, m01, m10, m11 = tensor.reshape(4, 4).T @ pairs
+    return 0.5 * (np.hypot(m00 + m11, m01 - m10) + np.hypot(m00 - m11, m01 + m10))
+
+
+# the start grid's pair products, which do not depend on the tensor
+_START_PAIRS = _real_pairs(_START)
 
 
 def _best_real_overlap(tensor: np.ndarray, overlap: float):
@@ -483,9 +493,10 @@ def _best_real_overlap(tensor: np.ndarray, overlap: float):
     slope = 2.0 * float(np.linalg.norm(tensor))
     best, at, evaluations = -math.inf, None, 0
 
-    def evaluate(angles):
+    def evaluate(angles, pairs=None):
         nonlocal best, at, evaluations
-        values = _top_singular(tensor, angles)
+        pairs = _real_pairs(angles) if pairs is None else pairs
+        values = _top_singular(tensor, pairs).reshape(angles.shape[:-1])
         evaluations += values.size
         i = int(values.argmax())
         if values.flat[i] > best:
@@ -493,7 +504,7 @@ def _best_real_overlap(tensor: np.ndarray, overlap: float):
         return values
 
     boxes, half = _START, math.pi / (2 * START_GRID)
-    values = evaluate(boxes)
+    values = evaluate(boxes, _START_PAIRS)
     seeds, spacing = boxes[np.argsort(-values, kind="stable")[:2]], 2.0 * half
     for _ in range(ZOOM_LEVELS):
         if best >= hit:

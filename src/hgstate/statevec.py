@@ -68,13 +68,41 @@ def verify_stabilizers(h: int) -> bool:
 # reduced states and entropies
 
 
-def state_tensor(s) -> np.ndarray:
-    """Real amplitudes as T[mu1, mu2, mu3, mu4], one axis per qubit."""
+def _amplitudes(s) -> np.ndarray:
+    """The 16 real amplitudes of a state as floats; anything else raises."""
     s = np.asarray(s)
     if np.iscomplexobj(s) or s.shape != (hc.N_BASIS,):
         raise ValueError(f"state must be 16 real amplitudes, got {s.dtype} of shape {s.shape}")
+    return s.astype(float)
+
+
+def state_tensor(s) -> np.ndarray:
+    """Real amplitudes as T[mu1, mu2, mu3, mu4], one axis per qubit."""
     # C-order reshape puts qubit 4 first; reverse axes so qubit 1 is first
-    return s.astype(float).reshape((2,) * hc.N_VERTICES).transpose(3, 2, 1, 0)
+    return _amplitudes(s).reshape((2,) * hc.N_VERTICES).transpose(3, 2, 1, 0)
+
+
+def _cut_layout(kept: tuple[int, ...]) -> np.ndarray:
+    """Basis indices laid out as the matrix of a cut keeping ``kept``: one row
+    per value of the kept qubits and one column per value of the rest, the
+    lower-numbered qubit of each the more significant."""
+    axes = [v - 1 for v in kept]
+    rest = [ax for ax in range(hc.N_VERTICES) if ax not in axes]
+    index = state_tensor(np.arange(hc.N_BASIS)).astype(int)
+    return index.transpose(axes + rest).reshape(1 << len(kept), -1)
+
+
+# the matrix layout of every cut that keeps one or two qubits, keyed by its
+# sorted vertices, and the stacked layouts of the report's cuts
+_CUT_LAYOUTS = {kept: _cut_layout(kept)
+                for k in (1, 2) for kept in itertools.combinations(hc.VERTICES, k)}
+_ONE_CUT_LAYOUT, _TWO_CUT_LAYOUT = (np.array([_CUT_LAYOUTS[cut] for cut in cuts])
+                                    for cuts in (ONE_CUTS, TWO_CUTS))
+
+
+def _densities(m: np.ndarray) -> np.ndarray:
+    """m m^T for a cut matrix m, or for each of a stack of them."""
+    return m @ m.swapaxes(-1, -2)
 
 
 def reduced_density(s: np.ndarray, keep) -> np.ndarray:
@@ -84,25 +112,31 @@ def reduced_density(s: np.ndarray, keep) -> np.ndarray:
     qubits are rejected: the complement view (or the purity of the full
     state) already covers them.
     """
-    tensor = state_tensor(s)
+    s = _amplitudes(s)
     kept = hc.edge_vertices(hc.edge_mask(keep))
     if len(kept) not in (1, 2):
         raise ValueError(f"keep must name 1 or 2 qubits, got {kept}")
-    axes = [v - 1 for v in kept]
-    rest = [ax for ax in range(hc.N_VERTICES) if ax not in axes]
-    m = tensor.transpose(axes + rest).reshape(1 << len(kept), -1)
-    return m @ m.T
+    return _densities(s[_CUT_LAYOUTS[kept]])
+
+
+def _entropies(rho: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits of a real density matrix, or of each of
+    a stack of them, with eigenvalues clamped into [0, 1].
+
+    Eigenvalues of at most 1e-15 add an exact zero (their log is taken at
+    1), so each sum runs over the others in order, as if they were dropped.
+    """
+    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    terms = lam * np.log2(np.where(lam > 1e-15, lam, 1.0))
+    # + 0.0 turns the -0.0 of a pure cut into 0.0
+    return -terms.sum(axis=-1) + 0.0
 
 
 def entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits, with eigenvalues clamped into [0, 1]."""
     if np.iscomplexobj(rho):
         raise ValueError("density matrix must be real")
-    lam = np.linalg.eigvalsh(np.asarray(rho, dtype=float))
-    lam = np.clip(lam, 0.0, 1.0)
-    lam = lam[lam > 1e-15]
-    # + 0.0 turns the -0.0 of a pure cut into 0.0
-    return float(-(lam * np.log2(lam)).sum()) + 0.0
+    return float(_entropies(np.asarray(rho, dtype=float)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,8 +153,13 @@ class EntropyProfile:
 
 
 def entropy_profile(h: int) -> EntropyProfile:
-    """All seven cut entropies of the state named by a code."""
+    """All seven cut entropies of the state named by a code.
+
+    The four 1|3 cuts and the three 2|2 cuts each stack the matrices that
+    :func:`reduced_density` builds, and each stack takes the formula of
+    :func:`entropy` in one call, so every value has the bits of its cut alone.
+    """
     s = build_state(h)
-    be1 = tuple(entropy(reduced_density(s, cut)) for cut in ONE_CUTS)
-    be2 = tuple(entropy(reduced_density(s, cut)) for cut in TWO_CUTS)
-    return EntropyProfile(be1=be1, be2=be2)
+    be1, be2 = (_entropies(_densities(s[layout])).tolist()
+                for layout in (_ONE_CUT_LAYOUT, _TWO_CUT_LAYOUT))
+    return EntropyProfile(be1=tuple(be1), be2=tuple(be2))

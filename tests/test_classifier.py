@@ -232,6 +232,16 @@ def test_reports_are_reproducible(records, graph_records):
     assert a == b
 
 
+@pytest.mark.parametrize("width", [1, 39])
+def test_report_does_not_depend_on_the_batch_width(width, orbit_table, records, graph_records, monkeypatch):
+    # one code per batch and all 39 reps in one batch give the bytes of the
+    # default width: each code keeps the arithmetic of a one-code solve
+    assert width != gm.BATCH
+    monkeypatch.setattr(gm, "BATCH", width)
+    ours = cf.emit_report(*cf.classify_all(table=orbit_table), "json", seed=0)
+    assert ours == cf.emit_report(records, graph_records, "json", seed=0)
+
+
 def test_degeneracy_diagnostics_at_seed_0(records, graph_records):
     every = records + graph_records
     evaluations = {r.rep: r.pattern.evaluations for r in every}

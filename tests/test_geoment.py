@@ -267,7 +267,21 @@ def test_top_singular_matches_svd(rep):
     a, b = (np.stack((np.cos(t), np.sin(t)), axis=-1) for t in angles.T)
     m = np.einsum("na,nb,abcd->ncd", a, b, tensor)
     sigma = np.linalg.svd(m, compute_uv=False)[:, 0]
-    assert np.max(np.abs(gm._top_singular(tensor, angles) - sigma)) < 1e-14
+    assert np.max(np.abs(gm._top_singular(tensor, gm._real_pairs(angles)) - sigma)) < 1e-14
+
+
+def test_constant_start_grid_gives_the_bits_of_the_angle_path(orbit_table, solutions):
+    # the reality search reads its start grid's pair products from a module
+    # constant; on every rep they give the values of the per-call angle path
+    # bit for bit, and a search leaves the constant as it was
+    angle_path = gm._real_pairs(gm._START)
+    assert gm._START_PAIRS.shape == (4, gm.START_GRID**2)
+    for rep in orbit_table.reps:
+        sol = solutions[int(rep)]
+        ours = gm._top_singular(sol.tensor, gm._START_PAIRS)
+        assert ours.tobytes() == gm._top_singular(sol.tensor, angle_path).tobytes(), rep
+        gm._best_real_overlap(sol.tensor, sol.overlap)
+    assert gm._START_PAIRS.tobytes() == angle_path.tobytes()
 
 
 def _real_product_overlaps(tensor, rng, n):

@@ -184,6 +184,29 @@ def test_entropy_profile_four_edge():
     assert np.allclose(p.be2, [0.6561] * 3, atol=5e-5)
 
 
+def _entropy_dropping_small_eigenvalues(rho):
+    """Reference entropy that drops the eigenvalues of at most 1e-15 before
+    summing, where :func:`sv.entropy` adds an exact zero for each."""
+    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    lam = lam[lam > 1e-15]
+    return float(-(lam * np.log2(lam)).sum()) + 0.0
+
+
+def test_stacked_entropy_profile_matches_each_cut_alone(orbit_table):
+    # the seven entropies of a code come from two stacked eigvalsh calls; each
+    # has the bits of its own cut's entropy(reduced_density(s, cut)), and of
+    # the reference that drops small eigenvalues, on every rep and every 16th code
+    codes = sorted({int(rep) for rep in orbit_table.reps} | set(range(0, hc.N_CODES, 16)))
+    for h in codes:
+        s = sv.build_state(h)
+        p = sv.entropy_profile(h)
+        rhos = [sv.reduced_density(s, cut) for cut in sv.ONE_CUTS + sv.TWO_CUTS]
+        alone = [sv.entropy(rho) for rho in rhos]
+        assert np.array(p.be1 + p.be2).tobytes() == np.array(alone).tobytes(), h
+        reference = [_entropy_dropping_small_eigenvalues(rho) for rho in rhos]
+        assert np.array(alone).tobytes() == np.array(reference).tobytes(), h
+
+
 def test_entropy_profile_invariant_under_permutation_as_multiset():
     rng = np.random.default_rng(47)
     for h in rng.integers(0, hc.N_CODES, size=15):
