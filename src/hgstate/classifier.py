@@ -201,18 +201,23 @@ def _check_distinct(records) -> None:
 
 
 def record(code: int, sol: gm.GeSolution, policy: gm.SolvePolicy,
-           table: ob.OrbitTable | None = None) -> ClassRecord:
+           table: ob.OrbitTable | None = None,
+           pattern: gm.DegeneracyPattern | None = None) -> ClassRecord:
     """The class record of one code from its solve under ``policy``.
 
-    Raises :class:`ClassificationError` naming the code, its rank and the
-    stage that failed: "reality" when the reality search is undecided, "row
+    ``pattern`` is the solve's degeneracy pattern when the caller has it
+    already, as ``classify_all`` has from one stacked search over all its
+    solves; without it the record searches the code's own.  Raises
+    :class:`ClassificationError` naming the code, its rank and the stage
+    that failed: "reality" when the reality search is undecided, "row
     match" when no single row fits, or "solve" when that solve stopped at
     the iteration cap (the row match is then blamed on the cap).
     """
     orbit = ob.orbit_of(code, table)
     profile = sv.entropy_profile(code)
     try:
-        pattern = gm.degeneracy_pattern(sol)
+        if pattern is None:
+            pattern = gm.degeneracy_pattern(sol)
         table_name = row = closed = None
         if orbit.rank in (3, 4):
             table_name, row = match_row(orbit.rank, sol.eg, profile.be2)
@@ -249,8 +254,15 @@ def classify_all(
     matched: list[ClassRecord] = []
     graphs: list[ClassRecord] = []
     reps = [int(rep) for rep in table.reps]
-    for rep, sol in zip(reps, gm.solve_codes(reps, policy)):
-        rec = record(rep, sol, policy, table)
+    sols = list(gm.solve_codes(reps, policy))
+    try:
+        patterns = gm.degeneracy_patterns(sols)
+    except gm.RealityUndecided:
+        # each record searches its own again, so that the first code to
+        # fail in rep order, at whichever stage, is the one named
+        patterns = [None] * len(sols)
+    for rep, sol, pattern in zip(reps, sols, patterns):
+        rec = record(rep, sol, policy, table, pattern)
         (matched if rec.rank in (3, 4) else graphs).append(rec)
     _check_distinct(matched)
     reps_by_row = {row: [r.rep for r in matched if r.row == row] for row in REFERENCE_ROWS}

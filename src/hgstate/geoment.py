@@ -49,6 +49,11 @@ classes, the one-parameter fixed-point iteration for the symmetric
 three-qubit witness, and the analysis of a converged witness: which
 qubits share a state, and whether a real product state attains its
 overlap, decided over the two angles that fix real qubits 1 and 2.
+Like the sweep, that reality search (:func:`_best_real_overlap`) takes one
+tensor or a stack.  :func:`degeneracy_patterns` decides a whole
+classification in one search, whose start grid and zoom levels are each
+one evaluation over the stack, with every code keeping the bits of its
+search alone; :func:`degeneracy_pattern` is its one-solution case.
 """
 
 from __future__ import annotations
@@ -158,7 +163,7 @@ class DegeneracyPattern:
 
     ``label`` is one of "4", "1,3", "2,2", "1,2,1", "1,1,1,1" (sizes of the
     groups of coinciding states).  ``reality`` is "R" or "C" (see
-    :func:`degeneracy_pattern`).  ``census`` lists (label, count) over all
+    :func:`degeneracy_patterns`).  ``census`` lists (label, count) over all
     best-overlap candidates, coarsest first, for reporting competing
     groupings.  ``evaluations`` counts the reality search's evaluations; it
     stays out of every report.
@@ -455,18 +460,24 @@ _CHILDREN = 2.0 * np.indices((2, 2)).reshape(2, -1).T - 1.0
 
 
 def _real_pairs(angles: np.ndarray) -> np.ndarray:
-    """Pair products a_a b_b of the real qubits a, b = (cos t, sin t) of each
-    angle pair angles[..., :], flattened to shape (4, N): the angle pairs
-    take the restart axis of :func:`_pair`."""
-    a, b = np.stack((np.cos(angles), np.sin(angles))).reshape(2, -1, 2).transpose(2, 0, 1)
-    return _pair(a, b)
+    """Pair products a_a b_b of the real qubits a, b = (cos t, sin t) of the
+    angle pairs angles[..., N, :], shaped (..., 4, N) like the products of
+    :func:`_pair`, with the angle pairs on the restart axis."""
+    c, s = np.cos(angles), np.sin(angles)
+    pairs = np.empty((*angles.shape[:-2], 4, angles.shape[-2]))
+    for k, (a, b) in enumerate(((c, c), (c, s), (s, c), (s, s))):
+        np.multiply(a[..., 0], b[..., 1], out=pairs[..., k, :])
+    return pairs
 
 
 def _top_singular(tensor: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """sigma_max of M = sum_ab a_a b_b T[a, b, :, :] for each column of the
-    pair products of :func:`_real_pairs`, shape (N,); the closed form
-    sigma^2 = (|M|^2 + sqrt(|M|^4 - 4 det^2)) / 2, without its cancellation."""
-    m00, m01, m10, m11 = tensor.reshape(4, 4).T @ pairs
+    pair products of :func:`_real_pairs`; the closed form sigma^2 = (|M|^2 +
+    sqrt(|M|^4 - 4 det^2)) / 2, without its cancellation.  One tensor (2, 2,
+    2, 2) with pairs (4, N) gives (N,); a stack (n, 2, 2, 2, 2) with pairs
+    (4, N) or (n, 4, N) gives (n, N), one (4, 4) @ (4, N) product per code."""
+    m = tensor.reshape(*tensor.shape[:-4], 4, 4).swapaxes(-1, -2) @ pairs
+    m00, m01, m10, m11 = m.swapaxes(0, -2)
     return 0.5 * (np.hypot(m00 + m11, m01 - m10) + np.hypot(m00 - m11, m01 + m10))
 
 
@@ -474,9 +485,11 @@ def _top_singular(tensor: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 _START_PAIRS = _real_pairs(_START)
 
 
-def _best_real_overlap(tensor: np.ndarray, overlap: float):
+def _best_real_overlap(tensor: np.ndarray, overlap):
     """(best real product overlap found, its witness, a proved upper bound
-    on all of them, evaluations).
+    on all of them, evaluations) of one tensor (2, 2, 2, 2) and its
+    overlap, or a list of them, one per code, of a stack of n tensors (n,
+    2, 2, 2, 2) and n overlaps.
 
     With real qubits 1 and 2 fixed by angles t1, t2, the best real qubits 3
     and 4 are the top singular vectors of M (:func:`_top_singular`), so the
@@ -485,75 +498,117 @@ def _best_real_overlap(tensor: np.ndarray, overlap: float):
     and centre value v holds nothing above v + 2 |T| w.  The best two of a
     START_GRID^2 grid of boxes seed up to ZOOM_LEVELS 9x9 grids, each a
     quarter the spacing of the last, until the best value is HIT_WINDOW
-    from ``overlap``.  Short of overlap - REAL_GAP, branch-and-bound then
+    from the overlap.  Short of overlap - REAL_GAP, branch-and-bound then
     quarters every box whose bound reaches it, until none does or the next
     level would pass MAX_EVALUATIONS; the bound is the final boxes' largest.
+
+    A stack runs its codes' searches side by side: the start grid is one
+    product of every tensor with ``_START_PAIRS``, and each zoom level one
+    evaluation over the codes still short of their hit window.  The
+    branch-and-bound, which only "C" classes reach, runs code by code.
+    Every code gets the arithmetic, and so the bits, of its search alone.
     """
-    hit, ceiling = overlap - HIT_WINDOW, overlap - REAL_GAP
-    slope = 2.0 * float(np.linalg.norm(tensor))
-    best, at, evaluations = -math.inf, None, 0
-
-    def evaluate(angles, pairs=None):
-        nonlocal best, at, evaluations
-        pairs = _real_pairs(angles) if pairs is None else pairs
-        values = _top_singular(tensor, pairs).reshape(angles.shape[:-1])
-        evaluations += values.size
-        i = int(values.argmax())
-        if values.flat[i] > best:
-            best, at = float(values.flat[i]), angles.reshape(-1, 2)[i]
-        return values
-
-    boxes, half = _START, math.pi / (2 * START_GRID)
-    values = evaluate(boxes, _START_PAIRS)
-    seeds, spacing = boxes[np.argsort(-values, kind="stable")[:2]], 2.0 * half
+    tensors = tensor.reshape(-1, 2, 2, 2, 2)
+    n = len(tensors)
+    overlaps = np.reshape(overlap, n).tolist()
+    hit, ceiling = [o - HIT_WINDOW for o in overlaps], [o - REAL_GAP for o in overlaps]
+    values = _top_singular(tensors, _START_PAIRS)
+    first = values.argmax(axis=1)
+    best, at, evaluations = values.max(axis=1).tolist(), _START[first], [values.shape[1]] * n
+    half = math.pi / (2 * START_GRID)
+    slopes = [2.0 * float(np.linalg.norm(t)) for t in tensors]
+    # a code short of its ceiling after the zoom refines the start grid's bound
+    bounds = [top + slope * half for top, slope in zip(best, slopes)]
+    # the zoom seeds are the best two boxes, the first of equals first
+    runner_up = values.copy()
+    runner_up[np.arange(n), first] = -math.inf
+    seeds = _START[np.array((first, runner_up.argmax(axis=1))).T, None]
+    spacing = 2.0 * half
+    # the codes still short of their hit window, with their tensors and seeds
+    rows, tens = list(range(n)), tensors
+    keep = [k for k in rows if best[k] < hit[k]]
     for _ in range(ZOOM_LEVELS):
-        if best >= hit:
+        if len(keep) < len(rows):
+            rows, tens, seeds = [rows[j] for j in keep], tens[keep], seeds[keep]
+        if not rows:
             break
         spacing /= 4.0
-        grids = seeds[:, None] + spacing * _ZOOM
-        seeds = grids[[0, 1], evaluate(grids).argmax(axis=1)]
-    retired = -math.inf
-    while best < ceiling:
-        live = values + slope * half >= ceiling
-        retired = max(retired, np.max(values[~live], initial=-math.inf) + slope * half)
-        boxes, values = boxes[live], values[live]
-        if not len(boxes) or evaluations + 4 * len(boxes) > MAX_EVALUATIONS:
-            break
-        half /= 2.0
-        boxes = (boxes[:, None] + half * _CHILDREN).reshape(-1, 2)
-        values = evaluate(boxes)
-    bound = float(max(retired, np.max(values, initial=-math.inf) + slope * half))
-    a, b = np.stack((np.cos(at), np.sin(at)), axis=-1)
-    u, _, vt = np.linalg.svd((np.outer(a, b).reshape(4) @ tensor.reshape(4, 4)).reshape(2, 2))
-    return best, ProductState(np.array((a, b, u[:, 0], vt[0]))), bound, evaluations
+        grids = seeds + spacing * _ZOOM
+        points = grids.reshape(len(rows), -1, 2)
+        zoomed = _top_singular(tens, _real_pairs(points))
+        for j, (k, i) in enumerate(zip(rows, zoomed.argmax(axis=1).tolist())):
+            evaluations[k] += zoomed.shape[1]
+            if zoomed[j, i] > best[k]:
+                best[k], at[k] = float(zoomed[j, i]), points[j, i]
+        per_grid = zoomed.reshape(grids.shape[:-1]).argmax(axis=2)
+        seeds = grids[np.arange(len(rows))[:, None], (0, 1), per_grid, None]
+        keep = [j for j, k in enumerate(rows) if best[k] < hit[k]]
+    for k in [k for k in range(n) if best[k] < ceiling[k]]:
+        vals, boxes, w, retired = values[k], _START, half, -math.inf
+        while best[k] < ceiling[k]:
+            live = vals + slopes[k] * w >= ceiling[k]
+            retired = max(retired, np.max(vals[~live], initial=-math.inf) + slopes[k] * w)
+            boxes, vals = boxes[live], vals[live]
+            if not len(boxes) or evaluations[k] + 4 * len(boxes) > MAX_EVALUATIONS:
+                break
+            w /= 2.0
+            boxes = (boxes[:, None] + w * _CHILDREN).reshape(-1, 2)
+            vals = _top_singular(tensors[k], _real_pairs(boxes))
+            evaluations[k] += vals.size
+            i = int(vals.argmax())
+            if vals[i] > best[k]:
+                best[k], at[k] = float(vals[i]), boxes[i]
+        bounds[k] = float(max(retired, np.max(vals, initial=-math.inf) + slopes[k] * w))
+    # the best real qubits 3 and 4 are the top singular vectors of M at the
+    # witness angles
+    witnesses = np.empty((n, 4, 2))
+    witnesses[:, :2] = np.array((np.cos(at), np.sin(at))).transpose(1, 2, 0)
+    x, y = witnesses[:, 0], witnesses[:, 1]
+    m = (x[:, :, None] * y[:, None, :]).reshape(n, 1, 4) @ tensors.reshape(n, 4, 4)
+    u, _, vt = np.linalg.svd(m.reshape(n, 2, 2))
+    witnesses[:, 2], witnesses[:, 3] = u[..., 0], vt[:, 0]
+    found = [(b, ProductState(q), bound, e) for b, q, bound, e in zip(best, witnesses, bounds, evaluations)]
+    return found if tensor.ndim > 4 else found[0]
 
 
-def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
-    """Grouping and reality of the closest product state.
+def degeneracy_patterns(sols) -> list[DegeneracyPattern]:
+    """Grouping and reality of the closest product state of each solution,
+    from one stacked :func:`_best_real_overlap` search over all of them.
 
     The label follows the declared tie-break: among all restarts within
     1e-9 of the best overlap, the coarsest grouping (fewest distinct
     single-qubit states) wins, earlier restarts breaking ties.  Reality is
-    "R" when the real witness of :func:`_best_real_overlap` comes within
-    ``HIT_WINDOW`` of the best overlap, "C" when its proved bound stays
-    ``REAL_GAP`` below it; anything else raises :class:`RealityUndecided`.
+    "R" when the real witness of the search comes within ``HIT_WINDOW`` of
+    the best overlap, "C" when its proved bound stays ``REAL_GAP`` below
+    it.  Anything else raises :class:`RealityUndecided` for the first such
+    solution in input order.  Each pattern is the one
+    :func:`degeneracy_pattern` gives its solution alone.
     """
-    partitions = _partition_sizes(sol.candidates)
-    counts = Counter(partitions)
-    coarsest = min(partitions, key=len)
-    census = tuple(
-        (_PARTITION_LABELS[p], n)
-        for p, n in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    )
-    best, _, bound, evaluations = _best_real_overlap(sol.tensor, sol.overlap)
-    real = best >= sol.overlap - HIT_WINDOW
-    if not real and bound >= sol.overlap - REAL_GAP:
-        raise RealityUndecided(f"best real overlap {best:.12f} and bound {bound:.12f} decide "
-                               f"nothing against {sol.overlap:.12f} in {evaluations} evaluations")
-    return DegeneracyPattern(
-        label=_PARTITION_LABELS[coarsest], reality="R" if real else "C",
-        census=census, evaluations=evaluations,
-    )
+    sols = list(sols)
+    searches = _best_real_overlap(np.array([sol.tensor for sol in sols]).reshape(-1, 2, 2, 2, 2),
+                                  np.array([sol.overlap for sol in sols]))
+    patterns = []
+    for sol, (best, _, bound, evaluations) in zip(sols, searches):
+        real = best >= sol.overlap - HIT_WINDOW
+        if not real and bound >= sol.overlap - REAL_GAP:
+            raise RealityUndecided(f"best real overlap {best:.12f} and bound {bound:.12f} decide "
+                                   f"nothing against {sol.overlap:.12f} in {evaluations} evaluations")
+        partitions = _partition_sizes(sol.candidates)
+        census = tuple(
+            (_PARTITION_LABELS[p], k)
+            for p, k in sorted(Counter(partitions).items(), key=lambda kv: (len(kv[0]), kv[0]))
+        )
+        patterns.append(DegeneracyPattern(
+            label=_PARTITION_LABELS[min(partitions, key=len)], reality="R" if real else "C",
+            census=census, evaluations=evaluations,
+        ))
+    return patterns
+
+
+def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
+    """Grouping and reality of the closest product state of one solution:
+    :func:`degeneracy_patterns` of one."""
+    return degeneracy_patterns([sol])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,24 @@ def test_degeneracy_diagnostics_at_seed_0(records, graph_records):
     assert sum(r.iterations for r in every) == 404
 
 
+def test_classify_runs_one_reality_search(orbit_table, records, graph_records, monkeypatch):
+    # the 39 reps' realities come from one stacked search, called through the
+    # module attribute (where the benchmark's tracer wraps it), and no
+    # one-code pattern is asked for
+    stacks = []
+    search = gm._best_real_overlap
+
+    def counted(tensor, overlap):
+        stacks.append(tensor.shape)
+        return search(tensor, overlap)
+
+    monkeypatch.setattr(gm, "_best_real_overlap", counted)
+    monkeypatch.setattr(gm, "degeneracy_pattern", None)
+    ours = cf.classify_all(table=orbit_table)
+    assert stacks == [(39, 2, 2, 2, 2)]
+    assert [r.pattern for r in ours[0] + ours[1]] == [r.pattern for r in records + graph_records]
+
+
 def test_bijection_failure_names_rows_and_reps(orbit_table, monkeypatch):
     # every class matched to row 1: the error names that row with all its reps
     monkeypatch.setattr(cf, "match_row", lambda rank, ge, be2: ("I", 1))

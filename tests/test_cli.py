@@ -111,6 +111,22 @@ def test_classify_undecided_reality_names_rep_and_stage(orbit_table, monkeypatch
     assert str(gm.SolvePolicy()) in err
 
 
+def test_classify_names_the_first_failing_rep_across_stages(orbit_table, monkeypatch, capsys):
+    # every rep's reality is searched before any row is matched, yet with
+    # both stages failing the message still names the first failing rep in
+    # rep order: the first rank-3 or rank-4 rep, at its row match, and not
+    # rep 3136, at its reality
+    monkeypatch.setattr(cf, "TABLE_TOL", 0.0)
+    monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
+    rep, rank = next((int(rep), int(rank)) for rep, rank in zip(orbit_table.reps, orbit_table.rep_rank)
+                     if rank in (3, 4))
+    assert rep < 3136
+    assert cli.main(["classify"]) == 2
+    err = capsys.readouterr().err
+    assert f"code {rep} (rank {rank}), row match: no table " in err
+    assert "reality" not in err
+
+
 def test_classify_unmatched_exits_2(monkeypatch, capsys):
     def explode(policy=None, table=None):
         raise cf.ClassificationError("synthetic failure")

@@ -284,6 +284,86 @@ def test_constant_start_grid_gives_the_bits_of_the_angle_path(orbit_table, solut
     assert gm._START_PAIRS.tobytes() == angle_path.tobytes()
 
 
+def _reference_reality(tensor, overlap):
+    """The reality search of one code, step by step: one evaluation per
+    start grid, zoom level and branch-and-bound level, the running best
+    taken after each, on the search's own closed form and grids."""
+    hit, ceiling = overlap - gm.HIT_WINDOW, overlap - gm.REAL_GAP
+    slope = 2.0 * float(np.linalg.norm(tensor))
+    best, at, evaluations = -math.inf, None, 0
+
+    def evaluate(angles):
+        nonlocal best, at, evaluations
+        points = angles.reshape(-1, 2)
+        values = gm._top_singular(tensor, gm._real_pairs(points))
+        evaluations += values.size
+        i = int(values.argmax())
+        if values[i] > best:
+            best, at = float(values[i]), points[i]
+        return values.reshape(angles.shape[:-1])
+
+    boxes, half = gm._START, math.pi / (2 * gm.START_GRID)
+    values = evaluate(boxes)
+    seeds, spacing = boxes[np.argsort(-values, kind="stable")[:2]], 2.0 * half
+    for _ in range(gm.ZOOM_LEVELS):
+        if best >= hit:
+            break
+        spacing /= 4.0
+        grids = seeds[:, None] + spacing * gm._ZOOM
+        seeds = grids[[0, 1], evaluate(grids).argmax(axis=1)]
+    retired = -math.inf
+    while best < ceiling:
+        live = values + slope * half >= ceiling
+        retired = max(retired, np.max(values[~live], initial=-math.inf) + slope * half)
+        boxes, values = boxes[live], values[live]
+        if not len(boxes) or evaluations + 4 * len(boxes) > gm.MAX_EVALUATIONS:
+            break
+        half /= 2.0
+        boxes = (boxes[:, None] + half * gm._CHILDREN).reshape(-1, 2)
+        values = evaluate(boxes)
+    bound = float(max(retired, np.max(values, initial=-math.inf) + slope * half))
+    a, b = np.stack((np.cos(at), np.sin(at)), axis=-1)
+    u, _, vt = np.linalg.svd((np.outer(a, b).reshape(4) @ tensor.reshape(4, 4)).reshape(2, 2))
+    return best, gm.ProductState(np.array((a, b, u[:, 0], vt[0]))), bound, evaluations
+
+
+def _search_bits(best, witness, bound, evaluations):
+    return np.float64(best).tobytes(), witness.qubits.tobytes(), np.float64(bound).tobytes(), evaluations
+
+
+# BATCH_MIX (row 28, the product state 0 and row 7, a "C" class) with rows 17
+# and 11, also "C" after branch-and-bound levels, and graph rep 52, "C" once
+# every zoom level has run
+REALITY_MIX = BATCH_MIX + (3136, 19252, 52)
+
+
+@pytest.mark.parametrize("stack", ["reps", "reps reversed", "mixed", "one"])
+def test_stacked_reality_search_is_the_one_code_search(stack, orbit_table):
+    # every code of a stack gets the bits of its search alone, and that search
+    # the bits of the step-by-step reference: best, witness, bound, evaluations
+    reps = [int(rep) for rep in orbit_table.reps]
+    codes = {"reps": reps, "reps reversed": reps[::-1], "mixed": REALITY_MIX, "one": (3136,)}[stack]
+    sols = list(gm.solve_codes(codes))
+    stacked = gm._best_real_overlap(np.array([s.tensor for s in sols]), np.array([s.overlap for s in sols]))
+    assert len(stacked) == len(codes)
+    for h, sol, found in zip(codes, sols, stacked, strict=True):
+        one = gm._best_real_overlap(sol.tensor, sol.overlap)
+        reference = _reference_reality(sol.tensor, sol.overlap)
+        assert _search_bits(*found) == _search_bits(*one) == _search_bits(*reference), h
+
+
+def test_degeneracy_patterns_are_the_one_code_patterns(solutions, monkeypatch):
+    # one stacked search gives each solution its one-code pattern; an
+    # undecided reality names the first undecided solution in input order
+    sols = list(solutions.values())
+    assert gm.degeneracy_patterns(sols) == [gm.degeneracy_pattern(sol) for sol in sols]
+    assert gm.degeneracy_patterns([]) == []
+    monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
+    for first, second in ((16436, 3136), (3136, 16436)):
+        with pytest.raises(gm.RealityUndecided, match=f"against {solutions[first].overlap:.12f} in"):
+            gm.degeneracy_patterns([solutions[0], solutions[first], solutions[second]])
+
+
 def _real_product_overlaps(tensor, rng, n):
     """|<Phi|psi>| for n random real product states (cos t, sin t), four
     uniform angles t each."""
