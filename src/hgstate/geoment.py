@@ -394,7 +394,8 @@ def solve_codes(codes, policy: SolvePolicy | None = None):
             yield GeSolution(
                 overlap=best_overlap,
                 eg=-2.0 * math.log2(best_overlap) + 0.0,
-                witness=ProductState(restarts[k, best]),
+                # a copy, so that a kept solution does not hold its batch's restarts
+                witness=ProductState(restarts[k, best].copy()),
                 restarts_hit=int(hit.sum()),
                 converged=stops[k] == "tol",
                 iterations=int(iterations[k]),
@@ -461,13 +462,12 @@ _CHILDREN = 2.0 * np.indices((2, 2)).reshape(2, -1).T - 1.0
 
 def _real_pairs(angles: np.ndarray) -> np.ndarray:
     """Pair products a_a b_b of the real qubits a, b = (cos t, sin t) of the
-    angle pairs angles[..., N, :], shaped (..., 4, N) like the products of
-    :func:`_pair`, with the angle pairs on the restart axis."""
-    c, s = np.cos(angles), np.sin(angles)
-    pairs = np.empty((*angles.shape[:-2], 4, angles.shape[-2]))
-    for k, (a, b) in enumerate(((c, c), (c, s), (s, c), (s, s))):
-        np.multiply(a[..., 0], b[..., 1], out=pairs[..., k, :])
-    return pairs
+    angle pairs angles[..., N, :], shaped (..., 4, N) by :func:`_pair`, with
+    the angle pairs on its restart axis."""
+    trig = np.empty((*angles.shape[:-2], 2, *angles.shape[-2:]))
+    np.cos(angles, out=trig[..., 0, :, :])
+    np.sin(angles, out=trig[..., 1, :, :])
+    return _pair(trig[..., 0], trig[..., 1])
 
 
 def _top_singular(tensor: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -508,28 +508,26 @@ def _best_real_overlap(tensor: np.ndarray, overlap):
     branch-and-bound, which only "C" classes reach, runs code by code.
     Every code gets the arithmetic, and so the bits, of its search alone.
     """
-    tensors = tensor.reshape(-1, 2, 2, 2, 2)
+    one = tensor.ndim == 4
+    tensors, overlaps = (tensor[None], [overlap]) if one else (tensor, list(overlap))
     n = len(tensors)
-    overlaps = np.reshape(overlap, n).tolist()
-    hit, ceiling = [o - HIT_WINDOW for o in overlaps], [o - REAL_GAP for o in overlaps]
+    hit = [o - HIT_WINDOW for o in overlaps]
     values = _top_singular(tensors, _START_PAIRS)
-    first = values.argmax(axis=1)
-    best, at, evaluations = values.max(axis=1).tolist(), _START[first], [values.shape[1]] * n
-    half = math.pi / (2 * START_GRID)
-    slopes = [2.0 * float(np.linalg.norm(t)) for t in tensors]
-    # a code short of its ceiling after the zoom refines the start grid's bound
-    bounds = [top + slope * half for top, slope in zip(best, slopes)]
     # the zoom seeds are the best two boxes, the first of equals first
+    first = values.argmax(axis=1)
     runner_up = values.copy()
     runner_up[np.arange(n), first] = -math.inf
     seeds = _START[np.array((first, runner_up.argmax(axis=1))).T, None]
-    spacing = 2.0 * half
+    best, at = values.max(axis=1).tolist(), list(_START[first])
+    evaluations, half = [values.shape[1]] * n, math.pi / (2 * START_GRID)
+    slopes = [2.0 * float(np.linalg.norm(t)) for t in tensors]
+    bounds = [top + slope * half for top, slope in zip(best, slopes)]
     # the codes still short of their hit window, with their tensors and seeds
-    rows, tens = list(range(n)), tensors
-    keep = [k for k in rows if best[k] < hit[k]]
+    rows, tens, spacing = list(range(n)), tensors, 2.0 * half
     for _ in range(ZOOM_LEVELS):
-        if len(keep) < len(rows):
-            rows, tens, seeds = [rows[j] for j in keep], tens[keep], seeds[keep]
+        short = [j for j, k in enumerate(rows) if best[k] < hit[k]]
+        if len(short) < len(rows):
+            rows, tens, seeds = [rows[j] for j in short], tens[short], seeds[short]
         if not rows:
             break
         spacing /= 4.0
@@ -540,14 +538,16 @@ def _best_real_overlap(tensor: np.ndarray, overlap):
             evaluations[k] += zoomed.shape[1]
             if zoomed[j, i] > best[k]:
                 best[k], at[k] = float(zoomed[j, i]), points[j, i]
-        per_grid = zoomed.reshape(grids.shape[:-1]).argmax(axis=2)
-        seeds = grids[np.arange(len(rows))[:, None], (0, 1), per_grid, None]
-        keep = [j for j, k in enumerate(rows) if best[k] < hit[k]]
-    for k in [k for k in range(n) if best[k] < ceiling[k]]:
+        per_grid = zoomed.reshape(-1, len(_ZOOM)).argmax(axis=1)
+        seeds = grids.reshape(-1, len(_ZOOM), 2)[np.arange(len(per_grid)), per_grid].reshape(-1, 2, 1, 2)
+    for k in range(n):
+        ceiling, slope = overlaps[k] - REAL_GAP, slopes[k]
+        if best[k] >= ceiling:
+            continue
         vals, boxes, w, retired = values[k], _START, half, -math.inf
-        while best[k] < ceiling[k]:
-            live = vals + slopes[k] * w >= ceiling[k]
-            retired = max(retired, np.max(vals[~live], initial=-math.inf) + slopes[k] * w)
+        while best[k] < ceiling:
+            live = vals + slope * w >= ceiling
+            retired = max(retired, np.max(vals[~live], initial=-math.inf) + slope * w)
             boxes, vals = boxes[live], vals[live]
             if not len(boxes) or evaluations[k] + 4 * len(boxes) > MAX_EVALUATIONS:
                 break
@@ -558,17 +558,34 @@ def _best_real_overlap(tensor: np.ndarray, overlap):
             i = int(vals.argmax())
             if vals[i] > best[k]:
                 best[k], at[k] = float(vals[i]), boxes[i]
-        bounds[k] = float(max(retired, np.max(vals, initial=-math.inf) + slopes[k] * w))
+        bounds[k] = float(max(retired, np.max(vals, initial=-math.inf) + slope * w))
     # the best real qubits 3 and 4 are the top singular vectors of M at the
     # witness angles
-    witnesses = np.empty((n, 4, 2))
-    witnesses[:, :2] = np.array((np.cos(at), np.sin(at))).transpose(1, 2, 0)
-    x, y = witnesses[:, 0], witnesses[:, 1]
-    m = (x[:, :, None] * y[:, None, :]).reshape(n, 1, 4) @ tensors.reshape(n, 4, 4)
+    angles = np.array(at).reshape(n, 2)
+    ab = np.array((np.cos(angles), np.sin(angles))).transpose(1, 2, 0)
+    m = (ab[:, 0, :, None] * ab[:, 1, None, :]).reshape(n, 1, 4) @ tensors.reshape(n, 4, 4)
     u, _, vt = np.linalg.svd(m.reshape(n, 2, 2))
-    witnesses[:, 2], witnesses[:, 3] = u[..., 0], vt[:, 0]
-    found = [(b, ProductState(q), bound, e) for b, q, bound, e in zip(best, witnesses, bounds, evaluations)]
-    return found if tensor.ndim > 4 else found[0]
+    qubits = np.concatenate((ab, u[:, None, :, 0], vt[:, None, 0]), axis=1)
+    found = [(b, ProductState(q), bound, e) for b, q, bound, e in zip(best, qubits, bounds, evaluations)]
+    return found[0] if one else found
+
+
+def _pattern(sol: GeSolution, best: float, witness, bound: float, evaluations: int) -> DegeneracyPattern:
+    """The degeneracy pattern of a solution from its reality search, the
+    (best, witness, bound, evaluations) of :func:`_best_real_overlap`."""
+    real = best >= sol.overlap - HIT_WINDOW
+    if not real and bound >= sol.overlap - REAL_GAP:
+        raise RealityUndecided(f"best real overlap {best:.12f} and bound {bound:.12f} decide "
+                               f"nothing against {sol.overlap:.12f} in {evaluations} evaluations")
+    partitions = _partition_sizes(sol.candidates)
+    census = tuple(
+        (_PARTITION_LABELS[p], k)
+        for p, k in sorted(Counter(partitions).items(), key=lambda kv: (len(kv[0]), kv[0]))
+    )
+    return DegeneracyPattern(
+        label=_PARTITION_LABELS[min(partitions, key=len)], reality="R" if real else "C",
+        census=census, evaluations=evaluations,
+    )
 
 
 def degeneracy_patterns(sols) -> list[DegeneracyPattern]:
@@ -586,29 +603,14 @@ def degeneracy_patterns(sols) -> list[DegeneracyPattern]:
     """
     sols = list(sols)
     searches = _best_real_overlap(np.array([sol.tensor for sol in sols]).reshape(-1, 2, 2, 2, 2),
-                                  np.array([sol.overlap for sol in sols]))
-    patterns = []
-    for sol, (best, _, bound, evaluations) in zip(sols, searches):
-        real = best >= sol.overlap - HIT_WINDOW
-        if not real and bound >= sol.overlap - REAL_GAP:
-            raise RealityUndecided(f"best real overlap {best:.12f} and bound {bound:.12f} decide "
-                                   f"nothing against {sol.overlap:.12f} in {evaluations} evaluations")
-        partitions = _partition_sizes(sol.candidates)
-        census = tuple(
-            (_PARTITION_LABELS[p], k)
-            for p, k in sorted(Counter(partitions).items(), key=lambda kv: (len(kv[0]), kv[0]))
-        )
-        patterns.append(DegeneracyPattern(
-            label=_PARTITION_LABELS[min(partitions, key=len)], reality="R" if real else "C",
-            census=census, evaluations=evaluations,
-        ))
-    return patterns
+                                  [sol.overlap for sol in sols])
+    return [_pattern(sol, *found) for sol, found in zip(sols, searches)]
 
 
 def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
     """Grouping and reality of the closest product state of one solution:
-    :func:`degeneracy_patterns` of one."""
-    return degeneracy_patterns([sol])[0]
+    :func:`degeneracy_patterns` of one, searching its tensor alone."""
+    return _pattern(sol, *_best_real_overlap(sol.tensor, sol.overlap))
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,9 @@ def test_batched_solves_match_one_code_solves(max_iter):
     assert len({sol.iterations for sol in first}) > 1
     if max_iter == 5:
         assert {sol.stop for sol in first} == {"tol", "max_iter"}
+    # a kept solution's witness owns its amplitudes, not a view of its
+    # batch's restarts, so a caller can keep a whole classification's
+    assert all(sol.witness.qubits.base is None for sol in batched)
 
 
 @pytest.mark.parametrize("rep", [13652, 16436, 820])
