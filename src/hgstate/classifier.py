@@ -207,7 +207,7 @@ def record(code: int, sol: gm.GeSolution, policy: gm.SolvePolicy,
 
     ``pattern`` is the solve's degeneracy pattern when the caller has it
     already, as ``classify_all`` has from one stacked search over all its
-    solves; without it the record searches the code's own.  Raises
+    solves; without it the record searches its code as a stack of one.  Raises
     :class:`ClassificationError` naming the code, its rank and the stage
     that failed: "reality" when the reality search is undecided, "row
     match" when no single row fits, or "solve" when that solve stopped at

@@ -49,11 +49,11 @@ classes, the one-parameter fixed-point iteration for the symmetric
 three-qubit witness, and the analysis of a converged witness: which
 qubits share a state, and whether a real product state attains its
 overlap, decided over the two angles that fix real qubits 1 and 2.
-Like the sweep, that reality search (:func:`_best_real_overlap`) takes one
-tensor or a stack.  :func:`degeneracy_patterns` decides a whole
-classification in one search, whose start grid and zoom levels are each
-one evaluation over the stack, with every code keeping the bits of its
-search alone; :func:`degeneracy_pattern` is its one-solution case.
+That reality search (:func:`_best_real_overlap`) runs on a stack of codes,
+its start grid and each zoom level one evaluation over the stack, with
+every code keeping the bits of its search alone.
+:func:`degeneracy_patterns` decides a whole classification in one search;
+:func:`degeneracy_pattern` is its one-solution case, a stack of one.
 """
 
 from __future__ import annotations
@@ -485,11 +485,10 @@ def _top_singular(tensor: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 _START_PAIRS = _real_pairs(_START)
 
 
-def _best_real_overlap(tensor: np.ndarray, overlap):
+def _best_real_overlap(tensors: np.ndarray, overlaps) -> list:
     """(best real product overlap found, its witness, a proved upper bound
-    on all of them, evaluations) of one tensor (2, 2, 2, 2) and its
-    overlap, or a list of them, one per code, of a stack of n tensors (n,
-    2, 2, 2, 2) and n overlaps.
+    on all of them, evaluations), one per code, of a stack of n tensors
+    (n, 2, 2, 2, 2) and their n overlaps.
 
     With real qubits 1 and 2 fixed by angles t1, t2, the best real qubits 3
     and 4 are the top singular vectors of M (:func:`_top_singular`), so the
@@ -502,14 +501,13 @@ def _best_real_overlap(tensor: np.ndarray, overlap):
     quarters every box whose bound reaches it, until none does or the next
     level would pass MAX_EVALUATIONS; the bound is the final boxes' largest.
 
-    A stack runs its codes' searches side by side: the start grid is one
-    product of every tensor with ``_START_PAIRS``, and each zoom level one
-    evaluation over the codes still short of their hit window.  The
-    branch-and-bound, which only "C" classes reach, runs code by code.
-    Every code gets the arithmetic, and so the bits, of its search alone.
+    The codes' searches run side by side: the start grid is one product of
+    every tensor with ``_START_PAIRS``, and each zoom level one evaluation
+    over the codes still short of their hit window.  The branch-and-bound,
+    which only "C" classes reach, runs code by code.  Every code gets the
+    arithmetic, and so the bits, of its search alone, whatever else the
+    stack holds.
     """
-    one = tensor.ndim == 4
-    tensors, overlaps = (tensor[None], [overlap]) if one else (tensor, list(overlap))
     n = len(tensors)
     hit = [o - HIT_WINDOW for o in overlaps]
     values = _top_singular(tensors, _START_PAIRS)
@@ -566,8 +564,7 @@ def _best_real_overlap(tensor: np.ndarray, overlap):
     m = (ab[:, 0, :, None] * ab[:, 1, None, :]).reshape(n, 1, 4) @ tensors.reshape(n, 4, 4)
     u, _, vt = np.linalg.svd(m.reshape(n, 2, 2))
     qubits = np.concatenate((ab, u[:, None, :, 0], vt[:, None, 0]), axis=1)
-    found = [(b, ProductState(q), bound, e) for b, q, bound, e in zip(best, qubits, bounds, evaluations)]
-    return found[0] if one else found
+    return [(b, ProductState(q), bound, e) for b, q, bound, e in zip(best, qubits, bounds, evaluations)]
 
 
 def _pattern(sol: GeSolution, best: float, witness, bound: float, evaluations: int) -> DegeneracyPattern:
@@ -598,8 +595,8 @@ def degeneracy_patterns(sols) -> list[DegeneracyPattern]:
     "R" when the real witness of the search comes within ``HIT_WINDOW`` of
     the best overlap, "C" when its proved bound stays ``REAL_GAP`` below
     it.  Anything else raises :class:`RealityUndecided` for the first such
-    solution in input order.  Each pattern is the one
-    :func:`degeneracy_pattern` gives its solution alone.
+    solution in input order.  Each pattern is the one its solution gets
+    in a stack of one.
     """
     sols = list(sols)
     searches = _best_real_overlap(np.array([sol.tensor for sol in sols]).reshape(-1, 2, 2, 2, 2),
@@ -609,8 +606,8 @@ def degeneracy_patterns(sols) -> list[DegeneracyPattern]:
 
 def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
     """Grouping and reality of the closest product state of one solution:
-    :func:`degeneracy_patterns` of one, searching its tensor alone."""
-    return _pattern(sol, *_best_real_overlap(sol.tensor, sol.overlap))
+    :func:`degeneracy_patterns` of one."""
+    return degeneracy_patterns([sol])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def orbit_of(h: int, table: OrbitTable | None = None) -> OrbitRecord:
     """Orbit membership data of one code.  Its multiplicity m is the orbit
     size over 256 for standardized rank 4, over 128 for rank 3, and over
     16 for graph orbits (rank 2 or 0)."""
-    hc.check_code(h)
+    h = hc.check_code(h)
     table = table or enumerate_orbits()
     cid = int(table.class_id[h])
     size = int(table.sizes[cid])

@@ -188,6 +188,24 @@ def test_query_undecided_reality_names_code_and_stage(orbit_table, monkeypatch, 
     assert "Traceback" not in captured.err
 
 
+def test_query_runs_one_reality_search(monkeypatch, capsys):
+    # a query decides its reality through the search classify runs, called
+    # through the module attribute on a stack of one: code 16436 (row 7) is
+    # "C", so its search runs the branch-and-bound as well
+    stacks = []
+    search = gm._best_real_overlap
+
+    def counted(tensors, overlaps):
+        stacks.append(tensors.shape)
+        return search(tensors, overlaps)
+
+    monkeypatch.setattr(gm, "_best_real_overlap", counted)
+    assert cli.main(["query", "1234,12,13,23"]) == 0
+    assert stacks == [(1, 2, 2, 2, 2)]
+    reality = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("reality:")]
+    assert reality == ["C"]
+
+
 def test_query_empty_edge_list(capsys):
     assert cli.main(["query", ""]) == 0
     out = capsys.readouterr().out

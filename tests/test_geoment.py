@@ -273,6 +273,11 @@ def test_top_singular_matches_svd(rep):
     assert np.max(np.abs(gm._top_singular(tensor, gm._real_pairs(angles)) - sigma)) < 1e-14
 
 
+def _search_one(tensor, overlap):
+    """The reality search of one tensor (2, 2, 2, 2), run as a stack of one."""
+    return gm._best_real_overlap(tensor[None], [overlap])[0]
+
+
 def test_constant_start_grid_gives_the_bits_of_the_angle_path(orbit_table, solutions):
     # the reality search reads its start grid's pair products from a module
     # constant; on every rep they give the values of the per-call angle path
@@ -283,7 +288,7 @@ def test_constant_start_grid_gives_the_bits_of_the_angle_path(orbit_table, solut
         sol = solutions[int(rep)]
         ours = gm._top_singular(sol.tensor, gm._START_PAIRS)
         assert ours.tobytes() == gm._top_singular(sol.tensor, angle_path).tobytes(), rep
-        gm._best_real_overlap(sol.tensor, sol.overlap)
+        _search_one(sol.tensor, sol.overlap)
     assert gm._START_PAIRS.tobytes() == angle_path.tobytes()
 
 
@@ -342,7 +347,7 @@ REALITY_MIX = BATCH_MIX + (3136, 19252, 52)
 
 @pytest.mark.parametrize("stack", ["reps", "reps reversed", "mixed", "one"])
 def test_stacked_reality_search_is_the_one_code_search(stack, orbit_table):
-    # every code of a stack gets the bits of its search alone, and that search
+    # every code of a stack gets the bits of its own stack of one, and those
     # the bits of the step-by-step reference: best, witness, bound, evaluations
     reps = [int(rep) for rep in orbit_table.reps]
     codes = {"reps": reps, "reps reversed": reps[::-1], "mixed": REALITY_MIX, "one": (3136,)}[stack]
@@ -350,7 +355,7 @@ def test_stacked_reality_search_is_the_one_code_search(stack, orbit_table):
     stacked = gm._best_real_overlap(np.array([s.tensor for s in sols]), np.array([s.overlap for s in sols]))
     assert len(stacked) == len(codes)
     for h, sol, found in zip(codes, sols, stacked, strict=True):
-        one = gm._best_real_overlap(sol.tensor, sol.overlap)
+        one = _search_one(sol.tensor, sol.overlap)
         reference = _reference_reality(sol.tensor, sol.overlap)
         assert _search_bits(*found) == _search_bits(*one) == _search_bits(*reference), h
 
@@ -381,7 +386,7 @@ def test_real_certificate_is_sound_for_every_class(classification, solutions):
     rng = np.random.default_rng(103)
     for record in records + graphs:
         sol = solutions[record.rep]
-        best, witness, bound, evaluations = gm._best_real_overlap(sol.tensor, sol.overlap)
+        best, witness, bound, evaluations = _search_one(sol.tensor, sol.overlap)
         assert evaluations == record.pattern.evaluations, record.rep
         assert _real_product_overlaps(sol.tensor, rng, 4096).max() <= bound, record.rep
         rebuilt = gm.ProductState(witness.qubits)
@@ -400,8 +405,8 @@ def test_early_stop_keeps_the_reality_decision(classification, solutions):
     for record in records + graphs:
         sol = solutions[record.rep]
         hit = sol.overlap - gm.HIT_WINDOW
-        early = gm._best_real_overlap(sol.tensor, sol.overlap)[0]
-        full, _, _, evaluations = gm._best_real_overlap(sol.tensor, 2.0)
+        early = _search_one(sol.tensor, sol.overlap)[0]
+        full, _, _, evaluations = _search_one(sol.tensor, 2.0)
         assert evaluations == gm.START_GRID**2 + 2 * len(gm._ZOOM) * gm.ZOOM_LEVELS
         assert (early >= hit) == (full >= hit) == (record.pattern.reality == "R"), record.rep
         if record.pattern.reality == "R":
@@ -413,7 +418,7 @@ def test_perturbing_a_complex_class_towards_a_real_witness_flips_or_raises(monke
     # row 7 (rep 16436) is "C"; mixing in its best real product state closes
     # the gap between its real and complex optima, until a real witness wins
     tensor = sv.state_tensor(sv.build_state(16436))
-    _, witness, _, _ = gm._best_real_overlap(tensor, gm.solve_code(16436).overlap)
+    _, witness, _, _ = _search_one(tensor, gm.solve_code(16436).overlap)
     product = np.einsum("a,b,c,d->abcd", *witness.qubits.real)
     rng = np.random.default_rng(107)
     outcomes = []
@@ -426,7 +431,7 @@ def test_perturbing_a_complex_class_towards_a_real_witness_flips_or_raises(monke
         except gm.RealityUndecided:
             outcomes.append("undecided")
             continue
-        best, witness, bound, _ = gm._best_real_overlap(sol.tensor, sol.overlap)
+        best, witness, bound, _ = _search_one(sol.tensor, sol.overlap)
         if reality == "C":
             assert _real_product_overlaps(sol.tensor, rng, 4096).max() <= bound < sol.overlap - gm.REAL_GAP
         else:
@@ -478,13 +483,13 @@ def test_real_optimum_never_beats_the_solver():
     rng = np.random.default_rng(67)
     for h in rng.integers(0, hc.N_CODES, size=6):
         sol = gm.solve_code(int(h))
-        best, _, bound, _ = gm._best_real_overlap(sol.tensor, sol.overlap)
+        best, _, bound, _ = _search_one(sol.tensor, sol.overlap)
         assert best <= sol.overlap + 1e-12 and best <= bound
 
 
 def test_real_optimum_matches_solver_on_real_witness_state():
     sol = gm.solve_code(hc.parse_edges("1234"))
-    best, witness, _, _ = gm._best_real_overlap(sol.tensor, sol.overlap)
+    best, witness, _, _ = _search_one(sol.tensor, sol.overlap)
     assert sol.overlap - gm.HIT_WINDOW <= best <= sol.overlap + 1e-12
     assert np.array_equal(witness.qubits.imag, np.zeros((4, 2)))
 

@@ -120,6 +120,8 @@ def test_class_id_matches_propagation_over_all_32_moves(orbit_table):
 def test_orbit_of_known_cases(orbit_table):
     empty = ob.orbit_of(0, orbit_table)
     assert (empty.rep, empty.size, empty.rank) == (0, 16, 0)
+    # a bool is checked as the code it stands for, not used as a mask
+    assert ob.orbit_of(True, orbit_table) == ob.orbit_of(1, orbit_table)
 
     a = ob.orbit_of(hc.parse_edges("1234"), orbit_table)
     b = ob.orbit_of(hc.parse_edges("1234,123"), orbit_table)
