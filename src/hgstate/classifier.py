@@ -135,7 +135,7 @@ class ClassRecord:
     row.  The signature is ``ge`` plus the multisets of ``profile.be2`` and
     ``profile.be1``; ``converged`` and ``iterations`` are solver diagnostics
     that stay out of the report.  No solution or array is kept; see
-    :func:`record` for the one error text when a record cannot be built."""
+    :func:`records` for the one error text when a record cannot be built."""
 
     rep: int
     std: int
@@ -200,70 +200,67 @@ def _check_distinct(records) -> None:
                 )
 
 
-def record(code: int, sol: gm.GeSolution, policy: gm.SolvePolicy,
-           table: ob.OrbitTable | None = None,
-           pattern: gm.DegeneracyPattern | None = None) -> ClassRecord:
-    """The class record of one code from its solve under ``policy``.
+def records(codes, sols, policy: gm.SolvePolicy,
+            table: ob.OrbitTable | None = None) -> list[ClassRecord]:
+    """The class record of each code from its solve under ``policy``, in
+    input order, every reality from one ``gm.degeneracy_patterns`` search.
 
-    ``pattern`` is the solve's degeneracy pattern when the caller has it
-    already, as ``classify_all`` has from one stacked search over all its
-    solves; without it the record searches its code as a stack of one.  Raises
-    :class:`ClassificationError` naming the code, its rank and the stage
-    that failed: "reality" when the reality search is undecided, "row
-    match" when no single row fits, or "solve" when that solve stopped at
-    the iteration cap (the row match is then blamed on the cap).
+    Raises :class:`ClassificationError` for the first code that fails,
+    naming it, its rank and the stage: "reality" when its reality search
+    is undecided, "row match" when no single row fits, or "solve" when its
+    solve stopped at the iteration cap (the row match is blamed on the cap).
     """
-    orbit = ob.orbit_of(code, table)
-    profile = sv.entropy_profile(code)
-    try:
-        if pattern is None:
-            pattern = gm.degeneracy_pattern(sol)
-        table_name = row = closed = None
-        if orbit.rank in (3, 4):
-            table_name, row = match_row(orbit.rank, sol.eg, profile.be2)
-            closed = REFERENCE_ROWS[row].exact_ge
-    except gm.RealityUndecided as exc:
-        raise ClassificationError(f"code {code} (rank {orbit.rank}), reality: {exc}") from exc
-    except ClassificationError as exc:
-        stage = (f"row match: {exc}" if sol.converged else
-                 f"solve: unconverged at iteration {sol.iterations} "
-                 f"(max_iter={policy.max_iter}), ge={sol.eg:.6f}")
-        raise ClassificationError(f"code {code} (rank {orbit.rank}), {stage}") from exc
-    return ClassRecord(
-        rep=orbit.rep, std=hc.standardize(code), rank=orbit.rank, orbit_size=orbit.size,
-        m=orbit.m, ge=sol.eg, profile=profile, pattern=pattern, restarts_hit=sol.restarts_hit,
-        converged=sol.converged, iterations=sol.iterations, closed_form=closed,
-        table=table_name, row=row,
-    )
+    sols = list(sols)
+    patterns = gm.degeneracy_patterns(sols)
+    out = []
+    for code, sol in zip(codes, sols):
+        orbit = ob.orbit_of(code, table)
+        profile = sv.entropy_profile(code)
+        try:
+            pattern = next(patterns)
+            table_name = row = closed = None
+            if orbit.rank in (3, 4):
+                table_name, row = match_row(orbit.rank, sol.eg, profile.be2)
+                closed = REFERENCE_ROWS[row].exact_ge
+        except gm.RealityUndecided as exc:
+            raise ClassificationError(f"code {code} (rank {orbit.rank}), reality: {exc}") from exc
+        except ClassificationError as exc:
+            stage = (f"row match: {exc}" if sol.converged else
+                     f"solve: unconverged at iteration {sol.iterations} "
+                     f"(max_iter={policy.max_iter}), ge={sol.eg:.6f}")
+            raise ClassificationError(f"code {code} (rank {orbit.rank}), {stage}") from exc
+        out.append(ClassRecord(
+            rep=orbit.rep, std=hc.standardize(code), rank=orbit.rank, orbit_size=orbit.size,
+            m=orbit.m, ge=sol.eg, profile=profile, pattern=pattern, restarts_hit=sol.restarts_hit,
+            converged=sol.converged, iterations=sol.iterations, closed_form=closed,
+            table=table_name, row=row,
+        ))
+    return out
+
+
+def record(code: int, sol: gm.GeSolution, policy: gm.SolvePolicy) -> ClassRecord:
+    """The class record of one code from its solve: :func:`records` of one."""
+    return records([code], [sol], policy)[0]
 
 
 def classify_all(
     policy: gm.SolvePolicy | None = None, table: ob.OrbitTable | None = None
 ) -> tuple[list[ClassRecord], list[ClassRecord]]:
-    """Measure and match every orbit.
+    """Measure and match every orbit: the :func:`records` of the reps.
 
     Returns the 28 matched hypergraph classes sorted by reference row,
     and the graph-state classes sorted by representative.  Raises a
-    :class:`ClassificationError` when a signature collides, fails to
-    match, or matches ambiguously, or when a reality is undecided (none of
-    which happens for this family; the checks guard regressions); the
-    message names the reps involved.
+    :class:`ClassificationError` when a record fails (the first failing
+    rep in rep order is named), or when signatures collide or rows are
+    not matched one to one (none of which happens for this family; the
+    checks guard regressions); the message names the reps involved.
     """
     policy = policy or gm.SolvePolicy()
     table = table or ob.enumerate_orbits()
-    matched: list[ClassRecord] = []
-    graphs: list[ClassRecord] = []
     reps = [int(rep) for rep in table.reps]
-    sols = list(gm.solve_codes(reps, policy))
-    try:
-        patterns = gm.degeneracy_patterns(sols)
-    except gm.RealityUndecided:
-        # each record searches its own again, so that the first code to
-        # fail in rep order, at whichever stage, is the one named
-        patterns = [None] * len(sols)
-    for rep, sol, pattern in zip(reps, sols, patterns):
-        rec = record(rep, sol, policy, table, pattern)
-        (matched if rec.rank in (3, 4) else graphs).append(rec)
+    every = records(reps, gm.solve_codes(reps, policy), policy, table)
+    matched = [r for r in every if r.rank in (3, 4)]
+    graphs = [r for r in every if r.rank not in (3, 4)]
     _check_distinct(matched)
     reps_by_row = {row: [r.rep for r in matched if r.row == row] for row in REFERENCE_ROWS}
     wrong = "; ".join(f"row {row} matched by reps {reps}"

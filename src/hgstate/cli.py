@@ -3,7 +3,8 @@
 Exit codes follow a fixed contract; 1 always means an I/O or argument
 problem, such as a ``query`` edge list that fails to parse (the message
 names the token).  ``classify`` and ``query`` build each class record
-through ``classifier.record``; ``query`` prints the code's own record: its
+through ``classifier.records`` (``query`` calls ``classifier.record``, its
+one-code case) and ``query`` prints the code's own record: its
 standardized form and entropies, and its witness's pattern and reality.
 Both return 2 when a record fails, printing its one error text after a
 prefix naming the policy: the text names the code, its rank and the stage,

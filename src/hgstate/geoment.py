@@ -52,8 +52,8 @@ overlap, decided over the two angles that fix real qubits 1 and 2.
 That reality search (:func:`_best_real_overlap`) runs on a stack of codes,
 its start grid and each zoom level one evaluation over the stack, with
 every code keeping the bits of its search alone.
-:func:`degeneracy_patterns` decides a whole classification in one search;
-:func:`degeneracy_pattern` is its one-solution case, a stack of one.
+:func:`degeneracy_patterns` decides a whole classification in one search and
+hands out its patterns lazily; :func:`degeneracy_pattern` takes one solution.
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ def solve_codes(codes, policy: SolvePolicy | None = None):
     """
     policy = policy or SolvePolicy()
     codes = iter(codes)
-    while batch := list(itertools.islice(codes, BATCH)):
+    while batch := [hc.check_code(h) for h in itertools.islice(codes, BATCH)]:
         tensors = np.array([sv.state_tensor(sv.build_state(h)) for h in batch])
         starts = np.array([_random_product_batch(np.random.default_rng([policy.seed, h]), RESTARTS)
                            for h in batch])
@@ -585,7 +585,7 @@ def _pattern(sol: GeSolution, best: float, witness, bound: float, evaluations: i
     )
 
 
-def degeneracy_patterns(sols) -> list[DegeneracyPattern]:
+def degeneracy_patterns(sols):
     """Grouping and reality of the closest product state of each solution,
     from one stacked :func:`_best_real_overlap` search over all of them.
 
@@ -594,20 +594,20 @@ def degeneracy_patterns(sols) -> list[DegeneracyPattern]:
     single-qubit states) wins, earlier restarts breaking ties.  Reality is
     "R" when the real witness of the search comes within ``HIT_WINDOW`` of
     the best overlap, "C" when its proved bound stays ``REAL_GAP`` below
-    it.  Anything else raises :class:`RealityUndecided` for the first such
-    solution in input order.  Each pattern is the one its solution gets
-    in a stack of one.
+    it.  Anything else raises :class:`RealityUndecided`, but only when the
+    returned iterator reaches that solution: the search itself runs on the
+    call.  Each pattern is the one its solution gets in a stack of one.
     """
     sols = list(sols)
     searches = _best_real_overlap(np.array([sol.tensor for sol in sols]).reshape(-1, 2, 2, 2, 2),
                                   [sol.overlap for sol in sols])
-    return [_pattern(sol, *found) for sol, found in zip(sols, searches)]
+    return (_pattern(sol, *found) for sol, found in zip(sols, searches))
 
 
 def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:
     """Grouping and reality of the closest product state of one solution:
     :func:`degeneracy_patterns` of one."""
-    return degeneracy_patterns([sol])[0]
+    return next(degeneracy_patterns([sol]))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def stabilizer_defects(codes) -> tuple[np.ndarray, np.ndarray]:
 
 def verify_stabilizers(h: int) -> bool:
     """Check K_i |H> = |H> for all i and that the K_i pairwise commute."""
-    unfixed, noncommuting = stabilizer_defects([h])
+    unfixed, noncommuting = stabilizer_defects([hc.check_code(h)])
     return not (unfixed.any() or noncommuting.any())
 
 

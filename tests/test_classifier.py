@@ -12,6 +12,7 @@ import pytest
 from hgstate import classifier as cf
 from hgstate import geoment as gm
 from hgstate import hypercore as hc
+from hgstate import orbits as ob
 from hgstate import statevec as sv
 
 
@@ -273,6 +274,39 @@ def test_classify_runs_one_reality_search(orbit_table, records, graph_records, m
     ours = cf.classify_all(table=orbit_table)
     assert stacks == [(39, 2, 2, 2, 2)]
     assert [r.pattern for r in ours[0] + ours[1]] == [r.pattern for r in records + graph_records]
+
+
+def test_classify_with_an_undecided_reality_searches_once(orbit_table, monkeypatch):
+    # an undecided reality fails its record from the one stacked search: no
+    # rep's reality is searched again on its own
+    monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
+    stacks = []
+    search = gm._best_real_overlap
+
+    def counted(tensors, overlaps):
+        stacks.append(tensors.shape)
+        return search(tensors, overlaps)
+
+    monkeypatch.setattr(gm, "_best_real_overlap", counted)
+    with pytest.raises(cf.ClassificationError, match=r"code 3136 \(rank 3\), reality: "):
+        cf.classify_all(table=orbit_table)
+    assert stacks == [(39, 2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("code", [True, np.int64(1), np.uint16(1), np.array(1)],
+                         ids=["bool", "int64", "uint16", "0-d array"])
+def test_one_code_calls_take_any_integer_scalar(code):
+    # every one-code call reads its argument through hc.check_code, so an
+    # integer scalar of any kind gives the result of the int it stands for
+    sol, one = gm.solve_code(code), gm.solve_code(1)
+    assert sv.verify_stabilizers(code) == sv.verify_stabilizers(1)
+    assert sol.overlap == one.overlap
+    assert sol.witness.qubits.tobytes() == one.witness.qubits.tobytes()
+    assert ob.orbit_of(code) == ob.orbit_of(1)
+    assert sv.entropy_profile(code) == sv.entropy_profile(1)
+    assert hc.standardize(code) == hc.standardize(1)
+    policy = gm.SolvePolicy()
+    assert cf.record(code, sol, policy) == cf.record(1, one, policy)
 
 
 def test_bijection_failure_names_rows_and_reps(orbit_table, monkeypatch):

@@ -127,6 +127,21 @@ def test_classify_names_the_first_failing_rep_across_stages(orbit_table, monkeyp
     assert "reality" not in err
 
 
+def test_classify_names_a_reality_failure_before_a_later_row_match(orbit_table, monkeypatch, capsys):
+    # the order the test above checks, reversed: row 28's printed GE moved
+    # off fails rep 13652's row match, but rep 3136's undecided reality
+    # comes first in rep order and is the one named
+    ref = cf.REFERENCE_ROWS[28]
+    monkeypatch.setitem(cf.REFERENCE_ROWS, 28, dataclasses.replace(ref, ge=ref.ge + 1))
+    assert cli.main(["classify"]) == 2
+    assert "code 13652 (rank 3), row match: no table III row " in capsys.readouterr().err
+    monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
+    assert cli.main(["classify"]) == 2
+    err = capsys.readouterr().err
+    assert "code 3136 (rank 3), reality: best real overlap " in err
+    assert "13652" not in err and "row match" not in err
+
+
 def test_classify_unmatched_exits_2(monkeypatch, capsys):
     def explode(policy=None, table=None):
         raise cf.ClassificationError("synthetic failure")

@@ -364,12 +364,32 @@ def test_degeneracy_patterns_are_the_one_code_patterns(solutions, monkeypatch):
     # one stacked search gives each solution its one-code pattern; an
     # undecided reality names the first undecided solution in input order
     sols = list(solutions.values())
-    assert gm.degeneracy_patterns(sols) == [gm.degeneracy_pattern(sol) for sol in sols]
-    assert gm.degeneracy_patterns([]) == []
+    assert list(gm.degeneracy_patterns(sols)) == [gm.degeneracy_pattern(sol) for sol in sols]
+    assert list(gm.degeneracy_patterns([])) == []
     monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
     for first, second in ((16436, 3136), (3136, 16436)):
         with pytest.raises(gm.RealityUndecided, match=f"against {solutions[first].overlap:.12f} in"):
-            gm.degeneracy_patterns([solutions[0], solutions[first], solutions[second]])
+            list(gm.degeneracy_patterns([solutions[0], solutions[first], solutions[second]]))
+
+
+def test_degeneracy_patterns_raise_when_the_undecided_one_is_reached(solutions, monkeypatch):
+    # the stacked search runs on the call, once; the patterns come out one at
+    # a time, so rep 0's pattern is handed out before rep 3136's undecided
+    # reality raises
+    monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
+    stacks = []
+    search = gm._best_real_overlap
+
+    def counted(tensors, overlaps):
+        stacks.append(tensors.shape)
+        return search(tensors, overlaps)
+
+    monkeypatch.setattr(gm, "_best_real_overlap", counted)
+    patterns = gm.degeneracy_patterns([solutions[0], solutions[3136]])
+    assert stacks == [(2, 2, 2, 2, 2)]
+    assert next(patterns) == gm.degeneracy_pattern(solutions[0])
+    with pytest.raises(gm.RealityUndecided, match=f"against {solutions[3136].overlap:.12f} in"):
+        next(patterns)
 
 
 def _real_product_overlaps(tensor, rng, n):
