@@ -53,14 +53,15 @@ print("\n=== closed forms vs the iterative solver ===")
 for n, exact in sorted(gm.closed_form_values().items())[:5]:
     print(f"  class {n:>2}: exact {exact:.8f}")
 
-print("\n=== the best real product state, from the two-angle reduction ===")
-print("with real qubits 1 and 2 fixed, the best real qubits 3 and 4 are the top")
-print("singular vectors of a real 2x2 matrix; a grid search over the two angles")
-print("finds the real optimum, and a branch-and-bound proves a bound when it falls short")
-print(f"R: a real product state comes within {gm.HIT_WINDOW:g} of the complex optimum")
-print(f"C: every real product state is proved at least {gm.REAL_GAP:g} below it")
+print("\n=== the best real product state, from real stabilizer-product starts ===")
+print(f"beside its {gm.RESTARTS} random starts, the solve ascends the {gm.RIDERS} products of")
+print("|0>, |1>, |+> and |-> that overlap the state most; a real state keeps them real")
+print(f"R: the best of them comes within {gm.HIT_WINDOW:g} of the complex optimum")
+print("C: otherwise, with real qubits 1 and 2 fixed, the best real qubits 3 and 4 are")
+print("the top singular vectors of a real 2x2 matrix, and a branch-and-bound over the two")
+print(f"angles proves every real product state at least {gm.REAL_GAP:g} below the optimum")
 named = (("1234", "1234"), ("row 7", "1234,12,13,23"))
 sols = [gm.solve_code(hc.parse_edges(edges)) for _, edges in named]
 for (name, _), sol, pat in zip(named, sols, gm.degeneracy_patterns(sols)):
-    print(f"  {name:>5}: overlap {sol.overlap:.6f}, reality {pat.reality} "
-          f"({pat.evaluations} evaluations)")
+    print(f"  {name:>5}: overlap {sol.overlap:.6f}, best real {sol.real_overlap:.6f}, "
+          f"reality {pat.reality} ({pat.evaluations} proof evaluations)")

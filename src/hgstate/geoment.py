@@ -48,12 +48,18 @@ The module also carries the closed-form overlap values known for many
 classes, the one-parameter fixed-point iteration for the symmetric
 three-qubit witness, and the analysis of a converged witness: which
 qubits share a state, and whether a real product state attains its
-overlap, decided over the two angles that fix real qubits 1 and 2.
-That reality search (:func:`_best_real_overlap`) runs on a stack of codes,
-its start grid and each zoom level one evaluation over the stack, with
-every code keeping the bits of its search alone.
-:func:`degeneracy_patterns` decides a whole classification in one search and
-hands out its patterns lazily; :func:`degeneracy_pattern` takes one solution.
+overlap.  The real witness comes from the same solve: beside its
+``RESTARTS`` random starts, each code's row carries ``RIDERS`` real
+starts, its best-scoring products of |0>, |1>, |+> and |->, ranked in
+exact integers (the real, product-state part of the stabilizer fidelity
+of Bravyi et al., Quantum 3, 181 (2019)).  A real tensor keeps them real,
+so the best of them is the real witness.  Only the codes they leave short
+of the overlap need a proof that no real product state does better; it
+runs over the two angles that fix real qubits 1 and 2
+(:func:`_best_real_overlap`), on a stack of codes, with every code keeping
+the bits of its proof alone.  :func:`degeneracy_patterns` decides a whole
+classification with one such proof and hands out its patterns lazily;
+:func:`degeneracy_pattern` takes one solution.
 """
 
 from __future__ import annotations
@@ -69,8 +75,9 @@ import numpy as np
 from . import hypercore as hc
 from . import statevec as sv
 
-# random restarts per solve
+# random restarts per solve, and real stabilizer-product starts that ride with them
 RESTARTS = 64
+RIDERS = 4
 DEFAULT_MAX_ITER = 5000
 
 # a restart is done when one iteration raises its overlap by less than this
@@ -83,9 +90,8 @@ _ZERO_NORM = 1e-300
 MERGE_TOL = 1e-6
 # a class is "C" when its best real overlap is proved this far below its overlap
 REAL_GAP = 1e-6
-# the reality search's start grid points per angle, zoom levels and evaluation cap
+# the reality proof's start grid points per angle and evaluation cap
 START_GRID = 16
-ZOOM_LEVELS = 10
 MAX_EVALUATIONS = 1 << 16
 
 class IterationDiverged(RuntimeError):
@@ -142,7 +148,10 @@ class GeSolution:
     iterations run, each one SQUAREM step of three sweeps, and ``stop``
     names why they ended: "tol" when at one iteration every restart
     improved its overlap by less than ``TOL``, "max_iter" when the cap was
-    hit first.
+    hit first.  ``overlap``, ``witness``, ``restarts_hit`` and
+    ``candidates`` read the ``RESTARTS`` random restarts alone;
+    ``real_overlap`` and ``real_witness`` are the best of the ``RIDERS``
+    real starts, which the solve keeps real.
     """
 
     overlap: float
@@ -152,6 +161,8 @@ class GeSolution:
     converged: bool
     iterations: int
     stop: str
+    real_overlap: float
+    real_witness: ProductState
     candidates: np.ndarray = field(repr=False)  # complex, shape (k, 4, 2)
     tensor: np.ndarray = field(repr=False)      # real, shape (2, 2, 2, 2)
     monotone_slack: float = 0.0
@@ -165,8 +176,9 @@ class DegeneracyPattern:
     groups of coinciding states).  ``reality`` is "R" or "C" (see
     :func:`degeneracy_patterns`).  ``census`` lists (label, count) over all
     best-overlap candidates, coarsest first, for reporting competing
-    groupings.  ``evaluations`` counts the reality search's evaluations; it
-    stays out of every report.
+    groupings.  ``evaluations`` counts the evaluations of the proof that
+    no real product state reaches the overlap, 0 when the solve's real
+    riders reach it and no proof runs; it stays out of every report.
     """
 
     label: str
@@ -180,6 +192,40 @@ def _random_product_batch(rng, restarts: int) -> np.ndarray:
         size=(restarts, hc.N_VERTICES, 2)
     )
     return phi / np.linalg.norm(phi, axis=2, keepdims=True)
+
+
+# |0>, |1>, |+> and |-> unnormalized, their integer pair products (16, 4),
+# first qubit major, the factors of each of the 256 products of four of
+# them, 2^(4 - k) for each, k its number of |+-> factors, and the four
+# states normalized
+_STABILIZER_QUBITS = np.array([[1, 0], [0, 1], [1, 1], [1, -1]])
+_STABILIZER_PAIRS = np.array([np.kron(a, b) for a in _STABILIZER_QUBITS for b in _STABILIZER_QUBITS])
+_FACTORS = np.indices((4,) * hc.N_VERTICES).reshape(hc.N_VERTICES, -1).T  # (256, 4)
+_STABILIZER_WEIGHTS = 16 >> (_FACTORS >= 2).sum(axis=1)
+_STABILIZER_UNITS = _STABILIZER_QUBITS / np.linalg.norm(_STABILIZER_QUBITS, axis=1, keepdims=True)
+
+
+def _stabilizer_scores(signs: np.ndarray) -> np.ndarray:
+    """256 |<Phi|psi>|^2 of every product Phi of |0>, |1>, |+> and |->, as
+    exact integers, for a stack of n tensors signs = 4 psi of +-1 entries,
+    shaped (n, 256) with product index 64 q1 + 16 q2 + 4 q3 + q4.
+
+    The contraction I of 4 psi with the unnormalized factors is an integer,
+    and |<Phi|psi>| = |I| 2^(-k/2) / 4 with k the number of |+-> factors,
+    so the score is I^2 2^(4 - k).
+    """
+    i = _STABILIZER_PAIRS @ signs.reshape(-1, 4, 4) @ _STABILIZER_PAIRS.T
+    return (i * i).reshape(len(signs), -1) * _STABILIZER_WEIGHTS
+
+
+def _riders(signs: np.ndarray) -> np.ndarray:
+    """The ``RIDERS`` best-scoring real stabilizer products of each tensor of
+    a stack of +-1 tensors, as unit qubits (n, RIDERS, 4, 2): highest score
+    first, ties by product index.  Every code has at least 81 products of
+    positive score, so every rider starts at a positive overlap, as the
+    kernel needs."""
+    top = np.argsort(-_stabilizer_scores(signs), axis=1, kind="stable")[:, :RIDERS]
+    return _STABILIZER_UNITS[_FACTORS[top]]
 
 
 def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -368,25 +414,31 @@ def solve_codes(codes, policy: SolvePolicy | None = None):
     """Yield the best product-state overlap of each code, in input order.
 
     Up to ``BATCH`` codes are solved together by :func:`_ascend`, each with
-    ``RESTARTS`` restarts seeded from the policy seed and the code.  A code
-    stops with ``stop == "tol"`` at the first iteration in which every one
-    of its restarts improved its overlap by less than ``TOL``, or with
-    ``stop == "max_iter"`` (flagged unconverged, not raised).  Its witness
-    is the lowest-indexed restart at the best overlap, so results do not
-    depend on order or batching.  A batch is solved once the last is taken.
+    ``RESTARTS`` restarts seeded from the policy seed and the code, and its
+    ``RIDERS`` real stabilizer-product starts (:func:`_riders`), ranked from
+    its exact +-1 amplitudes.  A code stops with ``stop == "tol"`` at the
+    first iteration in which every one of its restarts and riders improved
+    its overlap by less than ``TOL``, or with ``stop == "max_iter"``
+    (flagged unconverged, not raised).  Its witness is the lowest-indexed
+    restart at the best overlap, its real witness the first rider at the
+    best rider overlap, so results do not depend on order or batching.  A
+    batch is solved once the last is taken.
     """
     policy = policy or SolvePolicy()
     codes = iter(codes)
     while batch := [hc.check_code(h) for h in itertools.islice(codes, BATCH)]:
-        tensors = np.array([sv.state_tensor(sv.build_state(h)) for h in batch])
+        states = [sv.build_state(h) for h in batch]
+        tensors = np.array([sv.state_tensor(s) for s in states])
+        signs = np.array([sv.state_tensor(4 * s) for s in states]).astype(np.int64)
         starts = np.array([_random_product_batch(np.random.default_rng([policy.seed, h]), RESTARTS)
                            for h in batch])
+        starts = np.concatenate((starts, _riders(signs)), axis=1)
         phi = np.ascontiguousarray(starts.transpose(0, 2, 3, 1))
         iterations, stops, slacks = _ascend(tensors, phi, policy.max_iter)
         overlaps = np.abs(_contract(tensors, phi))
         restarts = np.ascontiguousarray(phi.transpose(0, 3, 1, 2))  # (n, R, 4, 2)
-        for k, overlap in enumerate(overlaps):
-            best = int(np.argmax(overlap))
+        for k, (overlap, riders) in enumerate(zip(overlaps[:, :RESTARTS], overlaps[:, RESTARTS:])):
+            best, real = int(np.argmax(overlap)), RESTARTS + int(np.argmax(riders))
             # Rounding can push the overlap of a unit product pair a hair above 1;
             # clamp so product states report E_g = 0 rather than -1e-16.
             best_overlap = min(float(overlap[best]), 1.0)
@@ -400,7 +452,9 @@ def solve_codes(codes, policy: SolvePolicy | None = None):
                 converged=stops[k] == "tol",
                 iterations=int(iterations[k]),
                 stop=stops[k],
-                candidates=restarts[k, hit],
+                real_overlap=float(overlaps[k, real]),
+                real_witness=ProductState(restarts[k, real].copy()),
+                candidates=restarts[k, :RESTARTS][hit],
                 tensor=tensors[k],
                 monotone_slack=float(slacks[k]),
             )
@@ -453,10 +507,9 @@ def _partition_sizes(phi: np.ndarray) -> list[tuple[int, ...]]:
     return [_PARTITIONS[m] for m in masks]
 
 
-# the start grid's box centres over [0, pi]^2, then the offsets of a 9x9 zoom
-# grid and of a box's four children, in units of the new spacing
+# the start grid's box centres over [0, pi]^2 and the offsets of a box's four
+# children, in units of the new half-width
 _START = (np.indices((START_GRID, START_GRID)).reshape(2, -1).T + 0.5) * (math.pi / START_GRID)
-_ZOOM = np.indices((9, 9)).reshape(2, -1).T - 4.0
 _CHILDREN = 2.0 * np.indices((2, 2)).reshape(2, -1).T - 1.0
 
 
@@ -485,91 +538,46 @@ def _top_singular(tensor: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 _START_PAIRS = _real_pairs(_START)
 
 
-def _best_real_overlap(tensors: np.ndarray, overlaps) -> list:
-    """(best real product overlap found, its witness, a proved upper bound
-    on all of them, evaluations), one per code, of a stack of n tensors
-    (n, 2, 2, 2, 2) and their n overlaps.
+def _best_real_overlap(tensors: np.ndarray, overlaps, best) -> list:
+    """(best real product overlap found, a proved upper bound on all of
+    them, evaluations), one per code, of a stack of n tensors (n, 2, 2, 2,
+    2), their n overlaps and the n best real overlaps already found.
 
     With real qubits 1 and 2 fixed by angles t1, t2, the best real qubits 3
     and 4 are the top singular vectors of M (:func:`_top_singular`), so the
     real maximum is that of sigma_max(M) over [0, pi]^2.  Each derivative
     of it is an overlap with a unit product state, so a box of half-width w
-    and centre value v holds nothing above v + 2 |T| w.  The best two of a
-    START_GRID^2 grid of boxes seed up to ZOOM_LEVELS 9x9 grids, each a
-    quarter the spacing of the last, until the best value is HIT_WINDOW
-    from the overlap.  Short of overlap - REAL_GAP, branch-and-bound then
-    quarters every box whose bound reaches it, until none does or the next
-    level would pass MAX_EVALUATIONS; the bound is the final boxes' largest.
-
-    The codes' searches run side by side: the start grid is one product of
-    every tensor with ``_START_PAIRS``, and each zoom level one evaluation
-    over the codes still short of their hit window.  The branch-and-bound,
-    which only "C" classes reach, runs code by code.  Every code gets the
-    arithmetic, and so the bits, of its search alone, whatever else the
-    stack holds.
+    and centre value v holds nothing above v + 2 |T| w.  A START_GRID^2 grid
+    of boxes, one product of every tensor with ``_START_PAIRS``, starts the
+    proof.  While the best found is short of overlap - REAL_GAP,
+    branch-and-bound, code by code, quarters every box whose bound reaches
+    it, until none does or the next level would pass MAX_EVALUATIONS; the
+    bound is the final boxes' largest.  Every code gets the bits of its
+    proof alone, whatever else the stack holds.
     """
-    n = len(tensors)
-    hit = [o - HIT_WINDOW for o in overlaps]
-    values = _top_singular(tensors, _START_PAIRS)
-    # the zoom seeds are the best two boxes, the first of equals first
-    first = values.argmax(axis=1)
-    runner_up = values.copy()
-    runner_up[np.arange(n), first] = -math.inf
-    seeds = _START[np.array((first, runner_up.argmax(axis=1))).T, None]
-    best, at = values.max(axis=1).tolist(), list(_START[first])
-    evaluations, half = [values.shape[1]] * n, math.pi / (2 * START_GRID)
-    slopes = [2.0 * float(np.linalg.norm(t)) for t in tensors]
-    bounds = [top + slope * half for top, slope in zip(best, slopes)]
-    # the codes still short of their hit window, with their tensors and seeds
-    rows, tens, spacing = list(range(n)), tensors, 2.0 * half
-    for _ in range(ZOOM_LEVELS):
-        short = [j for j, k in enumerate(rows) if best[k] < hit[k]]
-        if len(short) < len(rows):
-            rows, tens, seeds = [rows[j] for j in short], tens[short], seeds[short]
-        if not rows:
-            break
-        spacing /= 4.0
-        grids = seeds + spacing * _ZOOM
-        points = grids.reshape(len(rows), -1, 2)
-        zoomed = _top_singular(tens, _real_pairs(points))
-        for j, (k, i) in enumerate(zip(rows, zoomed.argmax(axis=1).tolist())):
-            evaluations[k] += zoomed.shape[1]
-            if zoomed[j, i] > best[k]:
-                best[k], at[k] = float(zoomed[j, i]), points[j, i]
-        per_grid = zoomed.reshape(-1, len(_ZOOM)).argmax(axis=1)
-        seeds = grids.reshape(-1, len(_ZOOM), 2)[np.arange(len(per_grid)), per_grid].reshape(-1, 2, 1, 2)
-    for k in range(n):
-        ceiling, slope = overlaps[k] - REAL_GAP, slopes[k]
-        if best[k] >= ceiling:
-            continue
-        vals, boxes, w, retired = values[k], _START, half, -math.inf
-        while best[k] < ceiling:
+    half = math.pi / (2 * START_GRID)
+    found = []
+    for tensor, overlap, top, vals in zip(tensors, overlaps, best, _top_singular(tensors, _START_PAIRS)):
+        ceiling, slope = overlap - REAL_GAP, 2.0 * float(np.linalg.norm(tensor))
+        top, boxes, w, retired, evaluations = max(top, float(vals.max())), _START, half, -math.inf, vals.size
+        while top < ceiling:
             live = vals + slope * w >= ceiling
             retired = max(retired, np.max(vals[~live], initial=-math.inf) + slope * w)
             boxes, vals = boxes[live], vals[live]
-            if not len(boxes) or evaluations[k] + 4 * len(boxes) > MAX_EVALUATIONS:
+            if not len(boxes) or evaluations + 4 * len(boxes) > MAX_EVALUATIONS:
                 break
             w /= 2.0
             boxes = (boxes[:, None] + w * _CHILDREN).reshape(-1, 2)
-            vals = _top_singular(tensors[k], _real_pairs(boxes))
-            evaluations[k] += vals.size
-            i = int(vals.argmax())
-            if vals[i] > best[k]:
-                best[k], at[k] = float(vals[i]), boxes[i]
-        bounds[k] = float(max(retired, np.max(vals, initial=-math.inf) + slope * w))
-    # the best real qubits 3 and 4 are the top singular vectors of M at the
-    # witness angles
-    angles = np.array(at).reshape(n, 2)
-    ab = np.array((np.cos(angles), np.sin(angles))).transpose(1, 2, 0)
-    m = (ab[:, 0, :, None] * ab[:, 1, None, :]).reshape(n, 1, 4) @ tensors.reshape(n, 4, 4)
-    u, _, vt = np.linalg.svd(m.reshape(n, 2, 2))
-    qubits = np.concatenate((ab, u[:, None, :, 0], vt[:, None, 0]), axis=1)
-    return [(b, ProductState(q), bound, e) for b, q, bound, e in zip(best, qubits, bounds, evaluations)]
+            vals = _top_singular(tensor, _real_pairs(boxes))
+            evaluations += vals.size
+            top = max(top, float(vals.max()))
+        found.append((top, float(max(retired, np.max(vals, initial=-math.inf) + slope * w)), evaluations))
+    return found
 
 
-def _pattern(sol: GeSolution, best: float, witness, bound: float, evaluations: int) -> DegeneracyPattern:
-    """The degeneracy pattern of a solution from its reality search, the
-    (best, witness, bound, evaluations) of :func:`_best_real_overlap`."""
+def _pattern(sol: GeSolution, best: float, bound: float, evaluations: int) -> DegeneracyPattern:
+    """The degeneracy pattern of a solution from its best real overlap and
+    the (bound, evaluations) of its proof, if it needed one."""
     real = best >= sol.overlap - HIT_WINDOW
     if not real and bound >= sol.overlap - REAL_GAP:
         raise RealityUndecided(f"best real overlap {best:.12f} and bound {bound:.12f} decide "
@@ -586,22 +594,26 @@ def _pattern(sol: GeSolution, best: float, witness, bound: float, evaluations: i
 
 
 def degeneracy_patterns(sols):
-    """Grouping and reality of the closest product state of each solution,
-    from one stacked :func:`_best_real_overlap` search over all of them.
+    """Grouping and reality of the closest product state of each solution.
 
     The label follows the declared tie-break: among all restarts within
     1e-9 of the best overlap, the coarsest grouping (fewest distinct
     single-qubit states) wins, earlier restarts breaking ties.  Reality is
-    "R" when the real witness of the search comes within ``HIT_WINDOW`` of
-    the best overlap, "C" when its proved bound stays ``REAL_GAP`` below
-    it.  Anything else raises :class:`RealityUndecided`, but only when the
-    returned iterator reaches that solution: the search itself runs on the
-    call.  Each pattern is the one its solution gets in a stack of one.
+    "R" when the solve's real riders come within ``HIT_WINDOW`` of the best
+    overlap.  The codes they leave short go to one stacked
+    :func:`_best_real_overlap` proof, seeded with their riders' best: "R"
+    if it finds a real overlap that close after all, "C" when its proved
+    bound stays ``REAL_GAP`` below the overlap.  Anything else raises
+    :class:`RealityUndecided`, but only when the returned iterator reaches
+    that solution: the proof itself runs on the call.  Each pattern is the
+    one its solution gets in a stack of one.
     """
     sols = list(sols)
-    searches = _best_real_overlap(np.array([sol.tensor for sol in sols]).reshape(-1, 2, 2, 2, 2),
-                                  [sol.overlap for sol in sols])
-    return (_pattern(sol, *found) for sol, found in zip(sols, searches))
+    short = [k for k, sol in enumerate(sols) if sol.real_overlap < sol.overlap - HIT_WINDOW]
+    tensors = np.array([sols[k].tensor for k in short]).reshape(-1, 2, 2, 2, 2)
+    proofs = dict(zip(short, _best_real_overlap(tensors, [sols[k].overlap for k in short],
+                                                [sols[k].real_overlap for k in short])))
+    return (_pattern(sol, *proofs.get(k, (sol.real_overlap, math.inf, 0))) for k, sol in enumerate(sols))
 
 
 def degeneracy_pattern(sol: GeSolution) -> DegeneracyPattern:

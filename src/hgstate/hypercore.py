@@ -366,10 +366,3 @@ def basis_string(mu: int) -> str:
     """Display form of a basis index: vertex 1 is the leftmost character."""
     mu = _check(mu, 0, N_BASIS, "basis index")
     return "".join(str(mu >> v & 1) for v in range(N_VERTICES))
-
-
-def basis_index(s: str) -> int:
-    """Inverse of ``basis_string``."""
-    if len(s) != N_VERTICES or set(s) - {"0", "1"}:
-        raise ValueError(f"basis string must be 4 bits, got {s!r}")
-    return sum(1 << v for v, ch in enumerate(s) if ch == "1")

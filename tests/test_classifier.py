@@ -246,51 +246,51 @@ def test_report_does_not_depend_on_the_batch_width(width, orbit_table, records, 
 def test_degeneracy_diagnostics_at_seed_0(records, graph_records):
     every = records + graph_records
     evaluations = {r.rep: r.pattern.evaluations for r in every}
-    assert len(evaluations) == 39 and sum(evaluations.values()) == 40554
-    # an "R" class stops zooming at the hit window, four on the start grid
-    start, zoomed = gm.START_GRID**2, gm.START_GRID**2 + 2 * len(gm._ZOOM) * gm.ZOOM_LEVELS
+    assert len(evaluations) == 39 and sum(evaluations.values()) == 5768
+    # the riders decide every "R" class, with no proof evaluations
     real = [evaluations[r.rep] for r in every if r.pattern.reality == "R"]
-    assert len(real) == 34 and real.count(start) == 4 and max(real) == 1228
-    # a "C" class zooms every level; graph reps 52 and 2868 are proved on the
-    # start grid, rows 17, 7 and 11 after branch-and-bound levels
+    assert len(real) == 34 and not any(real)
+    # graph reps 52 and 2868 are proved "C" on the start grid, rows 17, 7
+    # and 11 after branch-and-bound levels
+    start = gm.START_GRID**2
     proved = {r.rep: evaluations[r.rep] for r in every if r.pattern.reality == "C"}
-    assert proved == {52: zoomed, 2868: zoomed, 3136: 2192, 16436: 5164, 19252: 2760}
+    assert proved == {52: start, 2868: start, 3136: 572, 16436: 3544, 19252: 1140}
     assert sum(r.iterations for r in every) == 404
 
 
 def test_classify_runs_one_reality_search(orbit_table, records, graph_records, monkeypatch):
-    # the 39 reps' realities come from one stacked search, called through the
-    # module attribute (where the benchmark's tracer wraps it), and no
-    # one-code pattern is asked for
+    # the 39 reps' realities come from one stacked proof over the five reps
+    # the riders leave short, called through the module attribute (where
+    # the benchmark's tracer wraps it), and no one-code pattern is asked for
     stacks = []
     search = gm._best_real_overlap
 
-    def counted(tensor, overlap):
-        stacks.append(tensor.shape)
-        return search(tensor, overlap)
+    def counted(tensors, overlaps, best):
+        stacks.append(tensors.shape)
+        return search(tensors, overlaps, best)
 
     monkeypatch.setattr(gm, "_best_real_overlap", counted)
     monkeypatch.setattr(gm, "degeneracy_pattern", None)
     ours = cf.classify_all(table=orbit_table)
-    assert stacks == [(39, 2, 2, 2, 2)]
+    assert stacks == [(5, 2, 2, 2, 2)]
     assert [r.pattern for r in ours[0] + ours[1]] == [r.pattern for r in records + graph_records]
 
 
 def test_classify_with_an_undecided_reality_searches_once(orbit_table, monkeypatch):
-    # an undecided reality fails its record from the one stacked search: no
+    # an undecided reality fails its record from the one stacked proof: no
     # rep's reality is searched again on its own
     monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
     stacks = []
     search = gm._best_real_overlap
 
-    def counted(tensors, overlaps):
+    def counted(tensors, overlaps, best):
         stacks.append(tensors.shape)
-        return search(tensors, overlaps)
+        return search(tensors, overlaps, best)
 
     monkeypatch.setattr(gm, "_best_real_overlap", counted)
     with pytest.raises(cf.ClassificationError, match=r"code 3136 \(rank 3\), reality: "):
         cf.classify_all(table=orbit_table)
-    assert stacks == [(39, 2, 2, 2, 2)]
+    assert stacks == [(5, 2, 2, 2, 2)]
 
 
 @pytest.mark.parametrize("code", [True, np.int64(1), np.uint16(1), np.array(1)],

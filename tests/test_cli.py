@@ -203,22 +203,33 @@ def test_query_undecided_reality_names_code_and_stage(orbit_table, monkeypatch, 
     assert "Traceback" not in captured.err
 
 
-def test_query_runs_one_reality_search(monkeypatch, capsys):
-    # a query decides its reality through the search classify runs, called
-    # through the module attribute on a stack of one: code 16436 (row 7) is
-    # "C", so its search runs the branch-and-bound as well
+def _query_proof_stacks(monkeypatch, capsys, edges):
+    """The stack shapes of every reality proof a query of ``edges`` runs,
+    and the reality it prints."""
     stacks = []
     search = gm._best_real_overlap
 
-    def counted(tensors, overlaps):
+    def counted(tensors, overlaps, best):
         stacks.append(tensors.shape)
-        return search(tensors, overlaps)
+        return search(tensors, overlaps, best)
 
     monkeypatch.setattr(gm, "_best_real_overlap", counted)
-    assert cli.main(["query", "1234,12,13,23"]) == 0
-    assert stacks == [(1, 2, 2, 2, 2)]
-    reality = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("reality:")]
-    assert reality == ["C"]
+    assert cli.main(["query", edges]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return stacks, [line.split()[1] for line in lines if line.startswith("reality:")]
+
+
+def test_query_runs_one_reality_search(monkeypatch, capsys):
+    # a query decides its reality through the proof classify runs, called
+    # through the module attribute once, on the codes its riders leave
+    # short: code 16436 (row 7) is "C", so its proof runs the
+    # branch-and-bound on a stack of one
+    assert _query_proof_stacks(monkeypatch, capsys, "1234,12,13,23") == ([(1, 2, 2, 2, 2)], ["C"])
+
+
+def test_query_decided_by_its_riders_runs_an_empty_proof(monkeypatch, capsys):
+    # the riders decide code 1234 "R", so the one proof call gets no code
+    assert _query_proof_stacks(monkeypatch, capsys, "1234") == ([(0, 2, 2, 2, 2)], ["R"])
 
 
 def test_query_empty_edge_list(capsys):

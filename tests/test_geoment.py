@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -273,52 +274,43 @@ def test_top_singular_matches_svd(rep):
     assert np.max(np.abs(gm._top_singular(tensor, gm._real_pairs(angles)) - sigma)) < 1e-14
 
 
-def _search_one(tensor, overlap):
-    """The reality search of one tensor (2, 2, 2, 2), run as a stack of one."""
-    return gm._best_real_overlap(tensor[None], [overlap])[0]
+def _search_one(tensor, overlap, best=-math.inf):
+    """The reality proof of one tensor (2, 2, 2, 2), run as a stack of one."""
+    return gm._best_real_overlap(tensor[None], [overlap], [best])[0]
 
 
 def test_constant_start_grid_gives_the_bits_of_the_angle_path(orbit_table, solutions):
-    # the reality search reads its start grid's pair products from a module
+    # the reality proof reads its start grid's pair products from a module
     # constant; on every rep they give the values of the per-call angle path
-    # bit for bit, and a search leaves the constant as it was
+    # bit for bit, and a proof leaves the constant as it was
     angle_path = gm._real_pairs(gm._START)
     assert gm._START_PAIRS.shape == (4, gm.START_GRID**2)
     for rep in orbit_table.reps:
         sol = solutions[int(rep)]
         ours = gm._top_singular(sol.tensor, gm._START_PAIRS)
         assert ours.tobytes() == gm._top_singular(sol.tensor, angle_path).tobytes(), rep
-        _search_one(sol.tensor, sol.overlap)
+        _search_one(sol.tensor, sol.overlap, sol.real_overlap)
     assert gm._START_PAIRS.tobytes() == angle_path.tobytes()
 
 
-def _reference_reality(tensor, overlap):
-    """The reality search of one code, step by step: one evaluation per
-    start grid, zoom level and branch-and-bound level, the running best
-    taken after each, on the search's own closed form and grids."""
-    hit, ceiling = overlap - gm.HIT_WINDOW, overlap - gm.REAL_GAP
+def _reference_reality(tensor, overlap, best):
+    """The reality proof of one code, step by step: one evaluation per
+    start grid and branch-and-bound level, the running best taken after
+    each from the best already found, on the proof's own closed form and
+    grids."""
+    ceiling = overlap - gm.REAL_GAP
     slope = 2.0 * float(np.linalg.norm(tensor))
-    best, at, evaluations = -math.inf, None, 0
+    evaluations = 0
 
-    def evaluate(angles):
-        nonlocal best, at, evaluations
-        points = angles.reshape(-1, 2)
-        values = gm._top_singular(tensor, gm._real_pairs(points))
+    def evaluate(boxes):
+        nonlocal best, evaluations
+        values = gm._top_singular(tensor, gm._real_pairs(boxes))
         evaluations += values.size
-        i = int(values.argmax())
-        if values[i] > best:
-            best, at = float(values[i]), points[i]
-        return values.reshape(angles.shape[:-1])
+        best = max(best, float(values.max()))
+        return values
 
     boxes, half = gm._START, math.pi / (2 * gm.START_GRID)
     values = evaluate(boxes)
-    seeds, spacing = boxes[np.argsort(-values, kind="stable")[:2]], 2.0 * half
-    for _ in range(gm.ZOOM_LEVELS):
-        if best >= hit:
-            break
-        spacing /= 4.0
-        grids = seeds[:, None] + spacing * gm._ZOOM
-        seeds = grids[[0, 1], evaluate(grids).argmax(axis=1)]
     retired = -math.inf
     while best < ceiling:
         live = values + slope * half >= ceiling
@@ -329,39 +321,38 @@ def _reference_reality(tensor, overlap):
         half /= 2.0
         boxes = (boxes[:, None] + half * gm._CHILDREN).reshape(-1, 2)
         values = evaluate(boxes)
-    bound = float(max(retired, np.max(values, initial=-math.inf) + slope * half))
-    a, b = np.stack((np.cos(at), np.sin(at)), axis=-1)
-    u, _, vt = np.linalg.svd((np.outer(a, b).reshape(4) @ tensor.reshape(4, 4)).reshape(2, 2))
-    return best, gm.ProductState(np.array((a, b, u[:, 0], vt[0]))), bound, evaluations
+    return best, float(max(retired, np.max(values, initial=-math.inf) + slope * half)), evaluations
 
 
-def _search_bits(best, witness, bound, evaluations):
-    return np.float64(best).tobytes(), witness.qubits.tobytes(), np.float64(bound).tobytes(), evaluations
+def _search_bits(best, bound, evaluations):
+    return np.float64(best).tobytes(), np.float64(bound).tobytes(), evaluations
 
 
 # BATCH_MIX (row 28, the product state 0 and row 7, a "C" class) with rows 17
-# and 11, also "C" after branch-and-bound levels, and graph rep 52, "C" once
-# every zoom level has run
+# and 11, also "C" after branch-and-bound levels, and graph rep 52, "C" on
+# the start grid alone
 REALITY_MIX = BATCH_MIX + (3136, 19252, 52)
 
 
 @pytest.mark.parametrize("stack", ["reps", "reps reversed", "mixed", "one"])
 def test_stacked_reality_search_is_the_one_code_search(stack, orbit_table):
     # every code of a stack gets the bits of its own stack of one, and those
-    # the bits of the step-by-step reference: best, witness, bound, evaluations
+    # the bits of the step-by-step reference: best, bound, evaluations.  The
+    # proof runs here on "R" codes too, which the patterns never ask of it
     reps = [int(rep) for rep in orbit_table.reps]
     codes = {"reps": reps, "reps reversed": reps[::-1], "mixed": REALITY_MIX, "one": (3136,)}[stack]
     sols = list(gm.solve_codes(codes))
-    stacked = gm._best_real_overlap(np.array([s.tensor for s in sols]), np.array([s.overlap for s in sols]))
+    stacked = gm._best_real_overlap(np.array([s.tensor for s in sols]), [s.overlap for s in sols],
+                                    [s.real_overlap for s in sols])
     assert len(stacked) == len(codes)
     for h, sol, found in zip(codes, sols, stacked, strict=True):
-        one = _search_one(sol.tensor, sol.overlap)
-        reference = _reference_reality(sol.tensor, sol.overlap)
+        one = _search_one(sol.tensor, sol.overlap, sol.real_overlap)
+        reference = _reference_reality(sol.tensor, sol.overlap, sol.real_overlap)
         assert _search_bits(*found) == _search_bits(*one) == _search_bits(*reference), h
 
 
 def test_degeneracy_patterns_are_the_one_code_patterns(solutions, monkeypatch):
-    # one stacked search gives each solution its one-code pattern; an
+    # one stacked proof gives each solution its one-code pattern; an
     # undecided reality names the first undecided solution in input order
     sols = list(solutions.values())
     assert list(gm.degeneracy_patterns(sols)) == [gm.degeneracy_pattern(sol) for sol in sols]
@@ -373,20 +364,20 @@ def test_degeneracy_patterns_are_the_one_code_patterns(solutions, monkeypatch):
 
 
 def test_degeneracy_patterns_raise_when_the_undecided_one_is_reached(solutions, monkeypatch):
-    # the stacked search runs on the call, once; the patterns come out one at
-    # a time, so rep 0's pattern is handed out before rep 3136's undecided
-    # reality raises
+    # the stacked proof runs on the call, once, on the codes the riders
+    # leave short (rep 3136 alone); the patterns come out one at a time, so
+    # rep 0's pattern is handed out before rep 3136's undecided reality raises
     monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
     stacks = []
     search = gm._best_real_overlap
 
-    def counted(tensors, overlaps):
+    def counted(tensors, overlaps, best):
         stacks.append(tensors.shape)
-        return search(tensors, overlaps)
+        return search(tensors, overlaps, best)
 
     monkeypatch.setattr(gm, "_best_real_overlap", counted)
     patterns = gm.degeneracy_patterns([solutions[0], solutions[3136]])
-    assert stacks == [(2, 2, 2, 2, 2)]
+    assert stacks == [(1, 2, 2, 2, 2)]
     assert next(patterns) == gm.degeneracy_pattern(solutions[0])
     with pytest.raises(gm.RealityUndecided, match=f"against {solutions[3136].overlap:.12f} in"):
         next(patterns)
@@ -399,76 +390,75 @@ def _real_product_overlaps(tensor, rng, n):
     return np.abs(gm._contract(tensor, _restart_major(np.stack((np.cos(t), np.sin(t)), axis=-1))))
 
 
+def _rebuilt_overlap(tensor, witness):
+    """|<Phi|psi>| of one product state, through the general contraction."""
+    return abs(gm._contract(tensor, _restart_major(witness.qubits[None]))[0])
+
+
 def test_real_certificate_is_sound_for_every_class(classification, solutions):
-    # dense random real product states never beat the proved bound, and each
-    # "R" witness gives back its overlap through the general contraction
+    # dense random real product states never beat the proved bound, run on
+    # every class; an "R" class is decided by its rider witness, real and
+    # at the complex optimum, with no proof evaluations, and a "C" class by
+    # a proof whose best stays short of the hit window and whose bound
+    # stays REAL_GAP below the overlap
     records, graphs = classification
+    assert len(records + graphs) == 39
     rng = np.random.default_rng(103)
     for record in records + graphs:
         sol = solutions[record.rep]
-        best, witness, bound, evaluations = _search_one(sol.tensor, sol.overlap)
-        assert evaluations == record.pattern.evaluations, record.rep
+        best, bound, evaluations = _search_one(sol.tensor, sol.overlap, sol.real_overlap)
         assert _real_product_overlaps(sol.tensor, rng, 4096).max() <= bound, record.rep
-        rebuilt = gm.ProductState(witness.qubits)
-        assert abs(abs(gm._contract(sol.tensor, _restart_major(rebuilt.qubits[None]))[0]) - best) < 1e-12
+        assert not sol.real_witness.qubits.imag.any(), record.rep
+        assert _rebuilt_overlap(sol.tensor, sol.real_witness) == pytest.approx(sol.real_overlap, abs=1e-14)
         if record.pattern.reality == "R":
-            assert best >= sol.overlap - gm.HIT_WINDOW, record.rep
+            assert record.pattern.evaluations == 0, record.rep
+            assert abs(sol.real_overlap - sol.overlap) < 1e-12, record.rep
         else:
-            assert bound < sol.overlap - gm.REAL_GAP, record.rep
-
-
-def test_early_stop_keeps_the_reality_decision(classification, solutions):
-    # the zoom stops at the hit window; an overlap of 2 is out of reach, so
-    # it runs every level and the branch-and-bound retires every box at once
-    records, graphs = classification
-    assert len(records + graphs) == 39
-    for record in records + graphs:
-        sol = solutions[record.rep]
-        hit = sol.overlap - gm.HIT_WINDOW
-        early = _search_one(sol.tensor, sol.overlap)[0]
-        full, _, _, evaluations = _search_one(sol.tensor, 2.0)
-        assert evaluations == gm.START_GRID**2 + 2 * len(gm._ZOOM) * gm.ZOOM_LEVELS
-        assert (early >= hit) == (full >= hit) == (record.pattern.reality == "R"), record.rep
-        if record.pattern.reality == "R":
-            # every level zooms in on the real optimum, which is the complex one
-            assert early <= full and abs(full - sol.overlap) < 1e-12, record.rep
+            assert evaluations == record.pattern.evaluations, record.rep
+            assert best < sol.overlap - gm.HIT_WINDOW and bound < sol.overlap - gm.REAL_GAP, record.rep
 
 
 def test_perturbing_a_complex_class_towards_a_real_witness_flips_or_raises(monkeypatch):
-    # row 7 (rep 16436) is "C"; mixing in its best real product state closes
-    # the gap between its real and complex optima, until a real witness wins
+    # row 7 (rep 16436) is "C"; mixing in its rider witness, its best real
+    # product state, closes the gap between its real and complex optima,
+    # until a real witness wins.  The perturbed amplitudes replace the
+    # state's, while the riders stay ranked from row 7's +-1 signs
     tensor = sv.state_tensor(sv.build_state(16436))
-    _, witness, _, _ = _search_one(tensor, gm.solve_code(16436).overlap)
-    product = np.einsum("a,b,c,d->abcd", *witness.qubits.real)
+    product = np.einsum("a,b,c,d->abcd", *gm.solve_code(16436).real_witness.qubits.real)
+    state_tensor = sv.state_tensor
     rng = np.random.default_rng(107)
     outcomes = []
     for eps in (0.0, 0.03, 0.06, 0.1):
         mixed = tensor + eps * product
-        monkeypatch.setattr(sv, "state_tensor", lambda s, t=mixed / np.linalg.norm(mixed): t)
+        monkeypatch.setattr(sv, "state_tensor", lambda s, t=mixed / np.linalg.norm(mixed):
+                            t if np.abs(s).max() < 1.0 else state_tensor(s))
         sol = gm.solve_code(16436)
         try:
             reality = gm.degeneracy_pattern(sol).reality
         except gm.RealityUndecided:
             outcomes.append("undecided")
             continue
-        best, witness, bound, _ = _search_one(sol.tensor, sol.overlap)
         if reality == "C":
+            _, bound, _ = _search_one(sol.tensor, sol.overlap, sol.real_overlap)
             assert _real_product_overlaps(sol.tensor, rng, 4096).max() <= bound < sol.overlap - gm.REAL_GAP
         else:
-            overlap = abs(gm._contract(sol.tensor, _restart_major(witness.qubits[None]))[0])
-            assert overlap >= sol.overlap - gm.HIT_WINDOW
+            assert not sol.real_witness.qubits.imag.any()
+            assert _rebuilt_overlap(sol.tensor, sol.real_witness) >= sol.overlap - gm.HIT_WINDOW
         outcomes.append(reality)
     # at eps = 0.06 the real optimum is 7e-5 short, too close to prove within
-    # MAX_EVALUATIONS, so the search says so rather than guessing
+    # MAX_EVALUATIONS, so the proof says so rather than guessing
     assert outcomes == ["C", "C", "undecided", "R"]
 
 
 def test_undecided_reality_raises(solutions, monkeypatch):
     # row 7 needs branch-and-bound levels to prove "C"; with no evaluations
-    # to spare the search ends undecided, and says so
+    # to spare the proof ends undecided, and says so.  Its best real overlap
+    # is the riders' it was seeded with, above the start grid's best
     monkeypatch.setattr(gm, "MAX_EVALUATIONS", 0)
-    with pytest.raises(gm.RealityUndecided, match="evaluations"):
-        gm.degeneracy_pattern(solutions[16436])
+    sol = solutions[16436]
+    assert sol.real_overlap > gm._top_singular(sol.tensor, gm._START_PAIRS).max()
+    with pytest.raises(gm.RealityUndecided, match=f"best real overlap {sol.real_overlap:.12f} .* evaluations"):
+        gm.degeneracy_pattern(sol)
 
 
 def test_symmetric_z_iteration_attractor():
@@ -500,18 +490,67 @@ def test_closed_form_values_sane():
 
 
 def test_real_optimum_never_beats_the_solver():
+    # the riders never beat the complex restarts, and a proof never finds
+    # more than it bounds; at an unreachable overlap of 2 it retires every
+    # start box at once, keeping the riders' best it was seeded with
     rng = np.random.default_rng(67)
     for h in rng.integers(0, hc.N_CODES, size=6):
         sol = gm.solve_code(int(h))
-        best, _, bound, _ = _search_one(sol.tensor, sol.overlap)
+        assert sol.real_overlap <= sol.overlap + 1e-12
+        best, bound, _ = _search_one(sol.tensor, sol.overlap, sol.real_overlap)
         assert best <= sol.overlap + 1e-12 and best <= bound
+        best, _, evaluations = _search_one(sol.tensor, 2.0, sol.real_overlap)
+        assert evaluations == gm.START_GRID**2 and best >= sol.real_overlap
 
 
 def test_real_optimum_matches_solver_on_real_witness_state():
     sol = gm.solve_code(hc.parse_edges("1234"))
-    best, witness, _, _ = _search_one(sol.tensor, sol.overlap)
-    assert sol.overlap - gm.HIT_WINDOW <= best <= sol.overlap + 1e-12
-    assert np.array_equal(witness.qubits.imag, np.zeros((4, 2)))
+    assert sol.overlap - gm.HIT_WINDOW <= sol.real_overlap <= sol.overlap + 1e-12
+    assert np.array_equal(sol.real_witness.qubits.imag, np.zeros((4, 2)))
+    assert gm.degeneracy_pattern(sol).evaluations == 0
+
+
+# |0>, |1>, |+> and |->, the factors of the 256 real stabilizer products
+_STABILIZER_STATES = np.array([[1, 0], [0, 1], [1, 1], [1, -1]]) / np.sqrt([[1], [1], [2], [2]])
+
+
+def _sign_tensors(codes):
+    """4 psi of each code as int64 (n, 2, 2, 2, 2), one axis per qubit, from
+    its sign word: basis index mu has bit v - 1 set when vertex v reads 1."""
+    bits = hc.sign_words(codes)[:, None] >> np.arange(hc.N_BASIS) & 1
+    return (1 - 2 * bits.astype(np.int64)).reshape(-1, 2, 2, 2, 2).transpose(0, 4, 3, 2, 1)
+
+
+def test_riders_are_the_top_real_stabilizer_products_of_every_code(orbit_table, solutions):
+    # over all 32768 codes the integer scores are 256 |<Phi|psi>|^2 of a
+    # float contraction with the unit products, index 64 q1 + 16 q2 + 4 q3
+    # + q4; the riders are the RIDERS best of them, highest first and ties
+    # by index, and each has a positive score
+    for rep in orbit_table.reps:
+        four_psi = sv.state_tensor(4 * sv.build_state(int(rep)))
+        assert np.array_equal(_sign_tensors([rep])[0], four_psi), rep
+    floats, top_scores = [], []
+    u = _STABILIZER_STATES
+    for chunk in np.array_split(np.arange(hc.N_CODES), 8):
+        signs = _sign_tensors(chunk)
+        scores = gm._stabilizer_scores(signs)
+        assert scores.dtype.kind == "i"
+        products = signs / 4.0
+        for _ in range(hc.N_VERTICES):  # contract the last qubit, move its index to the front
+            products = np.moveaxis(products @ u.T, -1, 1)
+        floats.append(float(np.max(np.abs(scores - 256.0 * products.reshape(len(chunk), -1) ** 2))))
+        order = np.lexsort((np.broadcast_to(np.arange(256), scores.shape), -scores))[:, :gm.RIDERS]
+        factors = np.array(np.unravel_index(order, (4,) * hc.N_VERTICES)).transpose(1, 2, 0)
+        assert np.array_equal(gm._riders(signs), u[factors])
+        top_scores.append(np.take_along_axis(scores, order, axis=1))
+    assert max(floats) < 1e-9
+    assert np.concatenate(top_scores).min() > 0
+    # on the 39 reps the solve keeps every rider real, and its best rebuilds
+    # its overlap; the random restarts alone give the candidates
+    for sol in solutions.values():
+        assert not sol.real_witness.qubits.imag.any()
+        assert _rebuilt_overlap(sol.tensor, sol.real_witness) == pytest.approx(sol.real_overlap, abs=1e-14)
+        assert len(sol.candidates) == sol.restarts_hit <= gm.RESTARTS
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +724,21 @@ def test_every_code_converges_to_its_orbit_reps_overlap(orbit_table):
     # a query may name any code, so every one of the 2^15 solves at the
     # default policy stops on "tol" within the bound above, at the overlap
     # of its orbit's rep; since a zero norm raises, it also shows that no
-    # code meets a zero environment
+    # code meets a zero environment.  Every code's reality is decided, with
+    # 30,640 "R" and 2,128 "C" codes
     reps = orbit_table.reps[orbit_table.class_id].astype(int)
     rep_overlap = {rep: sol.overlap for rep, sol in zip(orbit_table.reps, gm.solve_codes(orbit_table.reps))}
-    for h, (rep, sol) in enumerate(zip(reps, gm.solve_codes(range(len(reps))), strict=True)):
-        assert sol.stop == "tol" and sol.iterations <= 500, (h, sol.stop, sol.iterations)
-        assert abs(sol.overlap - rep_overlap[rep]) < 1e-11, (h, rep, sol.overlap)
+
+    def checked():
+        for h, (rep, sol) in enumerate(zip(reps, gm.solve_codes(range(len(reps))), strict=True)):
+            assert sol.stop == "tol" and sol.iterations <= 500, (h, sol.stop, sol.iterations)
+            assert abs(sol.overlap - rep_overlap[rep]) < 1e-11, (h, rep, sol.overlap)
+            yield sol
+
+    sols, realities = checked(), Counter()
+    while chunk := list(itertools.islice(sols, 4096)):
+        realities.update(pattern.reality for pattern in gm.degeneracy_patterns(chunk))
+    assert realities == {"R": 30640, "C": 2128}
 
 
 @pytest.mark.parametrize("real_restarts", [False, True])

@@ -517,10 +517,11 @@ def test_parse_edges_rejects(bad):
 
 
 def test_basis_string_roundtrip():
+    # the inverse reads character v as bit v, vertex v + 1
     for mu in range(hc.N_BASIS):
         s = hc.basis_string(mu)
-        assert len(s) == 4
-        assert hc.basis_index(s) == mu
+        assert len(s) == 4 and set(s) <= {"0", "1"}
+        assert sum(1 << v for v, ch in enumerate(s) if ch == "1") == mu
     # vertex 1 is the leftmost character
     assert hc.basis_string(1) == "1000"
     assert hc.basis_string(8) == "0001"
