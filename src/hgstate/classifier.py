@@ -203,11 +203,11 @@ def _check_distinct(records) -> None:
 def records(codes, sols, policy: gm.SolvePolicy,
             table: ob.OrbitTable | None = None) -> list[ClassRecord]:
     """The class record of each code from its solve under ``policy``, in
-    input order, every reality from one ``gm.degeneracy_patterns`` search.
+    input order, every reality from one ``gm.degeneracy_patterns`` call.
 
     Raises :class:`ClassificationError` for the first code that fails,
-    naming it, its rank and the stage: "reality" when its reality search
-    is undecided, "row match" when no single row fits, or "solve" when its
+    naming it, its rank and the stage: "reality" when its reality is
+    undecided, "row match" when no single row fits, or "solve" when its
     solve stopped at the iteration cap (the row match is blamed on the cap).
     """
     sols = list(sols)
