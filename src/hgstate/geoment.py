@@ -24,17 +24,17 @@ meets, so a norm of at most ``_ZERO_NORM`` at a rescale raises
 The kernel (:func:`_sweep`, :func:`_contract`, :func:`_extrapolate`,
 :func:`_ascend`) is restart-major: the restarts of one code are
 phi[qubit, amplitude, r], of shape (4, 2, R), and a batch of n codes
-stacks them to (n, 4, 2, R).  With the R = 64 restarts ahead of axes of
-length 2 and 4, every step would run inner loops of two or four values
-and each 2x2 contraction would be one tiny matrix product per restart;
-with the restarts last, every step is one ufunc call over contiguous rows
-of R values.  The two products with T per sweep are then (4, 4) @ (4, R)
-matmuls, run on the float view of the complex pair products so that the
-real tensor is never cast to complex, and the four 2x2 contractions are
-two-term elementwise products.  Only :func:`solve_codes` meets the
-layout: it transposes its seeded starts in once and its witnesses and
-candidates out once, so every :class:`GeSolution` holds (4, 2) and
-(k, 4, 2) arrays.
+stacks them to (n, 4, 2, R), so every step is one ufunc call over
+contiguous rows of R values, not inner loops of two or four values with
+one tiny matrix product per restart.  The two products with T per sweep
+are (4, 4) @ (4, R) matmuls on the float view of the complex pair
+products, so the real tensor is never cast to complex, and the four 2x2
+contractions are two-term elementwise products.  Every step writes with
+``out=`` into the buffers and views of one work area per batch
+(:class:`_Work`), which :func:`_ascend` builds once and again only when a
+code leaves the batch.  Only :func:`solve_codes` meets the layout: it
+transposes its seeded starts in once and its witnesses and candidates out
+once, so every :class:`GeSolution` holds (4, 2) and (k, 4, 2) arrays.
 
 Alternating sweeps converge linearly only at nondegenerate maxima, and
 crawl near degenerate maxima and saddles, so every iteration is one
@@ -233,44 +233,76 @@ def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (p[..., :, None, :] * q[..., None, :, :]).reshape(*p.shape[:-2], 4, p.shape[-1])
 
 
-def _times(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """t @ x for a real t, as one real matmul on the float view of x (x itself when real)."""
-    return (t @ x.view(x.real.dtype)).view(x.dtype)
+class _Qubits:
+    """Restart-major qubits x[..., qubit, amplitude, r], their parts, each
+    qubit's row ``q`` and its broadcasts ``a`` and ``b`` as the first and
+    second factor of a 2x2 product, and a buffer for a sweep's overlaps."""
+
+    def __init__(self, x: np.ndarray):
+        self.x, self.re, self.im = x, x.real, x.imag
+        self.q = [x[..., k, :, :] for k in range(hc.N_VERTICES)]
+        self.a, self.b = [q[..., :, None, :] for q in self.q], [q[..., None, :, :] for q in self.q]
+        self.overlap = np.empty(x.shape[:-3] + x.shape[-1:])
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """|x|^2 elementwise, as the sum of the squares of its parts."""
-    squares = x.real * x.real
-    squares += x.imag * x.imag
-    return squares
+class _Work:
+    """Every buffer and view that one :func:`_extrapolate` step and its three
+    sweeps use on restarts phi of one tensor or a stack, each written before
+    it is read.  A factor broadcast over phi's shape is spread into a buffer
+    of that shape first, so numpy buffers no operand as large as phi.  A
+    sweep finds the views of the array it sweeps, phi or y, by ``id``."""
+
+    def __init__(self, tensor: np.ndarray, phi: np.ndarray):
+        lead, r, real = phi.shape[:-3], phi.shape[-1], phi.real.dtype
+        self.t = tensor.reshape(*lead, 4, 4)
+        self.tt = self.t.swapaxes(-1, -2)
+        self.new, self.y = _Qubits(np.empty_like(phi)), _Qubits(np.empty_like(phi))
+        self.qubits = {id(phi): _Qubits(phi), id(self.y.x): self.y}
+        # [..., a, b, r]: a pair product, its first factor, the products with T, 2x2 terms
+        self.pair, self.first, self.tcd, self.tab, self.m = np.empty((5, *lead, 2, 2, r), phi.dtype)
+        self.pair_f, self.tcd_f, self.tab_f = (x.reshape(*lead, 4, r).view(real)
+                                               for x in (self.pair, self.tcd, self.tab))
+        self.m_a, self.m_b = (self.m[..., 0, :, :], self.m[..., 1, :, :]), (self.m[..., 0, :], self.m[..., 1, :])
+        # r and v, the squares of their parts (the first halves serve a rescale)
+        self.rv = np.empty((2, *phi.shape), phi.dtype)
+        (self.r, self.v), self.rv_re, self.rv_im = self.rv, self.rv.real, self.rv.imag
+        self.rv_sq, self.rv_im2 = np.empty((2, *self.rv.shape), real)
+        self.squares, self.im2, self.rv_sq8 = self.rv_sq[0], self.rv_im2[0], self.rv_sq.reshape(2, *lead, 8, r)
+        self.sq = self.squares[..., 0, :], self.squares[..., 1, :]
+        self.norms, self.scale = np.empty((2, *lead, 4, r))
+        self.n, self.spread = list(np.moveaxis(self.norms, -2, 0)), np.empty_like(phi)
+        # per restart: |r| and |v|, their ratio, alpha, 2 alpha or alpha^2, and a flag
+        self.rv_norm, (self.ratio, self.alpha, self.factor) = np.empty((2, *lead, r)), np.empty((3, *lead, r))
+        self.flag = np.empty((*lead, r), bool)
 
 
-def _normalize(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _normalize(x: _Qubits, out: np.ndarray, w: _Work):
     """Rescale every qubit x[..., :, r] of every restart to unit norm, into
-    out, by a multiplication with 1 / norm; returns the norms.
+    out, by a multiplication with 1 / norm, and leave the norms in w.norms.
 
     A norm of at most ``_ZERO_NORM`` (or not a number) raises
     :class:`FloatingPointError` before out is written: restarts of positive
     overlap never reach one, so the solve fails loudly where it would
     otherwise divide by zero.
     """
-    squares = _squares(x)
-    norms = np.sqrt(squares[..., 0, :] + squares[..., 1, :])
-    if not norms.min() > _ZERO_NORM:
-        raise FloatingPointError(f"a qubit of norm {norms.min():.3g} <= {_ZERO_NORM:g} cannot be rescaled")
-    np.multiply(x, (1.0 / norms)[..., None, :], out=out)
-    return norms
+    np.multiply(x.re, x.re, out=w.squares)
+    np.add(w.squares, np.multiply(x.im, x.im, out=w.im2), out=w.squares)
+    norms = np.sqrt(np.add(*w.sq, out=w.norms), out=w.norms)
+    if not (least := np.minimum.reduce(norms, axis=None)) > _ZERO_NORM:
+        raise FloatingPointError(f"a qubit of norm {least:.3g} <= {_ZERO_NORM:g} cannot be rescaled")
+    np.copyto(w.spread, np.divide(1.0, norms, out=w.scale)[..., None, :])
+    np.multiply(x.x, w.spread, out=out)
 
 
-def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _sweep(tensor: np.ndarray, phi: np.ndarray, work: _Work | None = None) -> np.ndarray:
     """One full alternating sweep over the four qubits, in place.
 
     Shapes are restart-major: one tensor, (2, 2, 2, 2) or (4, 4), with
     restarts phi[qubit, amplitude, r] of shape (4, 2, R), or a stack of n
-    tensors with (n, 4, 2, R).  Each step is then one ufunc call whose inner
-    loop runs over R contiguous values, and none makes one small product per
-    restart.  Only the products with T see the stack, so a code's iterates
-    do not depend on the rest of it.
+    tensors with (n, 4, 2, R).  Only the products with T see the stack, so
+    a code's iterates do not depend on the rest of it.  Every step writes
+    into ``work``, the :class:`_Work` of the tensor and of phi (or of the y
+    it holds); a call without one builds its own.
 
     Each qubit in turn is set to its conjugated environment, left
     unnormalized, and all four are rescaled to unit norm once, at the end,
@@ -287,8 +319,8 @@ def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     phi1); Tab[c, d, r] = sum_ab phi1[a, r] phi2[b, r] T[abcd], built from the
     new pair, gives those of qubits 3 and 4 (Tab.phi4, then phi3.Tab).  That
     is two (4, 4) @ (4, R) products, each one real matmul on the float view
-    of the restarts (:func:`_times`), and four 2x2 contractions written as
-    two-term elementwise products.
+    of the pair products, and four 2x2 contractions written as two-term
+    elementwise products.
 
     The tensor is real and every restart has a positive overlap.  For a
     state of norm at most 1 no n_k exceeds the norm of its normalized-order
@@ -299,35 +331,40 @@ def _sweep(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     (:func:`_normalize`) and leaves phi as it was.
 
     Returns the overlaps |f| after the sweep, one per restart, shaped (R,)
-    or (n, R).
+    or (n, R), in a buffer of the work area.
     """
-    t = tensor.reshape(*phi.shape[:-3], 4, 4)
-    new = np.empty_like(phi)
-    p1, p2, p3, p4 = (phi[..., k, :, :] for k in range(hc.N_VERTICES))
-    q1, q2, q3, q4 = (new[..., k, :, :] for k in range(hc.N_VERTICES))
-    tcd = _times(t, _pair(p3, p4)).reshape(*p1.shape[:-2], 2, 2, -1)
+    w = _Work(tensor, phi) if work is None else work
+    p, q = w.qubits[id(phi)], w.new
     # each 2x2 contraction is one product over [a, b, r] and a sum of its two terms
-    m = tcd * p2[..., None, :, :]
-    np.conjugate(np.add(m[..., 0, :], m[..., 1, :], out=q1), out=q1)
-    m = q1[..., :, None, :] * tcd
-    np.conjugate(np.add(m[..., 0, :, :], m[..., 1, :, :], out=q2), out=q2)
-    tab = _times(t.swapaxes(-1, -2), _pair(q1, q2)).reshape(tcd.shape)
-    m = tab * p4[..., None, :, :]
-    np.conjugate(np.add(m[..., 0, :], m[..., 1, :], out=q3), out=q3)
-    m = q3[..., :, None, :] * tab
-    np.conjugate(np.add(m[..., 0, :, :], m[..., 1, :, :], out=q4), out=q4)
-    norms = _normalize(new, out=phi)
-    return norms[..., 3, :] / (norms[..., 0, :] * norms[..., 1, :] * norms[..., 2, :])
+    np.copyto(w.first, p.a[2])
+    np.multiply(w.first, p.b[3], out=w.pair)
+    np.matmul(w.t, w.pair_f, out=w.tcd_f)
+    np.multiply(w.tcd, p.b[1], out=w.m)
+    np.conjugate(np.add(*w.m_b, out=q.q[0]), out=q.q[0])
+    np.multiply(q.a[0], w.tcd, out=w.m)
+    np.conjugate(np.add(*w.m_a, out=q.q[1]), out=q.q[1])
+    np.copyto(w.first, q.a[0])
+    np.multiply(w.first, q.b[1], out=w.pair)
+    np.matmul(w.tt, w.pair_f, out=w.tab_f)
+    np.multiply(w.tab, p.b[3], out=w.m)
+    np.conjugate(np.add(*w.m_b, out=q.q[2]), out=q.q[2])
+    np.multiply(q.a[2], w.tab, out=w.m)
+    np.conjugate(np.add(*w.m_a, out=q.q[3]), out=q.q[3])
+    _normalize(q, phi, w)
+    n1, n2, n3, n4 = w.n
+    np.multiply(np.multiply(n1, n2, out=p.overlap), n3, out=p.overlap)
+    return np.divide(n4, p.overlap, out=p.overlap)
 
 
 def _contract(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Overlap <Phi|psi> for restart-major product states, shaped as for :func:`_sweep`."""
     t = tensor.reshape(*phi.shape[:-3], 4, 4).swapaxes(-1, -2)
-    tab = _times(t, _pair(phi[..., 0, :, :], phi[..., 1, :, :]))
+    pair = _pair(phi[..., 0, :, :], phi[..., 1, :, :])
+    tab = (t @ pair.view(pair.real.dtype)).view(pair.dtype)
     return (tab * _pair(phi[..., 2, :, :], phi[..., 3, :, :])).sum(axis=-2)
 
 
-def _extrapolate(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _extrapolate(tensor: np.ndarray, phi: np.ndarray, work: _Work | None = None) -> np.ndarray:
     """One SQUAREM step of the sweep map for every restart, in place.
 
     A sweep leaves the overlap real and positive, so a maximum is a fixed
@@ -341,24 +378,31 @@ def _extrapolate(tensor: np.ndarray, phi: np.ndarray) -> np.ndarray:
     ``_ZERO_NORM`` raises :class:`FloatingPointError` (:func:`_normalize`),
     as in the sweep.  Shapes are the restart-major ones of
     :func:`_sweep`, so alpha and every test are per restart, along the
-    last axis; y reuses the buffer of x0.  Returns the overlaps of the kept
+    last axis.  Its buffers, y, r and v among them, are those of ``work``
+    (built for the call if not given).  Returns the overlaps of the kept
     points.
     """
-    y = phi.copy()
-    _sweep(tensor, phi)
-    r, v = rv = np.empty((2, *phi.shape), phi.dtype)  # one buffer, one norm call
+    w = _Work(tensor, phi) if work is None else work
+    y, r, v = w.y.x, w.r, w.v
+    np.copyto(y, phi)
+    _sweep(tensor, phi, w)
     np.subtract(phi, y, out=r)
-    overlap = _sweep(tensor, phi)
+    overlap = _sweep(tensor, phi, w)
     np.add(np.multiply(r, 2.0, out=v), y, out=v)
     np.subtract(phi, v, out=v)
-    r_norm, v_norm = np.sqrt(_squares(rv).reshape(2, *phi.shape[:-3], 8, -1).sum(axis=-2))
-    ratio = np.divide(r_norm, v_norm, out=np.zeros(r_norm.shape), where=v_norm > 0.0)
-    alpha = np.minimum(-ratio, -1.0)[..., None, None, :]
-    y -= np.multiply(r, 2.0 * alpha, out=r)
-    y += np.multiply(v, alpha * alpha, out=v)
-    _normalize(y, out=y)
-    new = _sweep(tensor, y)
-    np.copyto(phi, y, where=(new >= overlap)[..., None, None, :])
+    np.multiply(w.rv_re, w.rv_re, out=w.rv_sq)
+    np.add(w.rv_sq, np.multiply(w.rv_im, w.rv_im, out=w.rv_im2), out=w.rv_sq)
+    r_norm, v_norm = np.sqrt(np.add.reduce(w.rv_sq8, axis=-2, out=w.rv_norm), out=w.rv_norm)
+    w.ratio.fill(0.0)
+    np.divide(r_norm, v_norm, out=w.ratio, where=np.greater(v_norm, 0.0, out=w.flag))
+    np.minimum(np.negative(w.ratio, out=w.alpha), -1.0, out=w.alpha)
+    np.copyto(w.spread, np.multiply(2.0, w.alpha, out=w.factor)[..., None, None, :])
+    np.subtract(y, np.multiply(r, w.spread, out=r), out=y)
+    np.copyto(w.spread, np.multiply(w.alpha, w.alpha, out=w.factor)[..., None, None, :])
+    np.add(y, np.multiply(v, w.spread, out=v), out=y)
+    _normalize(w.y, y, w)
+    new = _sweep(tensor, y, w)
+    np.copyto(phi, y, where=np.greater_equal(new, overlap, out=w.flag)[..., None, None, :])
     return np.maximum(new, overlap)
 
 
@@ -375,15 +419,18 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
     of ``phi``, when all of them are done at the same iteration (never at
     the first), with stop "tol", or after ``max_iter`` iterations, with
     stop "max_iter".  Its slack is -min(gain) over its restarts, and its
-    arithmetic is that of a batch of one.  Returns per code (iterations,
+    arithmetic is that of a batch of one.  The steps share one
+    :class:`_Work`, built before the first and again whenever a code
+    leaves, once the old one is freed.  Returns per code (iterations,
     stop, slack), the slack being the largest drop of any restart's overlap.
     """
     iterations, converged = np.full(len(phi), max_iter), np.zeros(len(phi), dtype=bool)
     slacks = np.empty(len(phi))
     # the codes still in the batch: their rows of phi, restarts, slacks, overlaps
     rows, batch, slack, overlap = np.arange(len(phi)), phi, np.zeros(len(phi)), 0.0
+    work = _Work(tensor, batch)
     for iteration in range(1, max_iter + 1):
-        new = _extrapolate(tensor, batch)
+        new = _extrapolate(tensor, batch, work)
         gain = new - overlap
         overlap = new
         if iteration == 1:
@@ -398,15 +445,17 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
             if done.all():
                 break
             rows, batch, slack, overlap, tensor = (a[~done] for a in (rows, batch, slack, overlap, tensor))
+            del work
+            work = _Work(tensor, batch)
     else:
         phi[rows], slacks[rows] = batch, slack
     return iterations, ["tol" if c else "max_iter" for c in converged], slacks
 
 
 # codes per batch: at 8, 13 and 39 codes the solve of the 39 orbit reps
-# takes about 0.84, 0.77 and 0.74 of its time at 4 (medians of paired
-# runs), while its peak traced memory grows from 0.88 MB at 4 to 1.13, 1.52
-# and 3.15 MB
+# takes about 0.83, 0.79 and 0.74-0.79 of its time at 4 (medians of rotating
+# rounds), while its peak traced memory, work area included, grows from
+# 0.83 MB at 4 to 1.27, 1.92 and 4.69 MB
 BATCH = 8
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -670,10 +671,10 @@ def test_sweep_pins_over_the_session_classification(records, graph_records, monk
     calls = 0
     sweep = gm._sweep
 
-    def counted(tensor, phi):
+    def counted(tensor, phi, work=None):
         nonlocal calls
         calls += 1
-        return sweep(tensor, phi)
+        return sweep(tensor, phi, work)
 
     monkeypatch.setattr(gm, "_sweep", counted)
     iterations = gm.solve_code(13652).iterations
@@ -787,12 +788,60 @@ def test_extrapolate_never_loses_ground():
     assert gained > 1e-6
 
 
+def _poison(work, *viewed):
+    """Fill every array a work area holds with NaN (True where boolean), but
+    not its views of the arrays it was built on."""
+    held = [work]
+    while held:
+        for value in vars(held.pop()).values():
+            items = value.values() if isinstance(value, dict) else value if isinstance(value, (list, tuple)) else [value]
+            for x in items:
+                if isinstance(x, gm._Qubits):
+                    held.append(x)
+                elif (isinstance(x, np.ndarray) and x.flags.writeable
+                      and not any(np.shares_memory(x, v) for v in viewed)):
+                    x.fill(np.nan)
+
+
+@pytest.mark.parametrize("n", [1, gm.BATCH])
+def test_one_work_area_serves_every_step(n):
+    # a work area built once serves ten SQUAREM steps on a stack of n codes
+    # from the solve's own starts: nothing a step allocates is as large as
+    # phi (numpy's own caches filled by one step on a copy first), and a new
+    # area filled with NaN before each step gives the same bits, so no step
+    # reads a buffer before it writes it.  Code 0 leads each stack: its top
+    # rider |++++> is a fixed point of the sweep, where v = 0 from step 2 on
+    codes = BATCH_MIX[1:1 + n]
+    tensors = np.array([sv.state_tensor(sv.build_state(h)) for h in codes])
+    starts = [gm._random_product_batch(np.random.default_rng([0, h]), gm.RESTARTS) for h in codes]
+    phi = _restart_major(np.concatenate((starts, gm._riders(_sign_tensors(codes))), axis=1))
+    fresh, poisoned = phi.copy(), phi.copy()
+    work = gm._Work(tensors, fresh)
+    overlaps = np.empty((10, *phi.shape[:-3], phi.shape[-1]))
+    gm._extrapolate(tensors, phi.copy())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for k in range(10):
+            overlaps[k] = gm._extrapolate(tensors, fresh, work)
+        grown = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grown < phi.nbytes
+    for k in range(10):
+        poisoned_work = gm._Work(tensors, poisoned)
+        _poison(poisoned_work, poisoned, tensors)
+        assert gm._extrapolate(tensors, poisoned, poisoned_work).tobytes() == overlaps[k].tobytes()
+    assert poisoned.tobytes() == fresh.tobytes()
+    assert not np.array_equal(fresh, phi)
+
+
 def test_extrapolate_raises_when_the_extrapolated_qubit_is_zero(monkeypatch):
     # a sweep that halves every amplitude gives alpha = -2, and then
     # y = x0 - 2 alpha r + alpha^2 v is exactly 0.  It reports one overlap
     # throughout, so the overlap test alone would take the swept y: the
     # zero-norm check raises before y is rescaled, with no division by zero
-    def halve(tensor, phi):
+    def halve(tensor, phi, work=None):
         phi /= 2.0
         return np.ones(phi.shape[-1])
 
