@@ -107,24 +107,28 @@ def cmd_query(args) -> int:
         print(f"hgstate: query failed under {policy}: {exc}", file=sys.stderr)
         return 2
 
-    state = sv.build_state(code)
-    print(f"edges:        {hc.format_edges(code) or '(none)'}")
-    print(f"code:         {code}")
-    print(f"rank:         {hc.rank(code)}")
-    print(f"standardized: {hc.format_edges(rec.std) or '(none)'}  (code {rec.std})")
-    print("amplitudes (basis: qubit 1 leftmost):")
-    for mu in range(hc.N_BASIS):
-        print(f"  |{hc.basis_string(mu)}>  {state[mu]:+.4f}")
-    print(f"orbit:        rep {rec.rep}, size {rec.orbit_size}, rank {rec.rank}, m {rec.m}")
+    state = sv.build_state(code).tolist()
+    lines = [
+        f"edges:        {hc.format_edges(code) or '(none)'}",
+        f"code:         {code}",
+        f"rank:         {hc.rank(code)}",
+        f"standardized: {hc.format_edges(rec.std) or '(none)'}  (code {rec.std})",
+        "amplitudes (basis: qubit 1 leftmost):",
+        *(f"  |{basis}>  {amplitude:+.4f}" for basis, amplitude in zip(hc.BASIS_STRINGS, state)),
+        f"orbit:        rep {rec.rep}, size {rec.orbit_size}, rank {rec.rank}, m {rec.m}",
+    ]
     if rec.row:
-        print(f"class:        table {rec.table}, row {rec.row}")
-    print(f"stabilizers:  {'ok' if sv.verify_stabilizers(code) else 'FAILED'}")
-    print(f"ge:           {rec.ge:.6f}  (overlap {sol.overlap:.6f}, "
-          f"restarts_hit {rec.restarts_hit}, converged {rec.converged})")
-    print(f"be1:          {' '.join(f'{v:.4f}' for v in rec.profile.be1)}")
-    print(f"be2:          {' '.join(f'{v:.4f}' for v in rec.profile.be2)}")
-    print(f"pattern:      {rec.pattern.label}  (this code's witness)")
-    print(f"reality:      {rec.pattern.reality}  (this code's witness)")
+        lines.append(f"class:        table {rec.table}, row {rec.row}")
+    lines += [
+        f"stabilizers:  {'ok' if sv.verify_stabilizers(code) else 'FAILED'}",
+        f"ge:           {rec.ge:.6f}  (overlap {sol.overlap:.6f}, "
+        f"restarts_hit {rec.restarts_hit}, converged {rec.converged})",
+        f"be1:          {' '.join(f'{v:.4f}' for v in rec.profile.be1)}",
+        f"be2:          {' '.join(f'{v:.4f}' for v in rec.profile.be2)}",
+        f"pattern:      {rec.pattern.label}  (this code's witness)",
+        f"reality:      {rec.pattern.reality}  (this code's witness)",
+    ]
+    print("\n".join(lines))
     if not rec.converged:
         print(f"hgstate: code {code} did not converge under {policy}", file=sys.stderr)
         return 2

@@ -131,8 +131,7 @@ class ProductState:
             raise ValueError(f"product state needs shape (4, 2), got {q.shape}")
         if not np.isfinite(q).all():
             raise ValueError("single-qubit amplitudes must be finite")
-        norms = np.linalg.norm(q, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        if abs(np.linalg.norm(q, axis=1) - 1.0).max() > 1e-12:
             raise ValueError("single-qubit states must be unit norm")
         object.__setattr__(self, "qubits", q)
 
@@ -188,9 +187,9 @@ class DegeneracyPattern:
 
 
 def _random_product_batch(rng, restarts: int) -> np.ndarray:
-    phi = rng.normal(size=(restarts, hc.N_VERTICES, 2)) + 1j * rng.normal(
-        size=(restarts, hc.N_VERTICES, 2)
-    )
+    # the real parts are drawn first, then the imaginary ones
+    parts = rng.normal(size=(2, restarts, hc.N_VERTICES, 2))
+    phi = parts[0] + 1j * parts[1]
     return phi / np.linalg.norm(phi, axis=2, keepdims=True)
 
 
@@ -270,10 +269,13 @@ class _Work:
         self.squares, self.im2, self.rv_sq8 = self.rv_sq[0], self.rv_im2[0], self.rv_sq.reshape(2, *lead, 8, r)
         self.sq = self.squares[..., 0, :], self.squares[..., 1, :]
         self.norms, self.scale = np.empty((2, *lead, 4, r))
-        self.n, self.spread = list(np.moveaxis(self.norms, -2, 0)), np.empty_like(phi)
+        self.n, self.spread = [self.norms[..., k, :] for k in range(4)], np.empty_like(phi)
         # per restart: |r| and |v|, their ratio, alpha, 2 alpha or alpha^2, and a flag
         self.rv_norm, (self.ratio, self.alpha, self.factor) = np.empty((2, *lead, r)), np.empty((3, *lead, r))
         self.flag = np.empty((*lead, r), bool)
+        # 1 / norm per qubit, and the factor and flag per restart, broadcast over phi's shape
+        self.scale_b, self.factor_b = self.scale[..., None, :], self.factor[..., None, None, :]
+        self.flag_b = self.flag[..., None, None, :]
 
 
 def _normalize(x: _Qubits, out: np.ndarray, w: _Work):
@@ -290,11 +292,13 @@ def _normalize(x: _Qubits, out: np.ndarray, w: _Work):
     norms = np.sqrt(np.add(*w.sq, out=w.norms), out=w.norms)
     if not (least := np.minimum.reduce(norms, axis=None)) > _ZERO_NORM:
         raise FloatingPointError(f"a qubit of norm {least:.3g} <= {_ZERO_NORM:g} cannot be rescaled")
-    np.copyto(w.spread, np.divide(1.0, norms, out=w.scale)[..., None, :])
+    np.reciprocal(norms, out=w.scale)
+    w.spread[...] = w.scale_b
     np.multiply(x.x, w.spread, out=out)
 
 
-def _sweep(tensor: np.ndarray, phi: np.ndarray, work: _Work | None = None) -> np.ndarray:
+def _sweep(tensor: np.ndarray, phi: np.ndarray, work: _Work | None = None, *,
+           overlaps: bool = True) -> np.ndarray | None:
     """One full alternating sweep over the four qubits, in place.
 
     Shapes are restart-major: one tensor, (2, 2, 2, 2) or (4, 4), with
@@ -331,19 +335,20 @@ def _sweep(tensor: np.ndarray, phi: np.ndarray, work: _Work | None = None) -> np
     (:func:`_normalize`) and leaves phi as it was.
 
     Returns the overlaps |f| after the sweep, one per restart, shaped (R,)
-    or (n, R), in a buffer of the work area.
+    or (n, R), in a buffer of the work area, or None with ``overlaps=False``,
+    which skips them.
     """
     w = _Work(tensor, phi) if work is None else work
     p, q = w.qubits[id(phi)], w.new
     # each 2x2 contraction is one product over [a, b, r] and a sum of its two terms
-    np.copyto(w.first, p.a[2])
+    w.first[...] = p.a[2]
     np.multiply(w.first, p.b[3], out=w.pair)
     np.matmul(w.t, w.pair_f, out=w.tcd_f)
     np.multiply(w.tcd, p.b[1], out=w.m)
     np.conjugate(np.add(*w.m_b, out=q.q[0]), out=q.q[0])
     np.multiply(q.a[0], w.tcd, out=w.m)
     np.conjugate(np.add(*w.m_a, out=q.q[1]), out=q.q[1])
-    np.copyto(w.first, q.a[0])
+    w.first[...] = q.a[0]
     np.multiply(w.first, q.b[1], out=w.pair)
     np.matmul(w.tt, w.pair_f, out=w.tab_f)
     np.multiply(w.tab, p.b[3], out=w.m)
@@ -351,6 +356,8 @@ def _sweep(tensor: np.ndarray, phi: np.ndarray, work: _Work | None = None) -> np
     np.multiply(q.a[2], w.tab, out=w.m)
     np.conjugate(np.add(*w.m_a, out=q.q[3]), out=q.q[3])
     _normalize(q, phi, w)
+    if not overlaps:
+        return None
     n1, n2, n3, n4 = w.n
     np.multiply(np.multiply(n1, n2, out=p.overlap), n3, out=p.overlap)
     return np.divide(n4, p.overlap, out=p.overlap)
@@ -384,8 +391,8 @@ def _extrapolate(tensor: np.ndarray, phi: np.ndarray, work: _Work | None = None)
     """
     w = _Work(tensor, phi) if work is None else work
     y, r, v = w.y.x, w.r, w.v
-    np.copyto(y, phi)
-    _sweep(tensor, phi, w)
+    y[...] = phi
+    _sweep(tensor, phi, w, overlaps=False)
     np.subtract(phi, y, out=r)
     overlap = _sweep(tensor, phi, w)
     np.add(np.multiply(r, 2.0, out=v), y, out=v)
@@ -396,13 +403,16 @@ def _extrapolate(tensor: np.ndarray, phi: np.ndarray, work: _Work | None = None)
     w.ratio.fill(0.0)
     np.divide(r_norm, v_norm, out=w.ratio, where=np.greater(v_norm, 0.0, out=w.flag))
     np.minimum(np.negative(w.ratio, out=w.alpha), -1.0, out=w.alpha)
-    np.copyto(w.spread, np.multiply(2.0, w.alpha, out=w.factor)[..., None, None, :])
+    np.multiply(2.0, w.alpha, out=w.factor)
+    w.spread[...] = w.factor_b
     np.subtract(y, np.multiply(r, w.spread, out=r), out=y)
-    np.copyto(w.spread, np.multiply(w.alpha, w.alpha, out=w.factor)[..., None, None, :])
+    np.multiply(w.alpha, w.alpha, out=w.factor)
+    w.spread[...] = w.factor_b
     np.add(y, np.multiply(v, w.spread, out=v), out=y)
     _normalize(w.y, y, w)
     new = _sweep(tensor, y, w)
-    np.copyto(phi, y, where=np.greater_equal(new, overlap, out=w.flag)[..., None, None, :])
+    np.greater_equal(new, overlap, out=w.flag)
+    np.copyto(phi, y, where=w.flag_b)
     return np.maximum(new, overlap)
 
 
@@ -418,16 +428,17 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
     2|f|); a code leaves the batch, its restarts written back to its row
     of ``phi``, when all of them are done at the same iteration (never at
     the first), with stop "tol", or after ``max_iter`` iterations, with
-    stop "max_iter".  Its slack is -min(gain) over its restarts, and its
-    arithmetic is that of a batch of one.  The steps share one
-    :class:`_Work`, built before the first and again whenever a code
-    leaves, once the old one is freed.  Returns per code (iterations,
-    stop, slack), the slack being the largest drop of any restart's overlap.
+    stop "max_iter".  Its arithmetic is that of a batch of one.  The steps
+    share one :class:`_Work`, built before the first and again whenever a
+    code leaves, once the old one is freed.  Returns per code (iterations,
+    stop, slack), the slack being the largest drop of any restart's overlap
+    over the iterations after the first, or 0: max(0, -g), g its least gain,
+    kept per restart by one running minimum and reduced as the code leaves.
     """
     iterations, converged = np.full(len(phi), max_iter), np.zeros(len(phi), dtype=bool)
-    slacks = np.empty(len(phi))
-    # the codes still in the batch: their rows of phi, restarts, slacks, overlaps
-    rows, batch, slack, overlap = np.arange(len(phi)), phi, np.zeros(len(phi)), 0.0
+    least = np.empty(len(phi))
+    # the codes still in the batch: their rows of phi, restarts, least gain per restart, overlaps
+    rows, batch, lows, overlap = np.arange(len(phi)), phi, np.full((len(phi), phi.shape[-1]), np.inf), 0.0
     work = _Work(tensor, batch)
     for iteration in range(1, max_iter + 1):
         new = _extrapolate(tensor, batch, work)
@@ -435,21 +446,21 @@ def _ascend(tensor: np.ndarray, phi: np.ndarray, max_iter: int):
         overlap = new
         if iteration == 1:
             continue
-        slack = np.maximum(slack, -gain.min(axis=1))
-        top = gain.max(axis=1)
-        if top.min() < TOL:
+        np.minimum(lows, gain, out=lows)
+        top = np.maximum.reduce(gain, axis=1)
+        if np.minimum.reduce(top) < TOL:
             done = top < TOL
             gone = rows[done]
             iterations[gone], converged[gone] = iteration, True
-            phi[gone], slacks[gone] = batch[done], slack[done]
+            phi[gone], least[gone] = batch[done], lows[done].min(axis=1)
             if done.all():
                 break
-            rows, batch, slack, overlap, tensor = (a[~done] for a in (rows, batch, slack, overlap, tensor))
+            rows, batch, lows, overlap, tensor = (a[~done] for a in (rows, batch, lows, overlap, tensor))
             del work
             work = _Work(tensor, batch)
     else:
-        phi[rows], slacks[rows] = batch, slack
-    return iterations, ["tol" if c else "max_iter" for c in converged], slacks
+        phi[rows], least[rows] = batch, lows.min(axis=1)
+    return iterations, ["tol" if c else "max_iter" for c in converged], np.maximum(0.0, -least)
 
 
 # codes per batch: at 8, 13 and 39 codes the solve of the 39 orbit reps
@@ -476,9 +487,8 @@ def solve_codes(codes, policy: SolvePolicy | None = None):
     policy = policy or SolvePolicy()
     codes = iter(codes)
     while batch := [hc.check_code(h) for h in itertools.islice(codes, BATCH)]:
-        states = [sv.build_state(h) for h in batch]
-        tensors = np.array([sv.state_tensor(s) for s in states])
-        signs = np.array([sv.state_tensor(4 * s) for s in states]).astype(np.int64)
+        tensors = np.array([sv.state_tensor(sv.build_state(h)) for h in batch])
+        signs = (4 * tensors).astype(np.int64)
         starts = np.array([_random_product_batch(np.random.default_rng([policy.seed, h]), RESTARTS)
                            for h in batch])
         starts = np.concatenate((starts, _riders(signs)), axis=1)
@@ -497,7 +507,7 @@ def solve_codes(codes, policy: SolvePolicy | None = None):
                 eg=-2.0 * math.log2(best_overlap) + 0.0,
                 # a copy, so that a kept solution does not hold its batch's restarts
                 witness=ProductState(restarts[k, best].copy()),
-                restarts_hit=int(hit.sum()),
+                restarts_hit=int(np.count_nonzero(hit)),
                 converged=stops[k] == "tol",
                 iterations=int(iterations[k]),
                 stop=stops[k],
@@ -551,8 +561,8 @@ def _partition_sizes(phi: np.ndarray) -> list[tuple[int, ...]]:
     """Group sizes of coinciding single-qubit states, one tuple per witness
     of the stack phi[k, qubit]: two states coincide when their fidelity
     |<phi_i|phi_j>| exceeds 1 - MERGE_TOL."""
-    fidelity = np.abs((phi[:, _PAIR_I].conj() * phi[:, _PAIR_J]).sum(axis=2))
-    masks = (fidelity > 1.0 - MERGE_TOL) @ _PAIR_BITS
+    terms = np.take(phi.conj(), _PAIR_I, axis=1) * np.take(phi, _PAIR_J, axis=1)
+    masks = (np.abs(np.add(terms[..., 0], terms[..., 1])) > 1.0 - MERGE_TOL) @ _PAIR_BITS
     return [_PARTITIONS[m] for m in masks]
 
 

@@ -54,6 +54,7 @@ ALL_PERMUTATIONS = tuple(itertools.permutations(VERTICES))
 # largest first, then vertex-lexicographic
 _DISPLAY = tuple(sorted(((e, 1 << (e - 1), "".join(str(v) for v in VERTICES if e >> (v - 1) & 1))
                          for e in range(1, N_BASIS)), key=lambda d: (-len(d[2]), d[2])))
+_EDGE_OF_DIGITS = {digits: e for e, _, digits in _DISPLAY}
 
 
 def _check(values, lo: int, stop: int, what: str, arrays: bool = False):
@@ -346,13 +347,16 @@ def parse_edges(text: str) -> int:
     edges = []
     for token in text.split(","):
         token = token.strip()
-        # int() also reads non-ASCII digits (Arabic-Indic, fullwidth); only ASCII 1-4 pass
-        if not token or set(token) - set("1234"):
-            raise ValueError(f"edge {token!r} is not a run of the vertex digits 1-4")
-        try:
-            edges.append(edge_mask(map(int, token)))
-        except ValueError as exc:
-            raise ValueError(f"edge {token!r}: {exc}") from None
+        # an edge in the display form of ``format_edges`` is read off its table
+        if (e := _EDGE_OF_DIGITS.get(token)) is None:
+            # int() also reads non-ASCII digits (Arabic-Indic, fullwidth); only ASCII 1-4 pass
+            if not token or set(token) - set("1234"):
+                raise ValueError(f"edge {token!r} is not a run of the vertex digits 1-4")
+            try:
+                e = edge_mask(map(int, token))
+            except ValueError as exc:
+                raise ValueError(f"edge {token!r}: {exc}") from None
+        edges.append(e)
     return code_of_edges(edges)
 
 
@@ -362,7 +366,10 @@ def format_edges(h: int) -> str:
     return ",".join(digits for _, bit, digits in _DISPLAY if h & bit)
 
 
+# the display form of every basis index, in index order
+BASIS_STRINGS = tuple("".join(str(mu >> v & 1) for v in range(N_VERTICES)) for mu in range(N_BASIS))
+
+
 def basis_string(mu: int) -> str:
     """Display form of a basis index: vertex 1 is the leftmost character."""
-    mu = _check(mu, 0, N_BASIS, "basis index")
-    return "".join(str(mu >> v & 1) for v in range(N_VERTICES))
+    return BASIS_STRINGS[_check(mu, 0, N_BASIS, "basis index")]

@@ -43,7 +43,7 @@ def stabilizer_defects(codes) -> tuple[np.ndarray, np.ndarray]:
     K_i fixes |H> iff D_i ^ g ^ F_i(g) = 0, and K_i, K_j commute iff
     D_j ^ F_j(D_i) = D_i ^ F_i(D_j).  Returns boolean (4, n) fix failures
     and (6, n) commutation failures, rows by vertex and by ``PAIRS``, one
-    column per code.
+    column per code; a single code, an int, gives 0-d rows, (4,) and (6,).
     """
     g = hc.sign_words(codes)
     codes = np.asarray(codes, dtype=np.uint16)
@@ -60,7 +60,7 @@ def stabilizer_defects(codes) -> tuple[np.ndarray, np.ndarray]:
 
 def verify_stabilizers(h: int) -> bool:
     """Check K_i |H> = |H> for all i and that the K_i pairwise commute."""
-    unfixed, noncommuting = stabilizer_defects([hc.check_code(h)])
+    unfixed, noncommuting = stabilizer_defects(hc.check_code(h))
     return not (unfixed.any() or noncommuting.any())
 
 
@@ -126,10 +126,10 @@ def _entropies(rho: np.ndarray) -> np.ndarray:
     Eigenvalues of at most 1e-15 add an exact zero (their log is taken at
     1), so each sum runs over the others in order, as if they were dropped.
     """
-    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    lam = np.minimum(np.maximum(np.linalg.eigvalsh(rho), 0.0), 1.0)
     terms = lam * np.log2(np.where(lam > 1e-15, lam, 1.0))
-    # + 0.0 turns the -0.0 of a pure cut into 0.0
-    return -terms.sum(axis=-1) + 0.0
+    # 0.0 - sum, not -sum, gives a pure cut 0.0 rather than -0.0
+    return 0.0 - terms.sum(axis=-1)
 
 
 def entropy(rho: np.ndarray) -> float:

@@ -3,6 +3,8 @@ driven in process through cli.main(argv)."""
 
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +232,27 @@ def test_query_runs_one_reality_search(monkeypatch, capsys):
 def test_query_decided_by_its_riders_runs_an_empty_proof(monkeypatch, capsys):
     # the riders decide code 1234 "R", so the one proof call gets no code
     assert _query_proof_stacks(monkeypatch, capsys, "1234") == ([(0, 2, 2, 2, 2)], ["R"])
+
+
+GOLDEN_QUERIES = Path(__file__).resolve().parent / "data" / "query_seed0.txt"
+
+
+def test_query_stdout_matches_the_golden_file(capsys):
+    # byte for byte, the stdout of ten queries, each after its line
+    # `$ hgstate query "EDGES"`: codes 0 and 16384, reps 13652 (row 28) and
+    # 16436 (row 7, "C"), code 1104 (row 18), codes 13654 and 13915 of row
+    # 28's orbit, graph reps 292 and 820, and a code with loops.  A change
+    # that means to move the output regenerates the file, one query per line
+    golden = GOLDEN_QUERIES.read_bytes().decode()
+    out = []
+    for line in golden.splitlines():
+        if line.startswith("$ hgstate query "):
+            assert cli.main(["query", shlex.split(line)[3]]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            out.append(f"{line}\n{captured.out}")
+    assert len(out) == 10
+    assert "".join(out) == golden
 
 
 def test_query_empty_edge_list(capsys):

@@ -660,6 +660,42 @@ def test_sweep_raises_when_the_first_environment_alone_is_zero():
     _assert_sweep_raises(tensor, phi)
 
 
+def _stepped_slacks(codes, monkeypatch):
+    """The solutions of a batched solve of ``codes``, and each code's slack
+    recomputed from the overlaps its steps return: from 0, the larger of
+    the slack so far and -min(gain) at each iteration after the first."""
+    code_of = {sv.state_tensor(sv.build_state(h)).tobytes(): h for h in codes}
+    trail = {h: [] for h in codes}
+    step = gm._extrapolate
+
+    def recorded(tensor, phi, work=None):
+        overlaps = step(tensor, phi, work)
+        for t, row in zip(tensor, overlaps):
+            trail[code_of[t.tobytes()]].append(row.copy())
+        return overlaps
+
+    monkeypatch.setattr(gm, "_extrapolate", recorded)
+    sols = list(gm.solve_codes(codes))
+    monkeypatch.undo()
+    slacks = []
+    for h, sol in zip(codes, sols):
+        assert len(trail[h]) == sol.iterations, h
+        slack = np.float64(0.0)
+        for before, after in zip(trail[h], trail[h][1:]):
+            slack = np.maximum(slack, -(after - before).min())
+        slacks.append(slack)
+    return sols, slacks
+
+
+@pytest.mark.parametrize("codes", [(13652,), BATCH_MIX])
+def test_monotone_slack_is_the_largest_drop_of_any_step(codes, monkeypatch):
+    # the solve keeps each code's least gain elementwise and reduces it once,
+    # as the code leaves; that is the per-iteration running maximum of
+    # -min(gain), bit for bit, in a batch of one and in two batches
+    sols, slacks = _stepped_slacks(codes, monkeypatch)
+    assert [np.float64(sol.monotone_slack).tobytes() for sol in sols] == [s.tobytes() for s in slacks]
+
+
 def test_sweep_pins_over_the_session_classification(records, graph_records, monkeypatch):
     # the solve calls _sweep through the module attribute, three times per
     # iteration (one extrapolation step), so a wrapper there (as the
@@ -671,10 +707,10 @@ def test_sweep_pins_over_the_session_classification(records, graph_records, monk
     calls = 0
     sweep = gm._sweep
 
-    def counted(tensor, phi, work=None):
+    def counted(tensor, phi, work=None, overlaps=True):
         nonlocal calls
         calls += 1
-        return sweep(tensor, phi, work)
+        return sweep(tensor, phi, work, overlaps=overlaps)
 
     monkeypatch.setattr(gm, "_sweep", counted)
     iterations = gm.solve_code(13652).iterations
@@ -841,9 +877,9 @@ def test_extrapolate_raises_when_the_extrapolated_qubit_is_zero(monkeypatch):
     # y = x0 - 2 alpha r + alpha^2 v is exactly 0.  It reports one overlap
     # throughout, so the overlap test alone would take the swept y: the
     # zero-norm check raises before y is rescaled, with no division by zero
-    def halve(tensor, phi, work=None):
+    def halve(tensor, phi, work=None, overlaps=True):
         phi /= 2.0
-        return np.ones(phi.shape[-1])
+        return np.ones(phi.shape[-1]) if overlaps else None
 
     monkeypatch.setattr(gm, "_sweep", halve)
     tensor = sv.state_tensor(sv.build_state(13652))

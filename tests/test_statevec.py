@@ -80,6 +80,32 @@ def test_stabilizer_defects_match_dense_reference():
             assert noncommuting[row, col] == (not commute)
 
 
+def _assert_int_path_matches_the_whole_space():
+    """The 0-d verdict rows of each loop-free code, an int, equal its column
+    of the whole-space evaluation."""
+    unfixed, noncommuting = sv.stabilizer_defects(hc.ALL_CODES)
+    for h in np.flatnonzero(hc.strip_loops(hc.ALL_CODES) == hc.ALL_CODES).tolist():
+        u, c = sv.stabilizer_defects(h)
+        assert u.shape == (4,) and c.shape == (6,), h
+        assert np.array_equal(u, unfixed[:, h]) and np.array_equal(c, noncommuting[:, h]), h
+
+
+def test_stabilizer_defects_of_an_int_are_its_whole_space_column(monkeypatch):
+    # verify_stabilizers(h) takes the int path; it agrees with the array
+    # path on all 2048 loop-free codes, and still does under a planted
+    # fault, a basis flip on vertex 3 that sets one bit too many, which
+    # fails K_3 and the three pairs with vertex 3 for every code
+    _assert_int_path_matches_the_whole_space()
+    assert sv.verify_stabilizers(13652)
+    flip = hc.flip_basis
+    monkeypatch.setattr(hc, "flip_basis", lambda words, i: flip(words, i) ^ (i == 3))
+    _assert_int_path_matches_the_whole_space()
+    unfixed, noncommuting = sv.stabilizer_defects(13652)
+    assert unfixed.tolist() == [False, False, True, False]
+    assert noncommuting.tolist() == [3 in pair for pair in sv.PAIRS]
+    assert not sv.verify_stabilizers(13652)
+
+
 def test_stabilizer_defects_reject_out_of_range_codes():
     with pytest.raises(ValueError):
         sv.stabilizer_defects([5, hc.N_CODES])
